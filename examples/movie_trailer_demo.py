@@ -10,7 +10,7 @@ Run:  python examples/movie_trailer_demo.py
 
 from repro.apps import AppRunner, movietrailer_app
 from repro.baselines import all_systems
-from repro.sim import percentile
+from repro.telemetry import percentile
 from repro.testbed import Testbed, TestbedConfig
 
 EXECUTIONS = 40

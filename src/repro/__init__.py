@@ -6,7 +6,7 @@ Points: Millisecond-Level App Latency Almost for Free" (ICDCS 2024).
 Subpackages
 -----------
 ``repro.sim``
-    Discrete-event kernel: clock, processes, resources, randomness.
+    Discrete-event kernel: virtual clock, event heap, randomness.
 ``repro.net``
     Simulated internetwork: addresses, links, routing, UDP/TCP.
 ``repro.dnslib``

@@ -21,8 +21,8 @@ from repro.baselines.base import CachingSystem
 from repro.core.client_runtime import FetchResult
 from repro.errors import ConfigError
 from repro.sim.kernel import HOUR
-from repro.sim.monitor import percentile
 from repro.sim.randomness import ZipfSampler
+from repro.telemetry.instruments import percentile
 from repro.testbed import Testbed, TestbedConfig
 
 __all__ = ["WorkloadConfig", "WorkloadResult", "Workload", "FetchRecord",

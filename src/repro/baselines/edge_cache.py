@@ -19,7 +19,6 @@ from repro.httplib.client import HttpClient, TARGET_IP_HEADER
 from repro.httplib.messages import HttpRequest
 from repro.httplib.url import Url
 from repro.net.node import Node
-from repro.sim.monitor import MetricSet
 from repro.baselines.base import CachingSystem, telemetry_of
 from repro.testbed import Testbed
 
@@ -40,7 +39,7 @@ class EdgeCacheFetcher:
         self.http = HttpClient(node, bed.transport, self.resolver,
                                telemetry=self.telemetry)
         self._specs: dict[str, CacheableSpec] = {}
-        self.metrics = MetricSet()
+        self.fetches = 0
         self._h_lookup = self.telemetry.histogram("client.lookup_ms")
         self._h_retrieval = self.telemetry.histogram("client.retrieval_ms")
         self._h_total = self.telemetry.histogram("client.total_ms")
@@ -76,10 +75,7 @@ class EdgeCacheFetcher:
             retrieval_latency_s=retrieval_latency,
             used_cached_flags=resolution.from_cache,
             cache_hit=False)
-        now = self.sim.now
-        self.metrics.record("lookup_s", now, result.lookup_latency_s)
-        self.metrics.record("retrieval_s", now, result.retrieval_latency_s)
-        self.metrics.record("total_s", now, result.total_latency_s)
+        self.fetches += 1
         self._h_lookup.observe(lookup_latency * 1e3, app=self.app_id)
         self._h_retrieval.observe(retrieval_latency * 1e3,
                                   app=self.app_id, source="edge")

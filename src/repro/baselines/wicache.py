@@ -38,7 +38,6 @@ from repro.httplib.url import Url
 from repro.net.address import IPv4Address
 from repro.net.node import Node, TCP_HTTP_PORT
 from repro.sim.kernel import MS
-from repro.sim.monitor import MetricSet
 from repro.baselines.base import CachingSystem, telemetry_of
 from repro.telemetry.registry import NULL, Telemetry
 from repro.testbed import Testbed
@@ -197,7 +196,7 @@ class WiCacheFetcher:
         self.http = HttpClient(node, bed.transport,
                                telemetry=self.telemetry)
         self._specs: dict[str, CacheableSpec] = {}
-        self.metrics = MetricSet()
+        self.fetches = 0
         self._h_lookup = self.telemetry.histogram("client.lookup_ms")
         self._h_retrieval = self.telemetry.histogram("client.retrieval_ms")
         self._h_total = self.telemetry.histogram("client.total_ms")
@@ -255,10 +254,7 @@ class WiCacheFetcher:
             retrieval_latency_s=retrieval_latency,
             used_cached_flags=False,
             cache_hit=bool(cached_flag))
-        now = self.sim.now
-        self.metrics.record("lookup_s", now, result.lookup_latency_s)
-        self.metrics.record("retrieval_s", now, result.retrieval_latency_s)
-        self.metrics.record("total_s", now, result.total_latency_s)
+        self.fetches += 1
         source = result.source
         self._h_lookup.observe(lookup_latency * 1e3, app=self.app_id)
         self._h_retrieval.observe(retrieval_latency * 1e3,

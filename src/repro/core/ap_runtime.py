@@ -37,7 +37,6 @@ from repro.httplib.url import Url
 from repro.net.address import DUMMY_IP, IPv4Address
 from repro.net.node import Node, TCP_HTTP_PORT, UDP_DNS_PORT
 from repro.net.transport import Transport
-from repro.sim.tracing import EventTrace
 from repro.telemetry.spans import ParentLike, parse_trace_parent
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -68,7 +67,6 @@ class ApRuntime(ForwardingDnsService):
                  upstream: "IPv4Address | str",
                  config: ApeCacheConfig | None = None,
                  policy: EvictionPolicy | None = None,
-                 tracer: "EventTrace | None" = None,
                  telemetry: "Telemetry | None" = None) -> None:
         self.config = config or ApeCacheConfig()
         super().__init__(node, transport, upstream,
@@ -90,7 +88,6 @@ class ApRuntime(ForwardingDnsService):
             "ap.edge_fetch_ms", help="AP-to-edge retrieval latency (ms)")
         self._t_http = self.telemetry.counter(
             "ap.http_requests", help="cache-endpoint requests, by mode")
-        self.tracer = tracer
         self._url_by_hash: dict[bytes, str] = {}
         # Statistics surfaced by the overhead experiments (Fig. 14).
         self.dns_cache_queries = 0
@@ -133,10 +130,6 @@ class ApRuntime(ForwardingDnsService):
         yield self.node.occupy_cpu(self.config.dns_cache_extra_cpu_s)
         domain = query.question_name()
         result = self._build_flags(lookup, domain)
-        if self.tracer is not None:
-            self.tracer.log("dns-cache", "lookup answered",
-                            domain=str(domain), entries=len(result.rdata),
-                            all_hit=result.all_hit)
 
         if result.all_hit and self.config.enable_dummy_ip_short_circuit:
             # Short circuit: no upstream resolution; dummy IP, TTL 0.
@@ -400,15 +393,6 @@ class ApRuntime(ForwardingDnsService):
             span.set_attr("admitted", admission.admitted)
             span.set_attr("evicted", len(admission.evicted))
         self._url_by_hash[hash_url(entry.url)] = entry.url
-        if self.tracer is not None:
-            self.tracer.log("admission", "object cached",
-                            url=entry.url, bytes=entry.size_bytes,
-                            evicted=len(admission.evicted),
-                            used=self.store.used_bytes)
-            for victim in admission.evicted:
-                self.tracer.log("eviction", "object evicted",
-                                url=victim.url, app=victim.app_id,
-                                priority=victim.priority)
 
     # ------------------------------------------------------------------
     # Introspection used by experiments

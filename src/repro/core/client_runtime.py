@@ -42,7 +42,6 @@ from repro.httplib.url import Url
 from repro.net.address import DUMMY_IP, IPv4Address
 from repro.net.node import Node
 from repro.net.transport import Transport
-from repro.sim.monitor import MetricSet
 from repro.telemetry.registry import NULL
 from repro.telemetry.spans import Span, format_trace_parent
 
@@ -116,7 +115,8 @@ class ClientRuntime:
             else None)
         self._device_policy = LruPolicy()
         self.device_hits = 0
-        self.metrics = MetricSet()
+        self.fetches = 0
+        self.ap_hits = 0
         self.dns_cache_queries = 0
         self.flag_table_hits = 0
         self._h_lookup = self.telemetry.histogram(
@@ -328,11 +328,9 @@ class ClientRuntime:
         return response
 
     def _record(self, result: FetchResult) -> None:
-        now = self.sim.now
-        self.metrics.record("lookup_s", now, result.lookup_latency_s)
-        self.metrics.record("retrieval_s", now, result.retrieval_latency_s)
-        self.metrics.record("total_s", now, result.total_latency_s)
-        self.metrics.record(f"source:{result.source}", now, 1.0)
+        self.fetches += 1
+        if result.source == "ap-hit":
+            self.ap_hits += 1
         self._h_lookup.observe(result.lookup_latency_s * 1e3,
                                app=self.app_id)
         self._h_retrieval.observe(result.retrieval_latency_s * 1e3,
@@ -347,9 +345,7 @@ class ClientRuntime:
     # ------------------------------------------------------------------
     def hit_ratio(self) -> float:
         """Fraction of fetches served from the AP's cache."""
-        hits = self.metrics.series("source:ap-hit").count
-        total = self.metrics.series("total_s").count
-        return hits / total if total else 0.0
+        return self.ap_hits / self.fetches if self.fetches else 0.0
 
     def flush(self) -> None:
         self._domain_flags.clear()

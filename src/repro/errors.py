@@ -20,7 +20,7 @@ class ProcessInterrupt(SimulationError):
     """A simulated process was interrupted by another process.
 
     The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.Process.interrupt`.
+    :meth:`repro.engine.Process.interrupt`.
     """
 
     def __init__(self, cause: object = None) -> None:

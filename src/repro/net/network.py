@@ -1,16 +1,15 @@
 """The internetwork: topology, routing, and path delay computation.
 
-Routing uses networkx shortest paths weighted by link latency, with results
-memoised (topologies are static during an experiment).  Hop counts and path
-delays are what the paper's Table I measures with ``traceroute`` and
-``ping``, so both are first-class here.
+Routing is Dijkstra over each link's latency as it stands when the path is
+first asked for, with results memoised (topologies are static during an
+experiment).  Hop counts and path delays are what the paper's Table I
+measures with ``traceroute`` and ``ping``, so both are first-class here.
 """
 
 from __future__ import annotations
 
+import heapq
 import typing as _t
-
-import networkx as nx
 
 from repro.errors import NetworkError, NoRouteError
 from repro.net.address import AddressAllocator, IPv4Address
@@ -73,8 +72,9 @@ class Network:
         self.sim = sim
         self.allocator = allocator or AddressAllocator()
         self.telemetry = telemetry if telemetry is not None else NULL
-        self._graph = nx.Graph()
         self._nodes: dict[str, Node] = {}
+        #: Adjacency: node name -> neighbour name -> the joining link.
+        self._links: dict[str, dict[str, Link]] = {}
         self._by_address: dict[IPv4Address, Node] = {}
         self._path_cache: dict[tuple[str, str], PathInfo] = {}
 
@@ -95,7 +95,7 @@ class Network:
         node = Node(self.sim, name, resolved, cpu_capacity=cpu_capacity)
         self._nodes[name] = node
         self._by_address[resolved] = node
-        self._graph.add_node(name)
+        self._links[name] = {}
         return node
 
     def add_link(self, a: str, b: str, kind: LinkKind,
@@ -104,11 +104,11 @@ class Network:
         for endpoint in (a, b):
             if endpoint not in self._nodes:
                 raise NetworkError(f"unknown node {endpoint!r}")
-        if self._graph.has_edge(a, b):
+        if b in self._links[a]:
             raise NetworkError(f"duplicate link {a!r}<->{b!r}")
         link = Link.of_kind(a, b, kind, latency_s=latency_s,
                             telemetry=self.telemetry)
-        self._graph.add_edge(a, b, link=link, weight=link.latency_s)
+        self._links[a][b] = self._links[b][a] = link
         self._path_cache.clear()
         return link
 
@@ -172,17 +172,36 @@ class Network:
         for endpoint in (a, b):
             if endpoint not in self._nodes:
                 raise NetworkError(f"unknown node {endpoint!r}")
-        try:
-            node_names = nx.shortest_path(self._graph, a, b, weight="weight")
-        except nx.NetworkXNoPath:
-            raise NoRouteError(f"no route from {a!r} to {b!r}") from None
-        links = [self._graph.edges[u, v]["link"]
+        node_names = self._route(a, b)
+        links = [self._links[u][v]
                  for u, v in zip(node_names, node_names[1:])]
         info = PathInfo(node_names, links)
         self._path_cache[key] = info
         self._path_cache[(b, a)] = PathInfo(
             list(reversed(node_names)), list(reversed(links)))
         return info
+
+    def _route(self, a: str, b: str) -> list[str]:
+        """Dijkstra on ``link.latency_s`` read now, not at ``add_link``.
+
+        Heap entries order by (latency, hops, node names), so equal-latency
+        routes resolve to the fewest hops and then the smaller names.
+        """
+        frontier: list[tuple[float, int, tuple[str, ...]]] = [(0.0, 0, (a,))]
+        settled: set[str] = set()
+        while frontier:
+            latency_s, hops, names = heapq.heappop(frontier)
+            here = names[-1]
+            if here == b:
+                return list(names)
+            if here in settled:
+                continue
+            settled.add(here)
+            for neighbour, link in sorted(self._links[here].items()):
+                if neighbour not in settled:
+                    heapq.heappush(frontier, (latency_s + link.latency_s,
+                                              hops + 1, names + (neighbour,)))
+        raise NoRouteError(f"no route from {a!r} to {b!r}")
 
     def hops(self, a: str, b: str) -> int:
         """Link count on the routed path between two nodes."""
@@ -194,5 +213,5 @@ class Network:
         return forward.one_way_delay(size_bytes) + forward.one_way_delay(0)
 
     def __repr__(self) -> str:
-        return (f"<Network nodes={self._graph.number_of_nodes()} "
-                f"links={self._graph.number_of_edges()}>")
+        links = sum(len(peers) for peers in self._links.values()) // 2
+        return f"<Network nodes={len(self._nodes)} links={links}>"

@@ -1,43 +1,26 @@
 """Discrete-event simulation kernel.
 
-The kernel is deliberately small and dependency-free: a clock, an event
-heap, generator-based processes, counted resources, seeded randomness, and
-metric collection.  Every other subsystem in the reproduction (network,
-DNS, HTTP, the APE-CACHE runtimes) is built on these primitives.
+The kernel is deliberately small and dependency-free: a virtual clock
+over an event heap (:mod:`.kernel`) and seeded randomness
+(:mod:`.randomness`).  The event and resource primitives it schedules
+live on the engine seam (:mod:`repro.engine`), shared with the
+wall-clock engine; metrics and traces live in :mod:`repro.telemetry`.
 """
 
-from repro.sim.events import AllOf, AnyOf, Condition, Event, Process, Timeout
 from repro.sim.kernel import HOUR, MINUTE, MS, SECOND, Simulator
-from repro.sim.monitor import MetricSet, Series, percentile
 from repro.sim.randomness import (
     ExponentialSampler,
     RandomStreams,
     ZipfSampler,
 )
-from repro.sim.resources import Resource, ServiceQueue, Store
-from repro.sim.tracing import EventTrace, TraceEvent
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "Event",
-    "EventTrace",
     "ExponentialSampler",
     "HOUR",
     "MINUTE",
     "MS",
-    "MetricSet",
-    "Process",
     "RandomStreams",
-    "Resource",
     "SECOND",
-    "Series",
-    "ServiceQueue",
     "Simulator",
-    "Store",
-    "Timeout",
-    "TraceEvent",
     "ZipfSampler",
-    "percentile",
 ]

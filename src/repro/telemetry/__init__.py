@@ -47,6 +47,7 @@ from repro.telemetry.instruments import (
     Instrument,
     LabelSet,
     labelset,
+    percentile,
 )
 from repro.telemetry.profiling import HostProfile, HostProfileReport
 from repro.telemetry.registry import NULL, NullTelemetry, Telemetry
@@ -88,6 +89,7 @@ __all__ = [
     "format_trace_parent",
     "labelset",
     "parse_trace_parent",
+    "percentile",
     "metric_records",
     "metrics_to_jsonl",
     "records_from_telemetry",

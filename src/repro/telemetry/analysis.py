@@ -36,7 +36,7 @@ import typing as _t
 
 from repro.errors import TelemetryError
 from repro.experiments.common import ExperimentTable
-from repro.sim.monitor import percentile
+from repro.telemetry.instruments import percentile
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telemetry.registry import Telemetry

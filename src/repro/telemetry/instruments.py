@@ -11,8 +11,8 @@ Histograms record latency-style samples against fixed bucket upper
 bounds (sim-milliseconds by default) and come in two **backends**:
 
 * ``backend="exact"`` retains the raw samples, so percentiles are exact
-  (computed through :func:`repro.sim.monitor.percentile` — the
-  repository's one percentile implementation).  Pass ``max_samples`` to
+  (computed through :func:`percentile` below — the repository's one
+  percentile implementation).  Pass ``max_samples`` to
   cap how many raw samples each label set keeps (percentiles are
   *exact until the cap*, then computed over the first ``max_samples``
   observations, with bucket counts/sum/count staying exact forever).
@@ -43,11 +43,11 @@ import math
 import typing as _t
 
 from repro.errors import TelemetryError
-from repro.sim.monitor import percentile
 from repro.telemetry.sketch import DEFAULT_RELATIVE_ERROR, QuantileSketch
 
 __all__ = ["Counter", "Gauge", "Histogram", "Instrument", "LabelSet",
-           "DEFAULT_LATENCY_BUCKETS_MS", "HISTOGRAM_BACKENDS", "labelset"]
+           "DEFAULT_LATENCY_BUCKETS_MS", "HISTOGRAM_BACKENDS", "labelset",
+           "percentile"]
 
 #: One label set: ``(("app", "maps"), ("outcome", "hit"))``.
 LabelSet = tuple[tuple[str, str], ...]
@@ -61,6 +61,73 @@ DEFAULT_LATENCY_BUCKETS_MS: tuple[float, ...] = (
 
 #: The selectable histogram storage strategies.
 HISTOGRAM_BACKENDS = ("exact", "sketch")
+
+
+def percentile(values: _t.Sequence[float], q: float,
+               weights: _t.Sequence[float] | None = None) -> float:
+    """Linear-interpolation percentile, ``q`` in [0, 100].
+
+    Matches ``numpy.percentile``'s default behaviour but avoids pulling
+    numpy into hot simulation paths.
+
+    With ``weights`` (positive, one per value — how many requests each
+    sample stands in for under tail-based trace sampling), samples are
+    placed at positions ``t_i = (c_i - w_i) / (W - w_n)`` over their
+    sorted order (``c_i`` = cumulative weight through sample i, ``W``
+    total weight, ``w_n`` the last sorted sample's weight) and linearly
+    interpolated between.  Unit weights reduce to exactly
+    ``t_i = (i-1)/(n-1)`` — the unweighted formula — and that case is
+    dispatched to the unweighted code path so results are
+    bit-identical.
+    """
+    if not values:
+        raise ValueError("percentile of an empty sequence")
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"q must be within [0, 100], got {q}")
+    if weights is not None:
+        if len(weights) != len(values):
+            raise ValueError(
+                f"got {len(weights)} weights for {len(values)} values")
+        if any(weight <= 0 for weight in weights):
+            raise ValueError("weights must be positive")
+        if all(weight == 1.0 for weight in weights):
+            weights = None  # bit-identical to the unweighted path
+    if weights is not None:
+        return _weighted_percentile(values, q, weights)
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (q / 100.0) * (len(ordered) - 1)
+    low = math.floor(rank)
+    high = math.ceil(rank)
+    if low == high:
+        return ordered[low]
+    fraction = rank - low
+    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+
+
+def _weighted_percentile(values: _t.Sequence[float], q: float,
+                         weights: _t.Sequence[float]) -> float:
+    pairs = sorted(zip(values, weights))
+    if len(pairs) == 1:
+        return pairs[0][0]
+    total = math.fsum(weight for _value, weight in pairs)
+    span = total - pairs[-1][1]
+    if span <= 0.0:  # pragma: no cover - positive weights, n >= 2
+        return pairs[-1][0]
+    target = q / 100.0
+    cumulative = 0.0
+    previous_value, previous_t = pairs[0][0], 0.0
+    for value, weight in pairs:
+        cumulative += weight
+        t = min((cumulative - weight) / span, 1.0)
+        if t >= target:
+            if t <= previous_t:
+                return value
+            fraction = (target - previous_t) / (t - previous_t)
+            return previous_value * (1.0 - fraction) + value * fraction
+        previous_value, previous_t = value, t
+    return pairs[-1][0]
 
 
 def labelset(labels: _t.Mapping[str, object]) -> LabelSet:

@@ -122,6 +122,7 @@ def test_second_phone_benefits_from_first_phones_cache(env):
                           bed.ap.address, app_id="realapp")
     other.register(MovieTrailerApi)
     other.install_interceptor()
+    assert other.hit_ratio() == 0.0 and other.fetches == 0
     started = bed.sim.now
     bed.sim.run(until=bed.sim.process(run_app(other.http)))
     neighbor_latency = bed.sim.now - started

@@ -82,7 +82,7 @@ def test_edge_fetcher_records_metrics_and_caches_dns():
     assert not first.used_cached_flags     # cold resolution
     assert second.used_cached_flags        # stub cache (TTL 5 s)
     assert second.lookup_latency_s == 0.0
-    assert fetcher.metrics.series("total_s").count == 2
+    assert fetcher.fetches == 2
     assert not first.cache_hit and not second.cache_hit
 
     fetcher.flush()

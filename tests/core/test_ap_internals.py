@@ -147,3 +147,25 @@ def test_short_circuit_disabled_still_reports_flags():
     # Real IP (no dummy), but the hit flag still rides along.
     assert state.address == bed.edge.address
     assert state.flags[hash_url(url)] == CacheFlag.CACHE_HIT
+
+
+def test_ap_runtime_records_protocol_events():
+    bed = Testbed(TestbedConfig(jitter_fraction=0.0, enable_telemetry=True))
+    ap = ApRuntime(bed.ap, bed.transport, bed.ldns.address,
+                   config=ApeCacheConfig(cache_capacity_bytes=32 * KB),
+                   telemetry=bed.telemetry)
+    ap.install()
+    runtime = ClientRuntime(bed.add_client("phone"), bed.transport,
+                            bed.ap.address, app_id="traced")
+    for index in range(4):
+        cache_object(bed, runtime, f"http://tracedapp.example/obj{index}",
+                     size=12 * KB)
+
+    events = bed.telemetry.get("cache.events")
+    assert events.total(tier="ap", event="insertion") == 4
+    # 4 x 12 KB into a 32 KB cache forces at least one eviction.
+    assert events.total(tier="ap", event="eviction") >= 1
+    assert bed.telemetry.get("dns.queries").total(role=ap.role) >= 1
+    admits = bed.telemetry.spans.finished("ap.pacm_admit")
+    assert len(admits) == 4
+    assert sum(span.attrs["evicted"] for span in admits) >= 1

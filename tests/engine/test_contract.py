@@ -15,7 +15,12 @@ documented divergence (see :mod:`repro.engine.wallclock`).  Scenario
 delays are therefore strictly distinct.
 """
 
+import ast
 import asyncio
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +28,8 @@ from repro.engine.api import Scheduler
 from repro.engine.wallclock import WallClock
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
+
+_SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 #: Wall-clock seconds per virtual second: 500x compression keeps the
 #: largest scenario delay (6 units) at 12 ms of real time.
@@ -222,3 +229,41 @@ def test_wallclock_parks_unwaited_failures_for_later_raise():
     engine = asyncio.run(_scenario())
     with pytest.raises(RuntimeError, match="unobserved"):
         engine.raise_unwaited()
+
+
+# ----------------------------------------------------------------------
+# The seam itself: what sits above it never names the simulator
+# ----------------------------------------------------------------------
+def _modules_above_the_seam():
+    package = _SRC / "repro"
+    for layer in ("core", "cache", "dnslib", "httplib", "net"):
+        yield from sorted((package / layer).glob("*.py"))
+    for name in ("events", "resources", "wallclock", "livenet", "live"):
+        yield package / "engine" / f"{name}.py"
+
+
+def test_no_module_above_the_seam_imports_the_simulator():
+    offenders = []
+    for path in _modules_above_the_seam():
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.relative_to(_SRC)}:{node.lineno} {name}"
+                          for name in names
+                          if name == "repro.sim"
+                          or name.startswith("repro.sim.")]
+    assert not offenders, offenders
+
+
+def test_importing_the_live_stack_loads_no_graph_library():
+    probe = ("import sys, repro.engine.live; "
+             "sys.exit('networkx' in sys.modules)")
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr or "networkx was imported"

@@ -150,6 +150,35 @@ def test_routing_prefers_lower_latency():
     assert net.path("a", "b").nodes == ["a", "fast", "b"]
 
 
+def test_routing_reads_latency_set_after_add_link():
+    """Testbed.wan() and AkamaiStudy._chain() set latency_s afterwards."""
+    sim = Simulator()
+    net = Network(sim)
+    for name in ("a", "b", "c"):
+        net.add_node(name)
+    direct = net.add_link("a", "b", WAN)
+    net.add_link("a", "c", WAN)
+    net.add_link("c", "b", WAN)
+    direct.latency_s = 1.0
+    path = net.path("a", "b")
+    assert path.nodes == ["a", "c", "b"]
+    assert path.propagation_s == pytest.approx(4 * MS)
+
+
+def test_routing_ties_break_on_hops_then_node_name():
+    sim = Simulator()
+    net = Network(sim)
+    for name in ("a", "b", "y", "x"):
+        net.add_node(name)
+    for via in ("y", "x"):           # two 2-hop routes of 4 ms each
+        net.add_link("a", via, WAN)
+        net.add_link(via, "b", WAN)
+    assert net.path("a", "b").nodes == ["a", "x", "b"]
+    net.add_link("a", "b", WAN, latency_s=4 * MS)   # 1 hop, same 4 ms
+    assert net.path("a", "b").nodes == ["a", "b"]
+    assert net.path("b", "a").nodes == ["b", "a"]
+
+
 # ----------------------------------------------------------------------
 # Transport
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Resource, ServiceQueue, Simulator, Store
+from repro.engine import Resource, ServiceQueue, Store
+from repro.sim import Simulator
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Instrument unit tests: labels, aggregation, bucket edges."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TelemetryError
-from repro.sim.monitor import percentile
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS_MS,
     Counter,
     Gauge,
     Histogram,
     labelset,
+    percentile,
 )
 
 
@@ -102,6 +104,43 @@ def test_histogram_rejects_bad_buckets():
         Histogram("h", buckets=(2.0, 1.0))
     with pytest.raises(TelemetryError):
         Histogram("h", buckets=(1.0, 1.0))
+
+
+# ----------------------------------------------------------------------
+# percentile
+# ----------------------------------------------------------------------
+def test_percentile_basics():
+    values = [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert percentile(values, 0) == 1.0
+    assert percentile(values, 50) == 3.0
+    assert percentile(values, 100) == 5.0
+    assert percentile(values, 25) == pytest.approx(2.0)
+
+
+def test_percentile_interpolates():
+    assert percentile([1.0, 2.0], 50) == pytest.approx(1.5)
+    assert percentile([0.0, 10.0], 95) == pytest.approx(9.5)
+
+
+def test_percentile_single_value():
+    assert percentile([7.0], 95) == 7.0
+
+
+def test_percentile_validation():
+    with pytest.raises(ValueError):
+        percentile([], 50)
+    with pytest.raises(ValueError):
+        percentile([1.0], 101)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
+                          allow_nan=False), min_size=1, max_size=50),
+       st.floats(min_value=0, max_value=100))
+def test_percentile_matches_numpy(values, q):
+    import numpy as np
+    assert percentile(values, q) == pytest.approx(
+        float(np.percentile(values, q)), rel=1e-9, abs=1e-9)
 
 
 # ----------------------------------------------------------------------
