@@ -127,16 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--runner", type=str, default="workload",
                        help="cell runner: a registry name or "
                             "module:function path (default workload)")
-    sweep.add_argument("--memo", nargs="?", const="build/sweep-memo.json",
-                       default=None, metavar="FILE",
-                       help="serve cells of effect-certified runners "
-                            "from this content-addressed cache "
-                            "(default FILE: build/sweep-memo.json; "
-                            "requires a fresh build/effects.json from "
-                            "`python -m repro.lint`)")
-    sweep.add_argument("--stats", action="store_true",
-                       help="print memo hit/miss statistics to stderr "
-                            "(stdout stays byte-comparable)")
     sweep.add_argument("--json", action="store_true",
                        help="emit the full per-cell JSON document "
                             "instead of a table")
@@ -358,15 +348,7 @@ def _run_sweep(args: argparse.Namespace) -> str:
         overrides=overrides, duration_s=args.duration_s,
         runner=args.runner,
         telemetry=args.telemetry or bool(args.merged_telemetry))
-    memo = None
-    if args.memo:
-        from repro.runner.memo import Memoizer
-
-        memo = Memoizer(cache_path=args.memo)
-    engine = SweepEngine(jobs=args.jobs, memo=memo)
-    result = engine.run(spec)
-    if args.stats and memo is not None:
-        print(memo.stats.summary(), file=sys.stderr)
+    result = SweepEngine(jobs=args.jobs).run(spec)
     if args.merged_telemetry:
         from repro.telemetry.export import write_metrics_jsonl
 

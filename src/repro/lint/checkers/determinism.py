@@ -84,7 +84,7 @@ class UnseededRandom(Checker):
                    "numpy.random global API)")
 
     def check(self, module: ModuleUnderLint) -> _t.Iterator[Finding]:
-        imports = ImportMap(module.tree)
+        imports = module.imports
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -152,7 +152,7 @@ class WallClock(Checker):
             return
         if module.config.allows_engine_wallclock(module.path):
             return  # the real-time engine (docs/live.md)
-        imports = ImportMap(module.tree)
+        imports = module.imports
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -210,7 +210,7 @@ class UnorderedIteration(Checker):
                    "sorted()")
 
     def check(self, module: ModuleUnderLint) -> _t.Iterator[Finding]:
-        imports = ImportMap(module.tree)
+        imports = module.imports
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_call(module, imports, node)

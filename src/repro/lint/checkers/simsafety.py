@@ -103,7 +103,7 @@ class BlockingCallInProcess(Checker):
                    "open, ...) inside a simulation process generator")
 
     def check(self, module: ModuleUnderLint) -> _t.Iterator[Finding]:
-        imports = ImportMap(module.tree)
+        imports = module.imports
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -196,7 +196,7 @@ class WorkloadOrchestrationInExperiment(Checker):
     def check(self, module: ModuleUnderLint) -> _t.Iterator[Finding]:
         if not module.config.in_experiments(module.path):
             return
-        imports = ImportMap(module.tree)
+        imports = module.imports
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue

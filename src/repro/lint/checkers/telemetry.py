@@ -16,7 +16,6 @@ from __future__ import annotations
 import ast
 import typing as _t
 
-from repro.lint.asthelpers import ImportMap
 from repro.lint.findings import Finding
 from repro.lint.registry import Checker, ModuleUnderLint, register
 
@@ -56,7 +55,7 @@ class TelemetryHostClock(Checker):
             return
         if config.allows_engine_wallclock(module.path):
             return  # the real-time engine (docs/live.md)
-        imports = ImportMap(module.tree)
+        imports = module.imports
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue

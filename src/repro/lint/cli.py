@@ -137,33 +137,17 @@ def _apply_fixes(findings: _t.Sequence[Finding],
     return applied, touched
 
 
-def _write_effects_manifest(program: _t.Any,
-                            config: LintConfig) -> pathlib.Path:
-    """Emit the deterministic effects manifest the memo cache consumes."""
-    from repro.lint.program.effects import effects_manifest
-
-    manifest_path = config.effects_manifest_path()
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    document = effects_manifest(program)
-    manifest_path.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    return manifest_path
-
-
 def _stats_document(findings: _t.Sequence[Finding], program: _t.Any,
                     build_stats: _t.Any, cache_used: bool,
                     timings: dict[str, float] | None,
                     ) -> dict[str, _t.Any]:
     from repro.lint.program.asyncsafety import async_stats
-    from repro.lint.program.effects import effects_result
     from repro.lint.program.taint import taint_result
 
     counts: dict[str, int] = {}
     for finding in findings:
         counts[finding.code] = counts.get(finding.code, 0) + 1
     taint = taint_result(program)
-    effects = effects_result(program)
     document: dict[str, _t.Any] = {
         "files": build_stats.files,
         "cache": {
@@ -182,13 +166,6 @@ def _stats_document(findings: _t.Sequence[Finding], program: _t.Any,
             "fixpoint_rounds": taint.rounds,
         },
         "async": async_stats(program),
-        "effects": {
-            "functions": len(effects.functions),
-            "certified": effects.certified_count(),
-            "fixpoint_rounds": effects.rounds,
-            "levels": effects.level_counts(),
-            "mutated_globals": sorted(effects.mutated_globals),
-        },
         "findings": {code: counts[code] for code in sorted(counts)},
     }
     if timings is not None:
@@ -253,11 +230,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
 
     if cache is not None:
         save_cache(config.program_cache_path(), cache)
-
-    # The effect manifest is a build artifact of every lint run: the
-    # sweep memo layer refuses to serve cached cells without a manifest
-    # that matches the sources on disk.
-    _write_effects_manifest(program, config)
 
     if args.stats:
         timings = {"lint_s": round(stopwatch(), 3)} \

@@ -108,11 +108,6 @@ class LintConfig:
     #: Qualified-name prefixes exempt from the per-iteration-span rule
     #: (TEL003) — drivers that genuinely must open a span per loop turn.
     span_loop_allow: tuple[str, ...] = ()
-    #: Where ``repro.lint`` writes the effect manifest, relative to root.
-    effects_manifest: str = "build/effects.json"
-    #: Dotted refs that EFF101 requires to be certified pure-modulo-seed
-    #: (sweep runners served from the memo cache belong here).
-    effects_require_pure: tuple[str, ...] = ()
     #: Qualified-name prefixes whose functions the PERF1xx passes treat
     #: as hot paths, in addition to detected simulation processes.
     perf_hot_paths: tuple[str, ...] = (
@@ -126,9 +121,6 @@ class LintConfig:
 
     def baseline_path(self) -> pathlib.Path:
         return self.root / self.baseline
-
-    def effects_manifest_path(self) -> pathlib.Path:
-        return self.root / self.effects_manifest
 
     def program_cache_path(self) -> pathlib.Path:
         return self.root / self.program_cache
@@ -202,7 +194,6 @@ def load_config(start: pathlib.Path | str = ".") -> LintConfig:
              "engine-wallclock-allow",
              "program-cache", "span-receiver-hints",
              "span-loop-allow",
-             "effects-manifest", "effects-require-pure",
              "perf-hot-paths", "async-blocking-allow"}
     unknown = set(table) - known
     if unknown:
@@ -248,9 +239,6 @@ def load_config(start: pathlib.Path | str = ".") -> LintConfig:
         span_receiver_hints=_strings("span-receiver-hints",
                                      _DEFAULT_SPAN_RECEIVER_HINTS),
         span_loop_allow=_strings("span-loop-allow", ()),
-        effects_manifest=str(table.get("effects-manifest",
-                                       "build/effects.json")),
-        effects_require_pure=_strings("effects-require-pure", ()),
         perf_hot_paths=_strings(
             "perf-hot-paths", ("repro.sim.kernel.Simulator.",)),
         async_blocking_allow=_strings("async-blocking-allow", ()),

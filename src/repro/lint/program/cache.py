@@ -24,7 +24,7 @@ __all__ = ["CACHE_VERSION", "SummaryCache", "load_cache", "save_cache"]
 
 #: Bump when the summary schema or extraction semantics change; old
 #: caches are then ignored wholesale.
-CACHE_VERSION = 5  # v5: coroutine/await/task/lock facts (ASYNC/ENG)
+CACHE_VERSION = 6  # v6: effect-analysis facts removed
 
 
 class SummaryCache:

@@ -24,11 +24,11 @@ import typing as _t
 from repro.lint.asthelpers import ImportMap
 from repro.lint.checkers.determinism import WALLCLOCK_CALLS
 from repro.lint.program.model import (MODULE_BODY, AllocRec, BlockRec,
-                                      CallRec, Dest, EffectRec, Flow,
-                                      FunctionSummary, GlobalRec,
-                                      LoadRec, LockRec, ModuleSummary,
-                                      Origin, SinkRec, SourceRec,
-                                      SpanStartRec, TaskRec, WriteRec)
+                                      CallRec, Dest, Flow,
+                                      FunctionSummary, LoadRec, LockRec,
+                                      ModuleSummary, Origin, SinkRec,
+                                      SourceRec, SpanStartRec, TaskRec,
+                                      WriteRec)
 
 __all__ = ["extract_module", "module_name_for"]
 
@@ -81,33 +81,6 @@ _ORDER_SINK_CALLS = {"heapq.heappush", "heapq.heappushpop",
 
 #: Receiver mutators that fold an argument into the receiver.
 _MUTATORS = {"append", "appendleft", "add", "extend", "insert", "put"}
-
-#: Further method names the *effects* pass treats as mutating their
-#: receiver (no taint folding — they may take no argument at all).
-_EXTRA_MUTATORS = {"update", "setdefault", "pop", "popleft", "popitem",
-                   "clear", "remove", "discard", "sort", "reverse",
-                   "write", "writelines"}
-
-#: ``heapq`` order sinks that additionally mutate their first argument.
-_HEAP_MUTATING_SINKS = {"heapq.heappush", "heapq.heappushpop",
-                        "heapq.heapify"}
-
-#: Builtins with externally visible effects (console, filesystem, ...).
-_IO_BUILTINS = {"print", "open", "input", "breakpoint", "exec",
-                "eval", "compile", "__import__"}
-
-#: Builtins whose calls are effect-free on their arguments.  Exception
-#: constructors are matched by suffix instead (``...Error(...)``).
-_PURE_BUILTINS = {
-    "abs", "all", "any", "ascii", "bin", "bool", "bytearray", "bytes",
-    "chr", "complex", "dict", "divmod", "enumerate", "filter", "float",
-    "format", "getattr", "hash", "hex", "int", "iter", "list", "map",
-    "memoryview", "next", "object", "oct", "ord", "pow", "range",
-    "repr", "reversed", "round", "slice", "str", "sum", "super",
-    "tuple", "zip",
-}
-_EXCEPTION_SUFFIXES = ("Error", "Exception", "Warning", "Interrupt",
-                       "Exit", "Iteration")
 
 #: Builtins whose result reflects the *structure* of the argument, not
 #: its value or iteration order — taint of any kind stops here.  Note
@@ -278,11 +251,6 @@ class _FunctionExtractor:
         self.name = name
         self.class_name = class_name
         self.env: dict[str, set[Origin]] = {}
-        #: Like ``env`` but tracking *aliasing* only: the origins a name
-        #: may refer to directly, so that mutating the name mutates
-        #: them.  Call results and literals are fresh objects here even
-        #: though their data taint flows through ``env``.
-        self.alias_env: dict[str, set[Origin]] = {}
         self.sources: list[SourceRec] = []
         self._source_index: dict[SourceRec, int] = {}
         self.sinks: list[SinkRec] = []
@@ -300,14 +268,8 @@ class _FunctionExtractor:
         #: Innermost enclosing loop line per span site (0 = no loop).
         self.span_loops: list[int] = []
         self.entered_calls: set[int] = set()
-        self.global_reads: list[GlobalRec] = []
-        self._global_read_index: dict[str, int] = {}
-        self.global_writes: dict[GlobalRec, None] = {}
-        self.param_mutations: dict[tuple[int, int], None] = {}
-        self.effects: dict[EffectRec, None] = {}
         self.loop_allocs: dict[AllocRec, None] = {}
         self.loop_loads: dict[LoadRec, None] = {}
-        self.global_decls: set[str] = set()
         self.param_types: dict[str, str] = {}
         #: Innermost-last stack of (loop line, names bound in the loop).
         self._loop_stack: list[tuple[int, set[str]]] = []
@@ -317,7 +279,6 @@ class _FunctionExtractor:
         self.is_generator = False
         self.yields_event = False
         self.has_sim_handle = False
-        self.acquires = False
         self._acquired = False
         self.is_coroutine = isinstance(node, ast.AsyncFunctionDef)
         #: (line, col) of each recorded call → its index, so the Await/
@@ -335,7 +296,6 @@ class _FunctionExtractor:
             self.params = tuple(arg.arg for arg in arguments)
             for index, parameter in enumerate(self.params):
                 self.env[parameter] = {("param", index)}
-                self.alias_env[parameter] = {("param", index)}
             if set(self.params) & _SIM_NAMES:
                 self.has_sim_handle = True
             for argument in arguments:
@@ -353,7 +313,6 @@ class _FunctionExtractor:
             is_generator=self.is_generator,
             yields_event=self.yields_event,
             has_sim_handle=self.has_sim_handle,
-            acquires=self.acquires,
             sources=tuple(self.sources),
             sinks=tuple(self.sinks),
             calls=tuple(self.calls),
@@ -367,10 +326,6 @@ class _FunctionExtractor:
                 for index, (receiver, line, col)
                 in enumerate(self.span_sites)),
             entered_calls=tuple(sorted(self.entered_calls)),
-            global_reads=tuple(self.global_reads),
-            global_writes=tuple(self.global_writes),
-            param_mutations=tuple(sorted(self.param_mutations)),
-            effects=tuple(self.effects),
             loop_allocs=tuple(self.loop_allocs),
             loop_loads=tuple(self.loop_loads),
             is_coroutine=self.is_coroutine,
@@ -437,70 +392,7 @@ class _FunctionExtractor:
             elif tag == "call":
                 self.entered_calls.add(index)
 
-    # -- effect/loop fact recording --------------------------------------
-    def _global_read(self, node: ast.Name) -> Origin:
-        canonical = f"{self.owner.module}.{node.id}"
-        index = self._global_read_index.get(canonical)
-        if index is None:
-            index = len(self.global_reads)
-            self.global_reads.append(GlobalRec(
-                name=canonical, line=node.lineno,
-                col=node.col_offset))
-            self._global_read_index[canonical] = index
-        return ("global", index)
-
-    def _global_write(self, canonical: str, node: ast.AST) -> None:
-        self.global_writes.setdefault(GlobalRec(
-            name=canonical, line=node.lineno, col=node.col_offset))
-
-    def _effect(self, kind: str, node: ast.AST, detail: str) -> None:
-        self.effects.setdefault(EffectRec(
-            kind=kind, line=node.lineno, col=node.col_offset,
-            detail=detail))
-
-    def _mutate(self, origins: set[Origin], node: ast.AST) -> None:
-        """Record that ``origins`` (a receiver/target) were mutated."""
-        for tag, index in sorted(origins):
-            if tag == "param":
-                self.param_mutations.setdefault((index, node.lineno))
-            elif tag == "global":
-                self._global_write(self.global_reads[index].name, node)
-
-    def _alias_expr(self, node: ast.expr) -> set[Origin]:
-        """Origins ``node`` may *alias* — mutating it mutates them.
-
-        Unlike ``_expr`` this follows only reference-preserving paths
-        (names, attribute/subscript access, conditional selection).  A
-        call result or a literal is a fresh object: data that merely
-        flowed into it is not mutated through it, which is what keeps
-        ``dp = np.zeros(n); dp[i] = x`` from flagging the function as
-        mutating whatever ``n`` was derived from.  Objects stored into
-        locally built containers are not tracked (documented
-        approximation — the effects pass is a certifier, not a prover).
-        """
-        if isinstance(node, ast.Name):
-            if node.id in self.alias_env:
-                return set(self.alias_env[node.id])
-            if node.id in self.env:
-                return set()
-            if node.id in self.owner.module_globals:
-                return {self._global_read(node)}
-            return set()
-        if isinstance(node, ast.Attribute):
-            return self._alias_expr(node.value)
-        if isinstance(node, ast.Subscript):
-            return self._alias_expr(node.value)
-        if isinstance(node, ast.IfExp):
-            return (self._alias_expr(node.body)
-                    | self._alias_expr(node.orelse))
-        if isinstance(node, ast.NamedExpr):
-            return self._alias_expr(node.value)
-        if isinstance(node, ast.Starred):
-            return self._alias_expr(node.value)
-        if isinstance(node, ast.Await):
-            return self._alias_expr(node.value)
-        return set()
-
+    # -- loop fact recording ---------------------------------------------
     def _expr_quiet(self, node: ast.expr) -> set[Origin]:
         """Evaluate without recording loop attribute-load facts."""
         self._no_load += 1
@@ -550,34 +442,18 @@ class _FunctionExtractor:
             return  # separate summaries; no captured-taint modeling
         if isinstance(node, ast.ClassDef):
             return
-        if isinstance(node, ast.Global):
-            self.global_decls.update(node.names)
-            return
-        if isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, (ast.Attribute, ast.Subscript)):
-                    self._mutate(self._alias_expr(target.value), target)
-            return
         if isinstance(node, ast.Assign):
             origins = self._expr(node.value)
-            alias = self._alias_expr(node.value)
             for target in node.targets:
-                self._assign(target, origins, alias)
+                self._assign(target, origins)
         elif isinstance(node, ast.AnnAssign):
             if node.value is not None:
-                self._assign(node.target, self._expr(node.value),
-                             self._alias_expr(node.value))
+                self._assign(node.target, self._expr(node.value))
         elif isinstance(node, ast.AugAssign):
             origins = self._expr(node.value)
             if isinstance(node.target, ast.Name):
                 origins |= self.env.get(node.target.id, set())
-                # ``x += v`` mutates in place for containers; flag the
-                # aliased origins (a plain local counter aliases none).
-                self._mutate(self._alias_expr(node.target), node)
-                self._assign(node.target, origins,
-                             self._alias_expr(node.target))
-            else:
-                self._assign(node.target, origins)
+            self._assign(node.target, origins)
         elif isinstance(node, ast.Return):
             if node.value is not None:
                 origins = self._expr(node.value)
@@ -601,10 +477,7 @@ class _FunctionExtractor:
                     self.discarded_calls.add(index)
                 self._maybe_task_drop(node, value)
         elif isinstance(node, (ast.For, ast.AsyncFor)):
-            # The loop target aliases the iterable's contents: mutating
-            # an element mutates what the container reaches.
-            self._assign(node.target, self._expr(node.iter),
-                         self._alias_expr(node.iter))
+            self._assign(node.target, self._expr(node.iter))
             self._push_loop(node)
             for _ in range(2):  # two passes: chained flows converge
                 for inner in node.body:
@@ -634,8 +507,7 @@ class _FunctionExtractor:
                 origins = self._expr(item.context_expr)
                 self._mark_entered(origins)
                 if item.optional_vars is not None:
-                    self._assign(item.optional_vars, origins,
-                                 self._alias_expr(item.context_expr))
+                    self._assign(item.optional_vars, origins)
             acquired_before = self._acquired
             if lockish:
                 # Writes under the lock are serialized by it (the
@@ -673,29 +545,20 @@ class _FunctionExtractor:
                 for inner in case.body:
                     self._statement(inner)
 
-    def _assign(self, target: ast.expr, origins: set[Origin],
-                alias: set[Origin] | None = None) -> None:
+    def _assign(self, target: ast.expr, origins: set[Origin]) -> None:
         if isinstance(target, ast.Name):
-            if target.id in self.global_decls:
-                self._global_write(
-                    f"{self.owner.module}.{target.id}", target)
             self.env[target.id] = set(origins)
-            # Rebinding always resets the alias set — a name bound to a
-            # call result or literal no longer aliases anything.
-            self.alias_env[target.id] = set(alias or ())
         elif isinstance(target, ast.Attribute):
             self._record_write(target)
-            self._mutate(self._alias_expr(target.value), target)
         elif isinstance(target, ast.Subscript):
             base = target.value
-            self._mutate(self._alias_expr(base), target)
             if isinstance(base, ast.Name):
                 self.env.setdefault(base.id, set()).update(origins)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._assign(element, origins, alias)
+                self._assign(element, origins)
         elif isinstance(target, ast.Starred):
-            self._assign(target.value, origins, alias)
+            self._assign(target.value, origins)
 
     def _record_write(self, target: ast.Attribute) -> None:
         base = target.value
@@ -710,11 +573,7 @@ class _FunctionExtractor:
         if isinstance(node, ast.Name):
             if node.id in _SIM_NAMES:
                 self.has_sim_handle = True
-            if node.id in self.env:
-                return set(self.env[node.id])
-            if node.id in self.owner.module_globals:
-                return {self._global_read(node)}
-            return set()
+            return set(self.env.get(node.id, ()))
         if isinstance(node, ast.Constant):
             if isinstance(node.value, str) \
                     and _RUNNER_STRING.match(node.value):
@@ -725,11 +584,6 @@ class _FunctionExtractor:
         if isinstance(node, ast.Attribute):
             if node.attr in _SIM_NAMES:
                 self.has_sim_handle = True
-            if node.attr == "environ" \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == "os" \
-                    and "os" in self.owner.imports_aliases:
-                self._effect("env-read", node, "os.environ")
             self._record_chain_load(node)
             receiver_tail = _attr_chain_tail(node.value)
             if node.attr == "now" \
@@ -807,8 +661,7 @@ class _FunctionExtractor:
             return set()
         if isinstance(node, ast.NamedExpr):
             origins = self._expr(node.value)
-            self._assign(node.target, origins,
-                         self._alias_expr(node.value))
+            self._assign(node.target, origins)
             return origins
         if isinstance(node, ast.Slice):
             return self._union([part for part in
@@ -825,8 +678,7 @@ class _FunctionExtractor:
     def _comprehension(self, generators: _t.Sequence[ast.comprehension],
                        results: _t.Sequence[ast.expr]) -> set[Origin]:
         for generator in generators:
-            self._assign(generator.target, self._expr(generator.iter),
-                         self._alias_expr(generator.iter))
+            self._assign(generator.target, self._expr(generator.iter))
             for condition in generator.ifs:
                 self._expr(condition)
         return self._union(list(results))
@@ -867,7 +719,6 @@ class _FunctionExtractor:
                 and func.attr in ("request", "acquire"):
             # Resource-protocol acquisition: writes after this point are
             # serialized by the resource (SIM101).
-            self.acquires = True
             self._acquired = True
         positional = [self._expr(argument) for argument in node.args]
         keywords = [(keyword.arg, self._expr(keyword.value))
@@ -919,15 +770,6 @@ class _FunctionExtractor:
                 # do not feed data whose order the sink can expose.
                 for _name, origins in keywords:
                     self._flow_all(origins, ("sink", index))
-            if kind in ("sim", "telemetry") \
-                    and isinstance(func, ast.Attribute):
-                # Scheduling an event / recording a sample mutates the
-                # receiver (simulator, instrument) — an effect fact.
-                self._mutate(self._alias_expr(func.value), node)
-            if path in _HEAP_MUTATING_SINKS and node.args:
-                self._mutate(self._alias_expr(node.args[0]), node)
-            if path == "json.dump":
-                self._effect("io", node, "json.dump()")
             return set(merged)
 
         if isinstance(func, ast.Name) and func.id == "sorted" \
@@ -962,43 +804,15 @@ class _FunctionExtractor:
             for name, origins in keywords:
                 if name is not None:
                     self._flow_all(origins, ("kwarg", index, name))
-            if isinstance(func, ast.Attribute):
-                # Receiver flow: lets the effects pass map a callee's
-                # self-mutation back onto the caller's objects (alias
-                # origins only — mutating a locally constructed object
-                # is invisible outside).
-                self._flow_all(self._alias_expr(func.value),
-                               ("recv", index))
             return {("call", index)}
         # Unresolved callee: assume the result derives from the inputs —
         # including the receiver of a method call (``rng.random()``
         # returns something as tainted as ``rng`` itself).
         if isinstance(func, ast.Attribute):
             merged |= self._expr_quiet(func.value)
-            if func.attr in _MUTATORS or func.attr in _EXTRA_MUTATORS:
-                self._mutate(self._alias_expr(func.value), node)
-            return set(merged)
-        if isinstance(func, ast.Name):
-            name = func.id
-            if name in self.env or name in self.owner.module_globals:
-                # Call through a local value / parameter / rebindable
-                # module global: statically unknowable target.
-                self._effect("unknown-call", node,
-                             f"call through {name!r}")
-            elif name in ("setattr", "delattr"):
-                if node.args:
-                    self._mutate(self._alias_expr(node.args[0]), node)
-            elif name in _IO_BUILTINS:
-                self._effect("io", node, f"{name}()")
-            elif name in _PURE_BUILTINS \
-                    or name.endswith(_EXCEPTION_SUFFIXES):
-                pass
-            else:
-                self._effect("unknown-call", node, f"{name}()")
-            return set(merged)
-        # Calls on arbitrary expressions (``handlers[key]()``, ...).
-        merged |= self._expr(func)
-        self._effect("unknown-call", node, "dynamic call target")
+        elif not isinstance(func, ast.Name):
+            # Calls on arbitrary expressions (``handlers[key]()``, ...).
+            merged |= self._expr(func)
         return set(merged)
 
     def _classify_source(self, node: ast.Call, func: ast.expr,
@@ -1164,8 +978,8 @@ class _ModuleExtractor:
         self.imports_aliases = self._alias_names(tree)
         self.local_functions: set[str] = set()
         self.local_classes: dict[str, set[str]] = {}
-        #: Top-level data bindings (module state the effects pass
-        #: tracks); imports/defs/classes are code refs, not state.
+        #: Top-level data bindings; imports/defs/classes are code
+        #: refs, not data (a global may shadow a builtin: ASYNC101).
         self.module_globals: set[str] = set()
         self._index_toplevel()
         self.module_globals -= (self.local_functions
@@ -1284,8 +1098,6 @@ class _ModuleExtractor:
         return ModuleSummary(
             path=self.relpath, module=self.module, digest=digest,
             exports=self.exports(), functions=functions,
-            classes=tuple(sorted(f"{self.module}.{name}"
-                                 for name in self.local_classes)),
             head_line=self._head_line())
 
     def _head_line(self) -> int:

@@ -13,17 +13,10 @@ tagged tuples:
 ``("source", i)``   value of the ``i``-th recorded nondeterminism source
 ``("param", i)``    value of the ``i``-th parameter
 ``("call", i)``     return value of the ``i``-th recorded call
-``("global", i)``   value of the ``i``-th recorded module-global read
 ``("return",)``     the function's return value
 ``("sink", i)``     argument position of the ``i``-th recorded sink
 ``("arg", i, j)``   argument ``j`` of the ``i``-th recorded call
-``("recv", i)``     receiver of the ``i``-th recorded (method) call
 =============== ======================================================
-
-The taint pass only interprets the origins/destinations it knows about
-(sources, params, calls, returns, sinks, args); the ``global`` origin
-and ``recv`` destination exist for the effects pass and are inert in
-taint transfer.
 """
 
 from __future__ import annotations
@@ -32,9 +25,8 @@ import dataclasses
 import typing as _t
 
 __all__ = ["SourceRec", "SinkRec", "CallRec", "WriteRec",
-           "SpanStartRec", "GlobalRec", "EffectRec", "AllocRec",
-           "LoadRec", "BlockRec", "TaskRec", "LockRec",
-           "FunctionSummary", "ModuleSummary",
+           "SpanStartRec", "AllocRec", "LoadRec", "BlockRec",
+           "TaskRec", "LockRec", "FunctionSummary", "ModuleSummary",
            "Program", "Origin", "Dest", "Flow", "MODULE_BODY"]
 
 #: Pseudo-function name holding a module's top-level statements.
@@ -167,51 +159,6 @@ class SpanStartRec:
         return SpanStartRec(str(data[0]), int(_t.cast(int, data[1])),
                             int(_t.cast(int, data[2])), str(data[3]),
                             int(_t.cast(int, data[4])))
-
-
-@dataclasses.dataclass(frozen=True, order=True)
-class GlobalRec:
-    """One module-global read or write site inside a function.
-
-    ``name`` is the canonical ``module.global`` spelling, so the
-    effects pass can match a read in one function against a write in
-    another without re-deriving module context.
-    """
-
-    name: str
-    line: int
-    col: int
-
-    def to_json(self) -> list[object]:
-        return [self.name, self.line, self.col]
-
-    @staticmethod
-    def from_json(data: _t.Sequence[object]) -> "GlobalRec":
-        return GlobalRec(str(data[0]), int(_t.cast(int, data[1])),
-                         int(_t.cast(int, data[2])))
-
-
-@dataclasses.dataclass(frozen=True, order=True)
-class EffectRec:
-    """One locally classified side effect the call graph cannot carry.
-
-    ``kind`` is ``"io"`` (print/open/... builtins), ``"env-read"``
-    (``os.environ`` access), or ``"unknown-call"`` (a call through a
-    local variable or parameter whose target is statically unknowable).
-    """
-
-    kind: str
-    line: int
-    col: int
-    detail: str
-
-    def to_json(self) -> list[object]:
-        return [self.kind, self.line, self.col, self.detail]
-
-    @staticmethod
-    def from_json(data: _t.Sequence[object]) -> "EffectRec":
-        return EffectRec(str(data[0]), int(_t.cast(int, data[1])),
-                         int(_t.cast(int, data[2])), str(data[3]))
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -352,8 +299,6 @@ class FunctionSummary:
     is_generator: bool = False
     yields_event: bool = False
     has_sim_handle: bool = False
-    #: Function contains a ``yield x.request()`` / ``yield x.acquire()``.
-    acquires: bool = False
     sources: tuple[SourceRec, ...] = ()
     sinks: tuple[SinkRec, ...] = ()
     calls: tuple[CallRec, ...] = ()
@@ -366,14 +311,6 @@ class FunctionSummary:
     span_starts: tuple[SpanStartRec, ...] = ()
     #: Indices into ``calls`` whose results were entered via ``with``.
     entered_calls: tuple[int, ...] = ()
-    #: Module-global reads, indexed by ``("global", i)`` origins.
-    global_reads: tuple[GlobalRec, ...] = ()
-    #: Module-global write/mutation sites (canonical ``module.name``).
-    global_writes: tuple[GlobalRec, ...] = ()
-    #: ``(param index, line)`` pairs: this body mutates that parameter.
-    param_mutations: tuple[tuple[int, int], ...] = ()
-    #: Locally classified effects the call graph cannot represent.
-    effects: tuple[EffectRec, ...] = ()
     #: Per-iteration closure constructions inside loops (PERF101).
     loop_allocs: tuple[AllocRec, ...] = ()
     #: Loop-invariant-rooted attribute loads inside loops (PERF102).
@@ -401,7 +338,6 @@ class FunctionSummary:
             "is_generator": self.is_generator,
             "yields_event": self.yields_event,
             "has_sim_handle": self.has_sim_handle,
-            "acquires": self.acquires,
             "sources": [rec.to_json() for rec in self.sources],
             "sinks": [rec.to_json() for rec in self.sinks],
             "calls": [rec.to_json() for rec in self.calls],
@@ -411,13 +347,6 @@ class FunctionSummary:
             "process_refs": [list(ref) for ref in self.process_refs],
             "span_starts": [rec.to_json() for rec in self.span_starts],
             "entered_calls": list(self.entered_calls),
-            "global_reads": [rec.to_json()
-                             for rec in self.global_reads],
-            "global_writes": [rec.to_json()
-                              for rec in self.global_writes],
-            "param_mutations": [list(pair)
-                                for pair in self.param_mutations],
-            "effects": [rec.to_json() for rec in self.effects],
             "loop_allocs": [rec.to_json() for rec in self.loop_allocs],
             "loop_loads": [rec.to_json() for rec in self.loop_loads],
             "is_coroutine": self.is_coroutine,
@@ -439,7 +368,6 @@ class FunctionSummary:
             is_generator=bool(data["is_generator"]),
             yields_event=bool(data["yields_event"]),
             has_sim_handle=bool(data["has_sim_handle"]),
-            acquires=bool(data["acquires"]),
             sources=tuple(SourceRec.from_json(rec)
                           for rec in data["sources"]),
             sinks=tuple(SinkRec.from_json(rec) for rec in data["sinks"]),
@@ -457,15 +385,6 @@ class FunctionSummary:
                               for rec in data["span_starts"]),
             entered_calls=tuple(int(index)
                                 for index in data["entered_calls"]),
-            global_reads=tuple(GlobalRec.from_json(rec)
-                               for rec in data["global_reads"]),
-            global_writes=tuple(GlobalRec.from_json(rec)
-                                for rec in data["global_writes"]),
-            param_mutations=tuple(
-                (int(_t.cast(int, pair[0])), int(_t.cast(int, pair[1])))
-                for pair in data["param_mutations"]),
-            effects=tuple(EffectRec.from_json(rec)
-                          for rec in data["effects"]),
             loop_allocs=tuple(AllocRec.from_json(rec)
                               for rec in data["loop_allocs"]),
             loop_loads=tuple(LoadRec.from_json(rec)
@@ -499,10 +418,6 @@ class ModuleSummary:
     exports: dict[str, str] = dataclasses.field(default_factory=dict)
     functions: list[FunctionSummary] = dataclasses.field(
         default_factory=list)
-    #: Fully qualified names of top-level classes defined here; the
-    #: effects pass treats a call to one as a (pure) allocation even
-    #: when the class has no explicit ``__init__`` (dataclasses).
-    classes: tuple[str, ...] = ()
     #: First line (1-based) where a module-level statement may be
     #: inserted: after the docstring and any ``from __future__``
     #: imports.  The ASYNC102 autofix anchors its module-level
@@ -517,7 +432,6 @@ class ModuleSummary:
             "exports": {name: self.exports[name]
                         for name in sorted(self.exports)},
             "functions": [fn.to_json() for fn in self.functions],
-            "classes": list(self.classes),
             "head_line": self.head_line,
         }
 
@@ -531,7 +445,6 @@ class ModuleSummary:
                      for key, value in data["exports"].items()},
             functions=[FunctionSummary.from_json(fn)
                        for fn in data["functions"]],
-            classes=tuple(str(name) for name in data["classes"]),
             head_line=int(data["head_line"]),
         )
 
@@ -551,10 +464,6 @@ class Program:
         self.call_edges: dict[str, list[tuple[int, str]]] = {}
         #: Callee qualname → sorted list of (caller qualname, call index).
         self.callers: dict[str, list[tuple[str, int]]] = {}
-        #: Fully qualified names of every top-level project class.
-        self.classes: set[str] = set()
-        #: Repo-relative path → content digest of that module.
-        self.digests: dict[str, str] = {}
         #: Scratch space for passes that share expensive results (the
         #: taint fixpoint runs once per program, not once per checker).
         self.analysis_cache: dict[str, _t.Any] = {}
@@ -566,8 +475,6 @@ class Program:
     def _link(self) -> None:
         alias: dict[str, str] = {}
         for module in self.modules:
-            self.digests[module.path] = module.digest
-            self.classes.update(module.classes)
             for function in module.functions:
                 self.functions[function.name] = function
             for name in sorted(module.exports):
@@ -596,14 +503,6 @@ class Program:
                             (function.name, index))
         for callee in self.callers:
             self.callers[callee].sort()
-
-    def canonical_ref(self, ref: str) -> str:
-        """Follow re-export aliases without requiring a function target."""
-        seen = 0
-        while ref in self._alias and seen <= len(self._alias):
-            ref = self._alias[ref]
-            seen += 1
-        return ref
 
     def resolve_ref(self, ref: str) -> str | None:
         """Map a canonical dotted ref onto a project function name."""

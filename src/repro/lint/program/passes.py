@@ -2,8 +2,7 @@
 
 DET101/DET102/SIM101/TEL002 consume the shared taint fixpoint
 (:mod:`repro.lint.program.taint`) and the race analysis
-(:mod:`repro.lint.program.races`); EFF101 consumes the effect fixpoint
-(:mod:`repro.lint.program.effects`); PERF101/PERF102 consume the loop
+(:mod:`repro.lint.program.races`); PERF101/PERF102 consume the loop
 facts the extractor records, scoped to the *hot set* — detected
 simulation processes plus the ``perf-hot-paths`` prefixes from
 pyproject.  The expensive analyses run once per :class:`Program`
@@ -20,15 +19,14 @@ import typing as _t
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, TraceStep
 from repro.lint.program import asyncsafety  # noqa: F401 - registers ASYNC/ENG
-from repro.lint.program.effects import effects_result
 from repro.lint.program.model import Program
 from repro.lint.program.races import find_races
 from repro.lint.program.taint import SinkHit, taint_result
 from repro.lint.registry import ProgramChecker, register_program
 
 __all__ = ["DeterminismTaint", "OrderTaint", "SimRace",
-           "SpanScopeLeak", "EffectCertification",
-           "HotLoopClosure", "HotLoopAttributeReload"]
+           "SpanScopeLeak", "HotLoopClosure",
+           "HotLoopAttributeReload"]
 
 
 def _sink_location(program: Program, hit: SinkHit) -> str:
@@ -257,71 +255,6 @@ class SpanScopeLeak(ProgramChecker):
                         changed = True
                         break
         return factories
-
-
-@register_program
-class EffectCertification(ProgramChecker):
-    """EFF101: a declared-memoizable runner is not actually pure.
-
-    ``[tool.repro-lint] effects-require-pure`` lists the dotted refs of
-    sweep runners whose cells the memo cache is allowed to serve.  The
-    memo engine independently refuses uncertified runners at runtime;
-    this pass moves the failure to lint time, with the blocker chain
-    (what the runner does that a cached re-run would not reproduce)
-    spelled out at the definition site.
-    """
-
-    code = "EFF101"
-    description = ("function listed in effects-require-pure is not "
-                   "certified pure-modulo-seed by the effect analysis")
-
-    def check_program(self, program: Program,
-                      config: LintConfig) -> _t.Iterator[Finding]:
-        if not config.effects_require_pure:
-            return
-        # A ref is only enforceable when the scan actually covers its
-        # package: linting a lone fixture file (or one module out of
-        # ``src``) must not fail because pyproject names runners that
-        # live outside the scan set.  "Covers" means some scanned
-        # module sits at or under one of the ref's dotted package
-        # prefixes, at least two components deep — so the normal full
-        # ``src`` scan still reports a typo'd function or module name.
-        modules = sorted(module.module for module in program.modules)
-
-        def covered(ref: str) -> bool:
-            parts = ref.replace(":", ".").split(".")
-            for depth in range(len(parts) - 1, 1, -1):
-                prefix = ".".join(parts[:depth])
-                if any(name == prefix or name.startswith(prefix + ".")
-                       for name in modules):
-                    return True
-            return False
-
-        result = effects_result(program)
-        for ref in config.effects_require_pure:
-            if not covered(ref):
-                continue
-            target = program.resolve_ref(ref)
-            if target is None or target not in result.functions:
-                yield Finding(
-                    path="pyproject.toml", line=1, col=0,
-                    code=self.code,
-                    message=(f"effects-require-pure entry {ref!r} does "
-                             f"not resolve to a project function"))
-                continue
-            effect = result.functions[target]
-            if effect.certified:
-                continue
-            blockers = ", ".join(effect.blockers)
-            yield Finding(
-                path=effect.path, line=effect.line, col=0,
-                code=self.code,
-                message=(f"{target} is declared memoizable "
-                         f"(effects-require-pure) but the effect "
-                         f"analysis classifies it {effect.level} "
-                         f"[{blockers}]; a memoized cell would not "
-                         f"reproduce these effects — make the runner "
-                         f"pure-modulo-seed or drop it from the list"))
 
 
 def _hot_functions(program: Program,

@@ -11,8 +11,10 @@ and the suppression parser all pick it up with no further wiring.
 from __future__ import annotations
 
 import ast
+import functools
 import typing as _t
 
+from repro.lint.asthelpers import ImportMap
 from repro.lint.findings import Finding
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -33,6 +35,11 @@ class ModuleUnderLint:
         self.source = source
         self.tree = tree
         self.config = config
+
+    @functools.cached_property
+    def imports(self) -> ImportMap:
+        """The file's import aliases; one tree walk, shared by checkers."""
+        return ImportMap(self.tree)
 
     def finding(self, code: str, node: ast.AST, message: str) -> Finding:
         """Build a :class:`Finding` anchored at ``node``'s location."""

@@ -32,7 +32,6 @@ from repro.runner.registry import resolve_runner
 from repro.runner.spec import Cell, ScenarioSpec
 
 if _t.TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.runner.memo import Memoizer
     from repro.telemetry.registry import Telemetry
 
 __all__ = ["CellResult", "SweepResult", "SweepEngine", "run_cell"]
@@ -99,10 +98,10 @@ class SweepResult:
         Counters/gauges sum, histograms merge (exact sample multisets
         or sketch buckets), and the fold is order-independent — the
         merged registry's exports are byte-identical whether the sweep
-        ran serial, pooled, or memoized.  Cells that carried no shard
-        (telemetry off, bespoke runners) contribute nothing; raises
-        when *no* cell carried one, since silently returning an empty
-        registry would read as "the sweep recorded nothing".
+        ran serial or pooled.  Cells that carried no shard (telemetry
+        off, bespoke runners) contribute nothing; raises when *no* cell
+        carried one, since silently returning an empty registry would
+        read as "the sweep recorded nothing".
         """
         from repro.errors import TelemetryError
         from repro.telemetry.registry import Telemetry
@@ -143,19 +142,13 @@ class SweepEngine:
     ``jobs=1`` runs everything in-process (no pool, easiest to debug);
     ``jobs>1`` fans cells out over a spawn pool of at most ``jobs``
     workers.  Both paths produce identical :class:`SweepResult`\\ s.
-
-    An optional :class:`~repro.runner.memo.Memoizer` serves cells whose
-    runner the effect analysis certified pure-modulo-seed straight from
-    its content-addressed cache; uncertified cells always run live.
     """
 
-    def __init__(self, jobs: int = 1, mp_context: str = "spawn",
-                 memo: "Memoizer | None" = None) -> None:
+    def __init__(self, jobs: int = 1, mp_context: str = "spawn") -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.mp_context = mp_context
-        self.memo = memo
         #: Why the last :meth:`run` dropped to serial execution despite
         #: ``jobs>1`` (None when the pool ran or was never requested).
         self.serial_fallback_reason: str | None = None
@@ -163,16 +156,6 @@ class SweepEngine:
     def run(self, spec: ScenarioSpec) -> SweepResult:
         cells = spec.expand()
         self.serial_fallback_reason = None
-        served: list[dict[str, object]] = []
-        pending = cells
-        if self.memo is not None:
-            pending = []
-            for cell in cells:
-                envelope = self.memo.lookup(cell)
-                if envelope is None:
-                    pending.append(cell)
-                else:
-                    served.append(envelope)
         jobs = self.jobs
         if jobs > 1 and (os.cpu_count() or 1) <= 1:
             # A pool of spawn workers on a single-CPU host only adds
@@ -183,15 +166,10 @@ class SweepEngine:
                   f"execution: {self.serial_fallback_reason}",
                   file=sys.stderr)
             jobs = 1
-        if jobs == 1 or len(pending) <= 1:
-            envelopes = [run_cell(cell) for cell in pending]
+        if jobs == 1 or len(cells) <= 1:
+            envelopes = [run_cell(cell) for cell in cells]
         else:
-            envelopes = self._run_pool(pending)
-        if self.memo is not None:
-            for cell, envelope in zip(pending, envelopes):
-                self.memo.record(cell, envelope)
-            self.memo.save()
-        envelopes = envelopes + served
+            envelopes = self._run_pool(cells)
         by_index = {int(_t.cast(int, envelope["index"])): envelope
                     for envelope in envelopes}
         results = []

@@ -101,8 +101,6 @@ def register_runner(name: str,
 def _ensure_builtin_runners() -> None:
     if "workload" not in _RUNNERS:
         importlib.import_module("repro.runner.cells")
-    if "pacm-demo" not in _RUNNERS:
-        importlib.import_module("repro.runner.pacm_demo")
 
 
 def runner_names() -> list[str]:

@@ -112,6 +112,35 @@ def test_fix_rewrites_in_place_and_exits_clean(tmp_path):
     assert target.read_text() == fixed
 
 
+def _project_tree(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+def _tmp_project(tmp_path):
+    (tmp_path / "pyproject.toml").write_text(
+        '[tool.repro-lint]\npaths = ["src"]\n')
+    shutil.copytree(FIXTURES / "autofix", tmp_path / "src")
+    return _project_tree(tmp_path)
+
+
+def test_no_cache_run_writes_no_file(tmp_path):
+    before = _tmp_project(tmp_path)
+    result = run_cli("--no-cache", "--no-baseline", "src/fifo.py",
+                     cwd=tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert _project_tree(tmp_path) == before
+
+
+def test_cached_run_writes_only_the_program_cache(tmp_path):
+    before = _tmp_project(tmp_path)
+    result = run_cli("--no-baseline", cwd=tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    after = _project_tree(tmp_path)
+    assert set(after) - set(before) == {"build/lint-program-cache.json"}
+    assert all(after[name] == before[name] for name in before)
+
+
 def test_nonexistent_path_is_a_usage_error():
     result = run_cli("no/such/dir")
     assert result.returncode == 2

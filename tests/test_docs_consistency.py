@@ -58,7 +58,7 @@ def test_cli_experiments_match_design_index():
 
 
 def test_changelog_and_contributing_exist():
-    assert (REPO / "CHANGELOG.md").exists()
+    assert (REPO / "CHANGES.md").exists()
     assert (REPO / "CONTRIBUTING.md").exists()
     assert (REPO / "EXPERIMENTS.md").exists()
     assert (REPO / "docs" / "protocol.md").exists()
