@@ -190,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     sentry = subparsers.add_parser(
         "sentry", parents=[common],
         help="regression sentry: evaluate [tool.repro-sentry] latency/"
-             "throughput budgets over one instrumented run; writes "
-             "BENCH_obs.json and exits non-zero on violations")
+             "throughput budgets over one instrumented run; exits "
+             "non-zero on violations")
     sentry.add_argument("--budget", action="append", default=[],
                         metavar="EXPR",
                         help="extra budget expression, e.g. "
@@ -203,12 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "[tool.repro-sentry] (default ./)")
     sentry.add_argument("--report", type=str, default=None,
                         metavar="FILE",
-                        help="where to write the JSON report "
-                             "(default BENCH_obs.json)")
-    sentry.add_argument("--profile", action="store_true",
-                        help="profile the host run and evaluate "
-                             "profile: budgets (results land under the "
-                             "report's nondeterministic 'timings' key)")
+                        help="also write the verdicts and attribution "
+                             "to FILE as JSON (default: write nothing)")
     sentry.add_argument("--live-metrics", type=str, default=None,
                         metavar="FILE",
                         help="evaluate [tool.repro-sentry].live-budgets "
@@ -411,7 +407,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         print(f"  {'obs'.ljust(width)}  telemetry panel: per-stage "
               f"latency, attribution, hit ratios, exports")
         print(f"  {'sentry'.ljust(width)}  regression sentry: budget "
-              f"gates over one instrumented run (BENCH_obs.json)")
+              f"gates over one instrumented run")
         print(f"  {'diff'.ljust(width)}  diff two exported runs or two "
               f"systems across a seed fleet")
         print(f"  {'sweep'.ljust(width)}  ad-hoc declarative scenario "
@@ -505,17 +501,14 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         return code
     elif args.command == "sentry":
         from repro.errors import ConfigError
-        from repro.telemetry.sentry import DEFAULT_REPORT_PATH, \
-            run_sentry
+        from repro.telemetry.sentry import run_sentry
 
         print("--- sentry: telemetry regression gate ---",
               file=sys.stderr, flush=True)
         try:
             tables, code = run_sentry(
-                quick=quick, seed=args.seed,
-                output=args.report or DEFAULT_REPORT_PATH,
-                pyproject=args.pyproject,
-                extra_budgets=args.budget, profile=args.profile)
+                quick=quick, seed=args.seed, output=args.report,
+                pyproject=args.pyproject, extra_budgets=args.budget)
         except (ConfigError, OSError) as error:
             print(f"sentry: {error}", file=sys.stderr)
             return 2

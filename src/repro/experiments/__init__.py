@@ -26,33 +26,4 @@ out over a process pool with identical results — see
 
 from repro.experiments.common import ExperimentTable, effective_duration
 
-__all__ = ["ExperimentTable", "effective_duration", "run_all"]
-
-
-def run_all(quick: bool = True, seed: int = 0,
-            jobs: int = 1) -> list[ExperimentTable]:
-    """Run every experiment; returns all tables in paper order."""
-    from repro.experiments import (
-        ablations,
-        fig2,
-        fig11,
-        fig12,
-        fig13,
-        fig14,
-        pacm_tables,
-        table1,
-        table7,
-    )
-
-    tables: list[ExperimentTable] = []
-    tables.append(table1.run(quick, seed, jobs))
-    tables.append(fig2.run(quick, seed, jobs))
-    tables.extend(fig11.run(quick, seed, jobs))
-    tables.append(fig11.run_lookup_overhead(quick, seed, jobs))
-    tables.extend(pacm_tables.run(quick, seed, jobs))
-    tables.extend(fig12.run(quick, seed, jobs))
-    tables.extend(fig13.run(quick, seed, jobs))
-    tables.append(fig14.run(quick, seed, jobs))
-    tables.append(table7.run(quick, seed, jobs))
-    tables.extend(ablations.run(quick, seed, jobs))
-    return tables
+__all__ = ["ExperimentTable", "effective_duration"]

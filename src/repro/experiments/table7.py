@@ -5,8 +5,6 @@ Measures, from this repository's actual source code:
 * **Impacted LoCs** — lines a developer touches to integrate each app:
   the ``cacheable(...)`` declarations for the annotation model, versus
   the rewritten call-site lines for the API model;
-* **Extra binary size** — bytes of client-library code each model links
-  in (both pull in the same runtime, so they match, as in the paper);
 * **Re-write logic** — whether app control flow had to change.
 
 The analysis executes as one system-less scenario cell.
@@ -15,22 +13,16 @@ The analysis executes as one system-less scenario cell.
 from __future__ import annotations
 
 import inspect
-import py_compile
-import tempfile
-from pathlib import Path
 
 import repro.apps.api_ports as api_ports
 import repro.apps.movietrailer as movietrailer
 import repro.apps.virtualhome as virtualhome
-import repro.core.annotations as annotations_module
-import repro.core.api_model as api_model_module
-import repro.core.client_runtime as client_runtime_module
 from repro.experiments.common import ExperimentTable
 from repro.runner import ScenarioSpec, SweepEngine
 from repro.runner.spec import Cell
 
 __all__ = ["run", "effort_cell", "annotation_impacted_locs",
-           "api_impacted_locs", "client_library_binary_bytes"]
+           "api_impacted_locs"]
 
 
 def annotation_impacted_locs(api_class: type) -> int:
@@ -70,27 +62,10 @@ def api_impacted_locs(method) -> int:
     return count
 
 
-def client_library_binary_bytes() -> int:
-    """Compiled size of the client-side library both models link in."""
-    total = 0
-    for module in (client_runtime_module, annotations_module,
-                   api_model_module):
-        source_path = inspect.getsourcefile(module)
-        assert source_path is not None
-        with tempfile.NamedTemporaryFile(suffix=".pyc",
-                                         delete=False) as handle:
-            output = handle.name
-        py_compile.compile(source_path, cfile=output, doraise=True)
-        total += Path(output).stat().st_size
-        Path(output).unlink()
-    return total
-
-
 def effort_cell(cell: Cell) -> dict[str, object]:
     """Cell runner: the full programming-effort static analysis."""
     del cell  # static analysis; nothing to scale or randomize
     return {
-        "binary_kb": client_library_binary_bytes() / 1024.0,
         "movietrailer_annotation_locs": annotation_impacted_locs(
             movietrailer.MovieTrailerApi),
         "movietrailer_api_locs": api_impacted_locs(
@@ -109,27 +84,22 @@ def run(quick: bool = True, seed: int = 0,
         name="table7-effort", systems=(None,), seeds=(seed,),
         workload=None, runner="repro.experiments.table7:effort_cell")
     metrics = SweepEngine(jobs=jobs).run(spec).cells[0].metrics
-    binary_kb = metrics["binary_kb"]
     table = ExperimentTable(
         title="Table VII: Programming efforts comparison",
         columns=["app", "approach", "impacted_locs",
-                 "extra_binary_kb", "rewrite_logic", "paper_locs"])
+                 "rewrite_logic", "paper_locs"])
     table.add_row(app="MovieTrailer", approach="APE-CACHE (annotations)",
                   impacted_locs=metrics["movietrailer_annotation_locs"],
-                  extra_binary_kb=binary_kb, rewrite_logic="No",
-                  paper_locs=5)
+                  rewrite_logic="No", paper_locs=5)
     table.add_row(app="MovieTrailer", approach="API-based",
                   impacted_locs=metrics["movietrailer_api_locs"],
-                  extra_binary_kb=binary_kb, rewrite_logic="Yes",
-                  paper_locs=30)
+                  rewrite_logic="Yes", paper_locs=30)
     table.add_row(app="VirtualHome", approach="APE-CACHE (annotations)",
                   impacted_locs=metrics["virtualhome_annotation_locs"],
-                  extra_binary_kb=binary_kb, rewrite_logic="No",
-                  paper_locs=2)
+                  rewrite_logic="No", paper_locs=2)
     table.add_row(app="VirtualHome", approach="API-based",
                   impacted_locs=metrics["virtualhome_api_locs"],
-                  extra_binary_kb=binary_kb, rewrite_logic="Yes",
-                  paper_locs=14)
+                  rewrite_logic="Yes", paper_locs=14)
     table.notes.append(
         "paper: annotations impact 5/2 LoCs vs 30/14 for the API model; "
         "both add ~32 kb of client binary; only the API model rewrites "

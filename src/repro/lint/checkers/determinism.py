@@ -139,8 +139,8 @@ class WallClock(Checker):
 
     Simulated components must take time from ``sim.now`` — mixing in
     host time makes latency results depend on machine load.  Operator
-    tooling (``tools/``, benchmarks, the ``repro.perf`` helper) is
-    allowlisted via ``[tool.repro-lint] wallclock-allow``.
+    tooling (``tools/``, the ``repro.perf`` helper) is allowlisted via
+    ``[tool.repro-lint] wallclock-allow``.
     """
 
     code = "DET002"

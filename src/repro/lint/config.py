@@ -19,11 +19,10 @@ from repro.errors import ConfigError
 __all__ = ["LintConfig", "load_config", "find_project_root"]
 
 #: Modules allowed to read the wall clock (DET002).  Real time is only
-#: meaningful at the outermost shell: operator tooling, benchmarks, and
-#: the one blessed helper (`repro.perf`) the CLI uses for progress lines.
+#: meaningful at the outermost shell: operator tooling and the one
+#: blessed helper (`repro.perf`) the CLI uses for progress lines.
 _DEFAULT_WALLCLOCK_ALLOW = (
     "tools/",
-    "benchmarks/",
     "src/repro/perf.py",
 )
 

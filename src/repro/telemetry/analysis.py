@@ -486,7 +486,7 @@ class AttributionReport:
         return table
 
     def to_json_dict(self) -> dict[str, object]:
-        """Deterministic JSON shape for ``BENCH_obs.json``."""
+        """Deterministic JSON shape for ``sentry --report``."""
         summary = self.summary()
         return {
             "requests": len(self.requests),

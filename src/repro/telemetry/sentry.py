@@ -2,10 +2,11 @@
 
 ``python -m repro.cli sentry`` runs one instrumented quick scenario,
 evaluates a declarative budget spec against the critical-path
-attribution (:mod:`repro.telemetry.analysis`), the metric registry, and
-(optionally) the host profile, writes ``BENCH_obs.json``, and exits
-non-zero on any violation — the paper's "millisecond-level, almost for
-free" claim as a CI gate.
+attribution (:mod:`repro.telemetry.analysis`) and the metric registry,
+and exits non-zero on any violation — the paper's "millisecond-level,
+almost for free" claim as a CI gate.  Everything it reads is virtual
+time, so every declared budget yields a verdict and two same-seed runs
+agree byte for byte; wall-clock performance is ``bench/``'s record.
 
 Budgets live in ``pyproject.toml``::
 
@@ -17,7 +18,7 @@ Budgets live in ``pyproject.toml``::
     ]
 
 Each budget is ``SELECTOR <= LIMIT`` or ``SELECTOR >= LIMIT`` with one
-of six selector forms:
+of three selector forms:
 
 ``stage:<source>/<stage>/<stat>``
     From the attribution summary — ``source`` is a request-path source
@@ -29,26 +30,12 @@ of six selector forms:
 ``metric:<name>{k=v,...}/<stat>``
     From the registry — counters/gauges use stat ``value`` (summed over
     matching label sets); histograms use a summary stat.
-``profile:<stat>``
-    From the host profile (``events_per_wall_s``,
-    ``wall_ms_per_sim_s``).  Wall-clock derived, hence nondeterministic:
-    these verdicts are segregated under the report's ``timings`` key
-    and skipped entirely when profiling is off.
-``kernel:events_per_s``
-    The scheduler microbenchmark's throughput floor.  Validated here
-    but **evaluated by** ``benchmarks/test_kernel.py`` (which writes
-    ``BENCH_kernel.json``); the obs-run sentry skips these.
-``obs:overhead_pct``
-    The telemetry overhead governor: recording-path slowdown of the
-    sketch backend versus a NULL-telemetry run, in percent.  Validated
-    here but **evaluated by** ``benchmarks/test_telemetry_overhead.py``
-    (which amends ``BENCH_obs.json``); the obs-run sentry skips these.
 ``issues``
     The taxonomy/orphan issue count from the span-tree builder.
 
-The written report is byte-deterministic for a given seed *except* the
-``timings`` subtree, which ``tools/check.sh`` strips before comparing
-two same-seed runs.
+``--report FILE`` writes the verdicts and the attribution as JSON,
+byte-deterministic for a given seed (``tools/check.sh`` compares two
+same-seed reports with ``cmp``).
 """
 
 from __future__ import annotations
@@ -69,9 +56,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Budget", "BudgetResult", "parse_budget", "load_budgets",
            "load_live_budgets", "evaluate_budgets",
            "evaluate_metric_records", "run_live_sentry",
-           "sentry_report", "run_sentry", "DEFAULT_REPORT_PATH"]
-
-DEFAULT_REPORT_PATH = "BENCH_obs.json"
+           "sentry_report", "run_sentry"]
 
 _OPS: dict[str, _t.Callable[[float, float], bool]] = {
     "<=": lambda value, limit: value <= limit,
@@ -86,11 +71,6 @@ class Budget:
     selector: str
     op: str
     limit: float
-
-    @property
-    def is_profile(self) -> bool:
-        """Wall-clock derived → nondeterministic → ``timings``-only."""
-        return self.selector.startswith("profile:")
 
     def render(self) -> str:
         return f"{self.selector} {self.op} {self.limit:g}"
@@ -139,12 +119,10 @@ def _validate_selector(selector: str, source: str) -> None:
     if selector == "issues":
         return
     kind, sep, rest = selector.partition(":")
-    if not sep or kind not in ("stage", "metric", "profile", "kernel",
-                               "obs", "lint"):
+    if not sep or kind not in ("stage", "metric"):
         raise ConfigError(
             f"budget {source!r}: unknown selector {selector!r} "
-            f"(expected stage:/metric:/profile:/kernel:/obs:/lint: or "
-            f"'issues')")
+            f"(expected stage:/metric: or 'issues')")
     if kind == "stage":
         parts = rest.split("/")
         if len(parts) != 3 or not all(parts):
@@ -161,30 +139,6 @@ def _validate_selector(selector: str, source: str) -> None:
             raise ConfigError(
                 f"budget {source!r}: metric selector needs "
                 f"<name>[{{k=v,...}}]/<stat>")
-    elif kind == "profile":
-        if rest not in ("events_per_wall_s", "wall_ms_per_sim_s"):
-            raise ConfigError(
-                f"budget {source!r}: profile stat must be "
-                f"events_per_wall_s or wall_ms_per_sim_s")
-    elif kind == "kernel":
-        # Gated by benchmarks/test_kernel.py against BENCH_kernel.json;
-        # the obs-run sentry has no scheduler microbenchmark to check.
-        if rest != "events_per_s":
-            raise ConfigError(
-                f"budget {source!r}: kernel stat must be events_per_s")
-    elif kind == "obs":
-        # Gated by benchmarks/test_telemetry_overhead.py; the obs-run
-        # sentry measures sim time, not recording-path wall overhead.
-        if rest != "overhead_pct":
-            raise ConfigError(
-                f"budget {source!r}: obs stat must be overhead_pct")
-    elif kind == "lint":
-        # Gated by benchmarks/test_lint_wall.py against BENCH_lint.json:
-        # the warm-cache whole-program lint must stay an editor-loop
-        # tool, not a batch job.
-        if rest != "wall_ms":
-            raise ConfigError(
-                f"budget {source!r}: lint stat must be wall_ms")
 
 
 def load_budgets(pyproject_path: str,
@@ -276,8 +230,8 @@ def evaluate_budgets(budgets: _t.Sequence[Budget], run: "ObsRun",
                      report: AttributionReport) -> list[BudgetResult]:
     """Resolve and check every budget against one instrumented run.
 
-    ``profile:`` budgets are skipped (not failed) when the run was not
-    profiled; everything else resolves or fails.
+    One verdict per budget: a selector that resolves to nothing is a
+    violation, never a skip.
     """
     results: list[BudgetResult] = []
     for budget in budgets:
@@ -288,20 +242,6 @@ def evaluate_budgets(budgets: _t.Sequence[Budget], run: "ObsRun",
             value = _resolve_stage(report, budget.selector[6:])
         elif budget.selector.startswith("metric:"):
             value = _resolve_metric(run.telemetry, budget.selector[7:])
-        elif budget.selector.startswith("profile:"):
-            if run.profile is None:
-                continue
-            value = _t.cast(
-                float, getattr(run.profile, budget.selector[8:]))
-        elif budget.selector.startswith("kernel:"):
-            # Evaluated by the kernel microbenchmark, not the obs run.
-            continue
-        elif budget.selector.startswith("obs:"):
-            # Evaluated by the telemetry-overhead benchmark.
-            continue
-        elif budget.selector.startswith("lint:"):
-            # Evaluated by the lint wall-time benchmark.
-            continue
         else:  # pragma: no cover - parse_budget rejects these
             value = None
         ok = value is not None and _OPS[budget.op](value, budget.limit)
@@ -411,16 +351,8 @@ def budget_table(results: _t.Sequence[BudgetResult]) -> ExperimentTable:
 def sentry_report(run: "ObsRun", report: AttributionReport,
                   results: _t.Sequence[BudgetResult],
                   ) -> dict[str, object]:
-    """The ``BENCH_obs.json`` document.
-
-    Deterministic for a given seed except the ``timings`` subtree
-    (host-profile numbers and ``profile:`` budget verdicts), which
-    comparisons must strip.
-    """
-    deterministic = [result for result in results
-                     if not result.budget.is_profile]
-    timed = [result for result in results if result.budget.is_profile]
-    document: dict[str, object] = {
+    """The ``--report`` document; deterministic for a given seed."""
+    return {
         "scenario": {
             "seed": run.seed,
             "duration_s": run.duration_s,
@@ -429,24 +361,9 @@ def sentry_report(run: "ObsRun", report: AttributionReport,
             "instruments": len(run.telemetry.instruments()),
         },
         "attribution": report.to_json_dict(),
-        "budgets": [result.to_json_dict() for result in deterministic],
-        "ok": all(result.ok for result in deterministic),
+        "budgets": [result.to_json_dict() for result in results],
+        "ok": all(result.ok for result in results),
     }
-    timings: dict[str, object] = {}
-    if run.profile is not None:
-        timings["host_profile"] = {
-            "wall_s": run.profile.wall_s,
-            "sim_s": run.profile.sim_s,
-            "events": run.profile.events,
-            "events_per_wall_s": run.profile.events_per_wall_s,
-            "wall_ms_per_sim_s": run.profile.wall_ms_per_sim_s,
-        }
-    if timed:
-        timings["budgets"] = [result.to_json_dict()
-                              for result in timed]
-        timings["ok"] = all(result.ok for result in timed)
-    document["timings"] = timings
-    return document
 
 
 def write_report(document: dict[str, object], path: str) -> None:
@@ -456,33 +373,29 @@ def write_report(document: dict[str, object], path: str) -> None:
 
 
 def run_sentry(quick: bool = True, seed: int = 0,
-               output: str = DEFAULT_REPORT_PATH,
+               output: str | None = None,
                pyproject: str = "pyproject.toml",
                extra_budgets: _t.Sequence[str] = (),
-               profile: bool = False,
                ) -> tuple[list[ExperimentTable], int]:
-    """The ``repro.cli sentry`` core: run, judge, write, exit-code.
+    """The ``repro.cli sentry`` core: run, judge, exit-code.
 
     Returns the rendered panels plus the process exit code (0 = every
-    budget held, 1 = at least one violation, including ``profile:``
-    budgets when profiling ran).
+    budget held, 1 = at least one violation); the JSON report is
+    written only when ``output`` names a file.
     """
     from repro.telemetry.obs import instrumented_run
 
     budgets = load_budgets(pyproject)
     budgets.extend(parse_budget(text) for text in extra_budgets)
-    run = instrumented_run(quick=quick, seed=seed, profile=profile)
+    run = instrumented_run(quick=quick, seed=seed)
     report = run.attribution()
     results = evaluate_budgets(budgets, run, report)
 
-    document = sentry_report(run, report, results)
-    write_report(document, output)
-
     tables = [report.table("sentry: critical-path latency attribution"),
               budget_table(results)]
-    tables[1].notes.append(f"report written to {output}")
-    if run.profile is not None:
-        tables[1].notes.append(run.profile.render())
+    if output:
+        write_report(sentry_report(run, report, results), output)
+        tables[1].notes.append(f"report written to {output}")
     violations = [result for result in results if not result.ok]
     if violations:
         tables[1].notes.append(

@@ -1,7 +1,8 @@
 """Experiment-harness tests: table rendering and cheap experiment runs.
 
-The expensive sweeps are exercised by the benchmark suite; here we test
-the harness machinery and the experiments that run in seconds.
+The expensive sweeps are exercised by ``tools/make_experiments_report.py
+--check`` (test_report.py runs its cheap sections); here we test the
+harness machinery and the experiments that run in seconds.
 """
 
 import pytest
@@ -41,8 +42,8 @@ def test_table_render_alignment_and_notes():
     assert lines[0] == "== demo =="
     assert "name" in lines[1] and "value" in lines[1]
     assert lines[-1] == "  note: a note"
-    # All data lines align to the same width grid.
-    assert len(lines[2]) == len(lines[3].rstrip()) or True
+    # Header, rule and data lines all sit on one width grid.
+    assert len({len(line) for line in lines[1:-1]}) == 1
     assert "beta-longer" in rendered
 
 
@@ -88,7 +89,6 @@ def test_table7_loc_counters_directly():
         VirtualHomeApiBased.place_furniture)
     assert annotation_locs >= 2   # two declarations, possibly wrapped
     assert api_locs >= 2          # two rewritten call sites
-    assert table7.client_library_binary_bytes() > 10_000
 
 
 def test_fig2_experiment_runs():

@@ -1,6 +1,7 @@
 """CLI tests: parsing, listing, formats, and one cheap end-to-end run."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +110,15 @@ def test_sentry_rejects_a_malformed_budget(capsys, tmp_path):
                  "--report", str(tmp_path / "r.json")])
     assert code == 2
     assert "sentry:" in capsys.readouterr().err
+
+
+def test_sentry_writes_nothing_unless_asked(tmp_path, monkeypatch,
+                                            capsys):
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    monkeypatch.chdir(tmp_path)
+    assert main(["sentry", "--pyproject", str(pyproject)]) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert "report written" not in capsys.readouterr().out
 
 
 def test_diff_rejects_a_single_run(capsys):

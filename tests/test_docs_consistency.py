@@ -15,7 +15,7 @@ REPO = Path(__file__).resolve().parent.parent
 def test_design_md_referenced_files_exist():
     text = (REPO / "DESIGN.md").read_text()
     referenced = set(re.findall(
-        r"`((?:benchmarks|src/repro|examples|tools)[\w/.-]+\.(?:py|md))`",
+        r"`((?:src/repro|examples|tools)[\w/.-]+\.(?:py|md))`",
         text))
     referenced |= {f"src/repro/{match}" for match in re.findall(
         r"`((?:experiments|measurement|apps|core|cache|dnslib|sim|net|"
@@ -26,10 +26,17 @@ def test_design_md_referenced_files_exist():
     assert not missing, f"DESIGN.md references missing files: {missing}"
 
 
-def test_design_md_bench_targets_exist():
-    text = (REPO / "DESIGN.md").read_text()
-    for bench in set(re.findall(r"benchmarks/(test_[\w]+\.py)", text)):
-        assert (REPO / "benchmarks" / bench).exists(), bench
+def test_experiment_lists_agree():
+    """One list of experiments: the CLI's, the report's, the index's."""
+    from repro.cli import EXPERIMENTS
+    from tests.experiments.test_report import load_tool
+
+    reported = [section[0] for section in load_tool().SECTIONS]
+    assert len(reported) == len(set(reported))
+    assert set(reported) == set(EXPERIMENTS)
+    indexed = set(re.findall(r"`repro\.cli (\w+)`",
+                             (REPO / "DESIGN.md").read_text()))
+    assert indexed == set(EXPERIMENTS)
 
 
 def test_every_example_is_documented_in_readme():
