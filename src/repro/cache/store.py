@@ -18,6 +18,7 @@ from repro.telemetry.registry import NULL
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.cache.policies import EvictionPolicy
+    from repro.dnslib.name import DomainName
     from repro.telemetry import Telemetry
 
 __all__ = ["CacheStore", "AdmissionResult"]
@@ -48,6 +49,9 @@ class CacheStore:
         self.capacity_bytes = capacity_bytes
         self.tier = tier
         self._entries: dict[str, CacheEntry] = {}
+        #: host -> {key: entry}, maintained wherever ``_entries`` is
+        #: mutated, so order within a host is global insertion order.
+        self._by_host: dict[str, dict[str, CacheEntry]] = {}
         self.used_bytes = 0
         self.insertions = 0
         self.evictions = 0
@@ -74,6 +78,12 @@ class CacheStore:
     def _key(url: str) -> str:
         return Url.parse(url).base
 
+    @staticmethod
+    def _locate(url: str) -> tuple[str, str]:
+        """``(host, key)``: where ``url`` lives in the per-host index."""
+        parsed = Url.parse(url)
+        return parsed.host.rstrip("."), parsed.base
+
     @property
     def free_bytes(self) -> int:
         return self.capacity_bytes - self.used_bytes
@@ -84,6 +94,13 @@ class CacheStore:
         # sorting here would reorder re-stored entries and change
         # eviction behaviour.
         return list(self._entries.values())  # lint: disable=DET102
+
+    def in_domain(self, domain: "DomainName | str",
+                  ) -> _t.Mapping[str, CacheEntry]:
+        """``{key: entry}`` of every entry stored under ``domain``'s host,
+        in insertion order.  The host matches as :class:`DomainName`
+        compares: case-insensitive, trailing dot ignored."""
+        return self._by_host.get(str(domain).lower().rstrip("."), {})
 
     def apps(self) -> set[str]:
         return {entry.app_id for entry in self._entries.values()}
@@ -134,7 +151,8 @@ class CacheStore:
             raise CapacityError(
                 f"{entry.url} ({entry.size_bytes}B) exceeds cache capacity "
                 f"({self.capacity_bytes}B)")
-        existing = self._entries.get(self._key(entry.url))
+        host, key = self._locate(entry.url)
+        existing = self._entries.get(key)
         if existing is not None:
             self._drop(existing, expired=False, count_eviction=False)
         self.sweep_expired(now)
@@ -150,7 +168,8 @@ class CacheStore:
                 raise CacheError(
                     f"policy {type(policy).__name__} freed too little room "
                     f"for {entry.url}")
-        self._entries[self._key(entry.url)] = entry
+        self._entries[key] = entry
+        self._by_host.setdefault(host, {})[key] = entry
         self.used_bytes += entry.size_bytes
         self.insertions += 1
         self._t_events.inc(tier=self.tier, event="insertion",
@@ -166,13 +185,19 @@ class CacheStore:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._by_host.clear()
         self.used_bytes = 0
 
     def _drop(self, entry: CacheEntry, expired: bool,
               count_eviction: bool = True) -> None:
-        removed = self._entries.pop(self._key(entry.url), None)
+        host, key = self._locate(entry.url)
+        removed = self._entries.pop(key, None)
         if removed is None:  # pragma: no cover - internal invariant
             raise CacheError(f"{entry.url} vanished from the store")
+        same_host = self._by_host[host]
+        del same_host[key]
+        if not same_host:
+            del self._by_host[host]
         self.used_bytes -= removed.size_bytes
         self._t_used.set(self.used_bytes, tier=self.tier)
         if expired:

@@ -89,6 +89,9 @@ class ApRuntime(ForwardingDnsService):
         self._t_http = self.telemetry.counter(
             "ap.http_requests", help="cache-endpoint requests, by mode")
         self._url_by_hash: dict[bytes, str] = {}
+        #: Store key -> its URL hash, so a DNS-Cache answer looks the
+        #: hashes of a domain's entries up instead of re-hashing them.
+        self._hash_by_key: dict[str, bytes] = {}
         # Statistics surfaced by the overhead experiments (Fig. 14).
         self.dns_cache_queries = 0
         self.plain_dns_queries = 0
@@ -164,13 +167,13 @@ class ApRuntime(ForwardingDnsService):
             if flag != CacheFlag.CACHE_HIT:
                 all_hit = False
             rdata.add(entry.url_hash, flag)
-        for cached in self.store.entries():
+        hashes = self._hash_by_key
+        for key, cached in self.store.in_domain(domain).items():
             if cached.is_expired(now):
                 continue
-            url = Url.parse(cached.url)
-            if url.domain != domain:
-                continue
-            cached_hash = hash_url(url.base)
+            cached_hash = hashes.get(key)
+            if cached_hash is None:
+                cached_hash = hashes[key] = hash_url(key)
             if cached_hash not in requested:
                 rdata.add(cached_hash, CacheFlag.CACHE_HIT)
         return self._FlagResult(rdata, all_hit)

@@ -61,6 +61,13 @@ class Scheduler(Clock, _t.Protocol):
     #: layer's host-profiling hook (events/sec, wall-ms per sim-s).
     events_processed: int
 
+    #: Whether a *modelled* cost (a router's CPU service time) is spent
+    #: on this engine's clock.  True under virtual time, where nothing
+    #: else would pay it; False on the wall clock, where the host's real
+    #: CPU is already paying the real cost and the modelled one is only
+    #: accounted (:meth:`repro.engine.resources.ServiceQueue.use`).
+    spends_modelled_time: bool
+
     @property
     def active_process(self) -> "Process | None":
         """The process currently being resumed, if any."""

@@ -18,8 +18,9 @@ harness (:mod:`repro.engine.parity`) verifies.
 Shutdown contract: :meth:`LiveStack.stop` (wired to SIGINT/SIGTERM by
 :func:`run_live`) marks the stack *draining* (``/healthz`` flips to
 503 while the admin plane keeps answering), closes the listening
-sockets, drains in-flight requests, flushes telemetry JSONL exports,
-and the process exits 0.  The flush also runs on the **failure** path:
+sockets, drains in-flight requests, closes the idle kept-alive
+connections and pooled sockets on both sides, flushes telemetry JSONL
+exports, and the process exits 0.  The flush also runs on the **failure** path:
 ``_run_stack`` stops the stack in a ``finally``, and :meth:`stop`
 itself flushes even when a drain raises, so a crash mid-serve still
 leaves spans/metrics/log exports behind.
@@ -61,7 +62,11 @@ from repro.httplib.server import (
     OriginServer,
 )
 from repro.httplib.url import Url
-from repro.httplib.wire import encode_payload_response, read_request
+from repro.httplib.wire import (
+    encode_payload_response,
+    read_head,
+    read_request,
+)
 from repro.net.address import IPv4Address
 from repro.net.node import Node
 from repro.telemetry.exposition import PROM_CONTENT_TYPE, render_prometheus
@@ -77,6 +82,12 @@ LIFECYCLE_STATES = ("starting", "serving", "draining", "stopped")
 #: Default trace count ``/debug/traces`` returns.
 DEFAULT_TRACE_LIMIT = 10
 
+#: Finished spans a live stack's own registry retains (~2 000 fetches):
+#: a flight recorder for ``/debug/traces``, parity runs and the shutdown
+#: export, not a transcript — a serving process must not grow with the
+#: requests it has served.  ``/healthz`` reports how many were dropped.
+LIVE_SPAN_RING = 8192
+
 #: TTL for the upstream zone's A records.  Long enough that a demo or
 #: parity run resolves each domain once, like the simulated CDN chain
 #: does within its 5 s answer TTL.
@@ -89,10 +100,6 @@ class LiveStackConfig:
 
     #: Loopback host every tier binds.
     host: str = LIVE_HOST
-    #: Requests the AP "CPU" serves concurrently (router-class: 1).
-    ap_cpu_capacity: int = 1
-    #: Concurrency for server-class tiers (edge, origin, upstream DNS).
-    server_cpu_capacity: int = 8
     #: Seconds to wait for in-flight requests during shutdown.
     drain_timeout_s: float = 5.0
     #: Seconds to stay in the *draining* state (admin plane answering
@@ -133,21 +140,20 @@ class LiveStack:
         #: cross-tier traces share one id space — same layout as the
         #: simulated testbed's.
         self.telemetry = (telemetry if telemetry is not None
-                          else Telemetry(engine))
+                          else Telemetry(engine, max_spans=LIVE_SPAN_RING))
         self.transport = LiveTransport(engine, telemetry=self.telemetry)
         # Surface the engine's owned-task count (the ASYNC102 pattern)
         # as a live-health gauge for the obs panel.
         engine.tasks.bind_gauge(self.telemetry.gauge("live.tasks_active"))
 
         cfg = self.config
-        self.ap = Node(engine, "ap", IPv4Address("192.168.8.1"),
-                       cpu_capacity=cfg.ap_cpu_capacity)
-        self.upstream = Node(engine, "updns", IPv4Address("10.0.0.53"),
-                             cpu_capacity=cfg.server_cpu_capacity)
-        self.edge = Node(engine, "edge", IPv4Address("10.0.0.10"),
-                         cpu_capacity=cfg.server_cpu_capacity)
-        self.origin = Node(engine, "origin", IPv4Address("10.0.0.20"),
-                           cpu_capacity=cfg.server_cpu_capacity)
+        # No CPU capacities: the wall engine accounts modelled CPU
+        # without holding it (``node.cpu.busy_time``), so nothing
+        # contends for a slot.
+        self.ap = Node(engine, "ap", IPv4Address("192.168.8.1"))
+        self.upstream = Node(engine, "updns", IPv4Address("10.0.0.53"))
+        self.edge = Node(engine, "edge", IPv4Address("10.0.0.10"))
+        self.origin = Node(engine, "origin", IPv4Address("10.0.0.20"))
 
         # The upstream authoritative collapses the simulated ADNS → CDN
         # chain: its zones answer app domains directly with the edge's
@@ -278,6 +284,9 @@ class LiveStack:
                 for server in self._servers:
                     await server.stop(self.config.drain_timeout_s)
             finally:
+                # The servers closed their side of every kept-alive
+                # connection; the transport closes the client side.
+                await self.transport.close()
                 await self.admin.stop()
                 self._started = False
                 self._set_state("stopped")
@@ -327,8 +336,7 @@ class LiveStack:
         """A new client device talking to the live AP."""
         self._clients += 1
         node = Node(self.engine, f"client{self._clients}",
-                    IPv4Address(f"192.168.8.{100 + self._clients}"),
-                    cpu_capacity=4)
+                    IPv4Address(f"192.168.8.{100 + self._clients}"))
         return ClientRuntime(node, self.transport, self.ap.address,
                              app_id=app_id, telemetry=self.telemetry)
 
@@ -423,8 +431,9 @@ def trace_payload(telemetry: Telemetry,
 class AdminServer:
     """The live admin plane on its own listening socket.
 
-    Serves three endpoints over the same connection-close HTTP/1.1
-    wire codec the cache path uses (so ``curl``/``urllib`` just work):
+    Serves three endpoints over the HTTP/1.1 wire codec the cache path
+    uses — but connection-close, one request per connection: the plane
+    is idle most of the time and ``curl``/``urllib`` just work:
 
     * ``/metrics`` — Prometheus text exposition of every instrument
       (deterministic byte-for-byte on an idle stack);
@@ -472,7 +481,11 @@ class AdminServer:
     async def _serve(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
         try:
-            request = await read_request(reader)
+            head = await read_head(reader)
+            if head is None:
+                # Connected and left without a byte (a port probe).
+                return
+            request = await read_request(reader, head)
             status, payload, content_type = self._route(request)
             writer.write(
                 encode_payload_response(status, payload, content_type))
@@ -480,7 +493,7 @@ class AdminServer:
             self.requests_served += 1
             self._stack.log.log("admin_request", path=request.url.path,
                                 status=status, bytes=len(payload))
-        except (HttpError, OSError, asyncio.IncompleteReadError) as err:
+        except (HttpError, OSError) as err:
             self._stack.log.log("admin_error", level="warning",
                                 error=str(err))
         finally:
@@ -512,6 +525,7 @@ class AdminServer:
 
     def _health_payload(self) -> dict[str, object]:
         stack = self._stack
+        spans, transport = stack.telemetry.spans, stack.transport
         gauge = stack.telemetry.gauge("live.in_flight")
         in_flight = sum(gauge.value(**dict(key))
                         for key in gauge.labelsets())
@@ -526,6 +540,18 @@ class AdminServer:
                                    for server in stack._servers),
             "watchdog": {"probes": stack.watchdog.probes,
                          "stalls": stack.watchdog.stalls},
+            # Router CPU the requests served so far would have cost
+            # (accounted, never slept: docs/live.md).
+            "modelled_cpu_s": {
+                node.name: node.cpu.busy_time
+                for node in (stack.ap, stack.upstream, stack.edge,
+                             stack.origin)},
+            "spans": {"retained": len(spans), "capacity": spans.max_spans,
+                      "dropped": spans.dropped},
+            "connections": {"tcp_open": transport.tcp_open,
+                            "tcp_connects": transport.tcp_connects,
+                            "tcp_reuses": transport.tcp_reuses,
+                            "udp_sockets": transport.udp_sockets},
         }
 
 

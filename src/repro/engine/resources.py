@@ -4,9 +4,13 @@ The AP's CPU, an HTTP server's worker pool, and a link's serialization slot
 are all modeled as a :class:`Resource` — a counted semaphore with a FIFO
 wait queue.  :class:`ServiceQueue` layers a per-request service time on top,
 which is how the reproduction models "handling a DNS query costs the router
-X microseconds of CPU".  Under the virtual-time engine the service time is
-simulated; under :class:`~repro.engine.wallclock.WallClock` it is a real
-sleep, so a router-class single-slot CPU still serializes live requests.
+X microseconds of CPU".  Whether that modelled time is *spent* is the
+engine's call (``Scheduler.spends_modelled_time``): the virtual-time engine
+waits for a slot and holds it, so a router-class single-slot CPU serializes
+requests; :class:`~repro.engine.wallclock.WallClock` only accounts it — the
+host's real CPU is already paying the real cost of the request, and a
+0.5 ms hold slept on a millisecond-granular loop timer is neither the
+paper's router nor this host.
 """
 
 from __future__ import annotations
@@ -83,10 +87,14 @@ class Resource:
 class ServiceQueue:
     """A resource whose holders occupy it for a caller-supplied service time.
 
-    ``use(duration)`` returns a process that waits for a slot, holds it for
-    ``duration`` seconds, then releases it.  Total sojourn time (wait +
-    service) is the process's return value, which experiments use to
-    attribute queueing delay.
+    ``use(duration)`` returns an event whose value is the sojourn time
+    (wait + service, seconds), which experiments use to attribute queueing
+    delay.  On an engine that spends modelled time it is a process that
+    waits for a slot, holds it for ``duration`` and releases it.  On one
+    that does not, ``duration`` is charged to ``busy_time`` — the *modelled
+    demand*, which may exceed the elapsed wall time — and the event
+    succeeds on the next loop turn with sojourn ``0.0``: no slot, no
+    process, no timer.
     """
 
     def __init__(self, sim: Scheduler, capacity: int = 1) -> None:
@@ -103,9 +111,13 @@ class ServiceQueue:
     def in_use(self) -> int:
         return self._resource.in_use
 
-    def use(self, duration: float):
-        """Start a process that occupies one slot for ``duration`` seconds."""
-        return self.sim.process(self._use(duration))
+    def use(self, duration: float) -> Event:
+        """Occupy one slot for ``duration`` modelled seconds."""
+        if self.sim.spends_modelled_time:
+            return self.sim.process(self._use(duration))
+        self.busy_time += duration
+        self.completed += 1
+        return self.sim.event().succeed(0.0)
 
     def _use(self, duration: float):
         started = self.sim.now

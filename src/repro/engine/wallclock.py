@@ -5,8 +5,10 @@
 clock (seconds since the engine was created) and ``_schedule`` maps onto
 ``loop.call_soon`` / ``loop.call_later``.  The event primitives in
 :mod:`repro.engine.events` are reused unchanged, so any generator-based
-component — the AP runtime, the DNS services, a ``ServiceQueue`` — runs
-on real time without modification.
+component — the AP runtime, the DNS services, the HTTP tiers — runs on
+real time without modification.  The one thing real time does *not*
+spend is modelled service time (``spends_modelled_time = False``): a
+``ServiceQueue`` hold is accounted, never slept.
 
 Two bridges connect the generator world to asyncio:
 
@@ -185,6 +187,10 @@ class WallClock:
     counts wall seconds since construction, so spans and timeouts read
     exactly like their simulated counterparts, just jittery.
     """
+
+    #: Modelled service times are accounted, never slept: the host's
+    #: real CPU already pays the real cost of every request.
+    spends_modelled_time = False
 
     def __init__(self, loop: asyncio.AbstractEventLoop | None = None) -> None:
         if loop is None:

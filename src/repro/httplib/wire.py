@@ -3,8 +3,16 @@
 The simulator hands :class:`~repro.httplib.messages.HttpRequest` /
 :class:`HttpResponse` objects across the transport directly; the live
 stack (:mod:`repro.engine.livenet`) must put them on real sockets.  This
-codec speaks minimal, connection-close HTTP/1.1 — one request, one
-response, matching the simulated ``tcp_exchange`` semantics exactly.
+codec speaks minimal HTTP/1.1 with persistent connections: every message
+is delimited by its header block and ``content-length``, so any number of
+request/response exchanges can follow each other on one connection (one
+at a time, no pipelining), each matching one simulated ``tcp_exchange``.
+
+Reading a message is two steps, so that a kept-alive connection never
+idles inside the parser: :func:`read_head` *waits* for the next header
+block (``None`` = the peer closed between messages, the normal end of a
+connection), then :func:`read_request` / :func:`read_response` parse it
+and consume the body.
 
 Bodies in this library are *size-only* :class:`DataObject` metadata, so
 the payload on the wire is ``size_bytes`` filler octets (the real bytes
@@ -35,7 +43,7 @@ from repro.httplib.url import Url
 
 __all__ = [
     "encode_request", "encode_response", "encode_payload_response",
-    "read_request", "read_response",
+    "read_head", "read_request", "read_response",
     "MAX_HEADER_BYTES",
 ]
 
@@ -52,13 +60,14 @@ _RESERVED = frozenset({
 
 _CRLF = b"\r\n"
 
-_REASONS = {200: "OK", 404: "Not Found", 500: "Internal Server Error",
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            500: "Internal Server Error",
             502: "Bad Gateway", 503: "Service Unavailable",
             504: "Gateway Timeout"}
 
 
 def encode_request(request: HttpRequest) -> bytes:
-    """Serialize a request as one connection-close HTTP/1.1 message."""
+    """Serialize a request as one HTTP/1.1 message."""
     url = request.url
     path = url.full[len(f"{url.scheme}://{url.host}"):] or "/"
     lines = [f"{request.method} {path} HTTP/1.1",
@@ -110,9 +119,28 @@ def encode_payload_response(status: int, payload: bytes,
     return head + payload
 
 
-async def read_request(reader: asyncio.StreamReader) -> HttpRequest:
-    """Parse one request from a live connection."""
-    start_line, headers = await _read_head(reader)
+async def read_head(reader: asyncio.StreamReader) -> bytes | None:
+    """Wait for the next message's header block, blank line included.
+
+    ``None`` means the peer closed before the first byte: how every
+    kept-alive connection ends, and what a client sees when the server
+    closed a connection it was about to reuse.  A close *inside* the
+    block is an :class:`HttpError`.
+    """
+    try:
+        return await reader.readuntil(2 * _CRLF)
+    except asyncio.IncompleteReadError as err:
+        if not err.partial:
+            return None
+        raise HttpError("connection closed mid-message") from err
+    except asyncio.LimitOverrunError as err:
+        raise HttpError(f"header block exceeds reader limit: {err}")
+
+
+async def read_request(reader: asyncio.StreamReader,
+                       head: bytes) -> HttpRequest:
+    """Parse the request whose header block is ``head``; consume its body."""
+    start_line, headers = _parse_head(head)
     parts = start_line.split(" ")
     if len(parts) != 3:
         raise HttpError(f"malformed request line {start_line!r}")
@@ -123,8 +151,8 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest:
         # request line and host header; scheme is http on loopback.
         host = headers.get("host", "localhost")
         full_url = f"http://{host}{parts[1]}"
-    body_bytes = int(headers.get("x-repro-body-bytes", "0"))
-    await _drain_body(reader, int(headers.get("content-length", "0")))
+    body_bytes = _int_header(headers, "x-repro-body-bytes", 0)
+    await _drain_body(reader, _int_header(headers, "content-length", 0))
     return HttpRequest(
         Url.parse(full_url), method,
         {name: value for name, value in headers.items()
@@ -132,14 +160,15 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest:
         body_bytes)
 
 
-async def read_response(reader: asyncio.StreamReader) -> HttpResponse:
-    """Parse one response from a live connection."""
-    start_line, headers = await _read_head(reader)
+async def read_response(reader: asyncio.StreamReader,
+                        head: bytes) -> HttpResponse:
+    """Parse the response whose header block is ``head``; consume its body."""
+    start_line, headers = _parse_head(head)
     parts = start_line.split(" ", 2)
     if len(parts) < 2 or not parts[1].isdigit():
         raise HttpError(f"malformed status line {start_line!r}")
     status = int(parts[1])
-    size = int(headers.get("content-length", "0"))
+    size = _int_header(headers, "content-length", 0)
     await _drain_body(reader, size)
     body: DataObject | None = None
     object_url = headers.get("x-repro-object-url")
@@ -155,15 +184,8 @@ async def read_response(reader: asyncio.StreamReader) -> HttpResponse:
         body)
 
 
-async def _read_head(reader: asyncio.StreamReader,
-                     ) -> tuple[str, dict[str, str]]:
-    """Read up to the blank line; return (start line, header dict)."""
-    try:
-        block = await reader.readuntil(2 * _CRLF)
-    except asyncio.LimitOverrunError as err:
-        raise HttpError(f"header block exceeds reader limit: {err}")
-    except asyncio.IncompleteReadError as err:
-        raise HttpError("connection closed mid-message") from err
+def _parse_head(block: bytes) -> tuple[str, dict[str, str]]:
+    """Split a header block into (start line, header dict)."""
     if len(block) > MAX_HEADER_BYTES:
         raise HttpError(f"header block of {len(block)} bytes exceeds "
                         f"{MAX_HEADER_BYTES}")
@@ -177,6 +199,15 @@ async def _read_head(reader: asyncio.StreamReader,
             raise HttpError(f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
     return lines[0], headers
+
+
+def _int_header(headers: dict[str, str], name: str, default: int) -> int:
+    value = headers.get(name)
+    if value is None:
+        return default
+    if not value.isdigit():
+        raise HttpError(f"malformed {name} header {value!r}")
+    return int(value)
 
 
 async def _drain_body(reader: asyncio.StreamReader, size: int) -> None:

@@ -39,6 +39,9 @@ _heappop = heapq.heappop
 class Simulator:
     """Drives a single simulation: clock, event heap, process bookkeeping."""
 
+    #: Modelled service times advance the virtual clock (engine seam).
+    spends_modelled_time = True
+
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []

@@ -19,7 +19,8 @@ KB = 1024
 
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["admit", "get", "sweep"]),
+        st.sampled_from(["admit", "admit", "get", "sweep", "remove",
+                         "clear"]),
         st.integers(min_value=0, max_value=14),       # object index
         st.integers(min_value=1, max_value=40 * KB),  # size
         st.integers(min_value=5, max_value=600),      # ttl seconds
@@ -28,6 +29,21 @@ operations = st.lists(
     min_size=1, max_size=60)
 
 policies = st.sampled_from(["lru", "lfu", "fifo", "pacm"])
+
+
+def assert_host_index_mirrors_entries(store):
+    """The per-host index is `_entries`, partitioned: same entries, same
+    relative order, and no emptied host left behind."""
+    merged = {}
+    for host, same_host in store._by_host.items():
+        assert same_host, f"empty map left behind for {host!r}"
+        assert all(store._locate(key) == (host, key) for key in same_host)
+        assert list(same_host) == [key for key in store._entries
+                                   if key in same_host]
+        merged.update(same_host)
+    assert merged.keys() == store._entries.keys()
+    assert all(merged[key] is entry
+               for key, entry in store._entries.items())
 
 
 def make_policy(name):
@@ -49,7 +65,11 @@ def test_store_invariants_under_random_operations(ops, policy_name):
     now = 0.0
     for action, index, size, ttl, priority in ops:
         now += 1.0
-        url = f"http://app{index % 3}.example/obj{index}"
+        # Three hosts, each spelt three ways: mixed case is the same
+        # key, a trailing dot another key under the same host.
+        host = (f"app{index % 3}.example", f"App{index % 3}.Example",
+                f"app{index % 3}.example.")[size % 3]
+        url = f"http://{host}/obj{index}"
         if action == "admit":
             entry = CacheEntry(DataObject(url, size),
                                app_id=f"app{index % 3}",
@@ -64,11 +84,18 @@ def test_store_invariants_under_random_operations(ops, policy_name):
             fetched = store.get(url, now)
             if fetched is not None:
                 assert not fetched.is_expired(now)
+        elif action == "remove":
+            store.remove(url)
+            assert url not in store
+        elif action == "clear":
+            store.clear()
+            assert len(store) == 0
         else:
             for swept in store.sweep_expired(now):
                 assert swept.is_expired(now)
 
         # Core invariants, checked after every operation:
+        assert_host_index_mirrors_entries(store)
         assert 0 <= store.used_bytes <= capacity
         assert store.used_bytes == sum(entry.size_bytes
                                        for entry in store.entries())
@@ -97,6 +124,10 @@ def test_lru_and_pacm_agree_when_capacity_is_ample(ops):
                 store.admit(entry, policies_by_name[name], now)
             elif action == "get":
                 store.get(url, now)
+            elif action == "remove":
+                store.remove(url)
+            elif action == "clear":
+                store.clear()
             else:
                 store.sweep_expired(now)
     lru_urls = {entry.url for entry in stores["lru"].entries()}

@@ -1,12 +1,17 @@
 """AP-runtime internals: flag construction, batching, counters."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cache import CacheEntry
 from repro.core import ApRuntime, ApeCacheConfig, CacheFlag, CacheableSpec
 from repro.core.client_runtime import ClientRuntime
 from repro.dnslib import hash_url
 from repro.dnslib.cache_rr import CacheLookupRdata
 from repro.dnslib.name import DomainName
+from repro.httplib import DataObject
+from repro.httplib.url import Url
 from repro.sim import HOUR, MINUTE
 from repro.testbed import Testbed, TestbedConfig
 
@@ -169,3 +174,85 @@ def test_ap_runtime_records_protocol_events():
     admits = bed.telemetry.spans.finished("ap.pacm_admit")
     assert len(admits) == 4
     assert sum(span.attrs["evicted"] for span in admits) >= 1
+
+
+# ----------------------------------------------------------------------
+# The per-domain index against the scan it replaced
+# ----------------------------------------------------------------------
+def naive_build_flags(ap, lookup, domain):
+    """`_build_flags` as it was before the per-host index: a walk over
+    the whole store, parsing every entry's URL.  The reference."""
+    now = ap.sim.now
+    rdata = CacheLookupRdata()
+    requested = set()
+    for entry in lookup:
+        requested.add(entry.url_hash)
+        rdata.add(entry.url_hash, ap._flag_for_hash(entry.url_hash, now))
+    for cached in ap.store.entries():
+        if cached.is_expired(now):
+            continue
+        url = Url.parse(cached.url)
+        if url.domain != domain:
+            continue
+        cached_hash = hash_url(url.base)
+        if cached_hash not in requested:
+            rdata.add(cached_hash, CacheFlag.CACHE_HIT)
+    return rdata
+
+
+#: Spellings of three hosts — one of them a suffix of another — as
+#: objects are stored under them, and a domain nothing is cached for.
+_HOSTS = ("shop.example", "Shop.Example", "shop.example.",
+          "cdn.shop.example", "CDN.shop.example", "myshop.example")
+_QUERIED = _HOSTS + ("SHOP.EXAMPLE.", "empty.example")
+
+_flag_operations = st.lists(
+    st.tuples(
+        st.sampled_from(["admit", "admit", "admit", "get", "advance",
+                         "query", "query", "clear"]),
+        st.sampled_from(_HOSTS),
+        st.integers(min_value=0, max_value=5),         # path index
+        st.integers(min_value=1, max_value=24),        # size, KB
+        st.sampled_from([5.0, 30.0, 600.0]),           # ttl / time step
+        st.sampled_from(_QUERIED),
+    ),
+    min_size=1, max_size=50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flag_operations)
+def test_indexed_build_flags_is_byte_identical_to_the_naive_scan(ops):
+    bed = Testbed(TestbedConfig(jitter_fraction=0.0))
+    # 64 KB: a handful of objects fit, so PACM evicts all the time.
+    ap = ApRuntime(bed.ap, bed.transport, bed.ldns.address,
+                   config=ApeCacheConfig(cache_capacity_bytes=64 * KB))
+    ap.tracker.observe("app", now=0.0)
+    known_urls = []
+    for action, host, path, size_kb, seconds, queried in ops:
+        now = bed.sim.now
+        url = f"http://{host}/obj{path}"
+        if action == "admit":
+            # Same URL again = replace in place; a full store = evict.
+            ap.store.admit(CacheEntry(
+                DataObject(url, size_kb * KB), app_id="app", priority=1,
+                stored_at=now, expires_at=now + seconds,
+                fetch_latency_s=0.03), ap.policy, now)
+            ap._url_by_hash[hash_url(url)] = url
+            known_urls.append(url)
+        elif action == "get":
+            ap.store.get(url, now)          # drops the entry if expired
+        elif action == "advance":
+            bed.sim.run(until=now + seconds)  # lets TTLs run out
+        elif action == "clear":
+            ap.store.clear()
+        else:
+            lookup = CacheLookupRdata()
+            for asked in known_urls[-3:] + [url]:
+                lookup.add_url(asked)
+            domain = DomainName(queried)
+            assert ap._build_flags(lookup, domain).rdata.encode() == \
+                naive_build_flags(ap, lookup, domain).encode()
+    for queried in _QUERIED:
+        domain = DomainName(queried)
+        assert ap._build_flags(CacheLookupRdata(), domain).rdata.encode() \
+            == naive_build_flags(ap, CacheLookupRdata(), domain).encode()

@@ -115,6 +115,23 @@ def test_admin_endpoints_over_loopback():
             assert health["endpoints"]["admin/http"] == list(admin)
             assert health["watchdog"]["probes"] >= 1
             assert health["watchdog"]["stalls"] == 0
+            # State the request path keeps as plain attributes, read
+            # at scrape time.  One delegated fetch so far: the AP's
+            # DNS-Cache search and its HTTP service were charged
+            # (never slept) as modelled CPU.
+            assert set(health["modelled_cpu_s"]) == {
+                "ap", "updns", "edge", "origin"}
+            assert health["modelled_cpu_s"]["ap"] == \
+                pytest.approx(stack.ap.cpu.busy_time)
+            assert health["modelled_cpu_s"]["ap"] > 0.0
+            assert health["spans"] == {
+                "retained": len(stack.telemetry.spans),
+                "capacity": 8192, "dropped": 0}
+            # client -> AP and AP -> edge stay open; so do the UDP
+            # sockets client -> AP and AP -> upstream DNS.
+            assert health["connections"] == {
+                "tcp_open": 2, "tcp_connects": 2, "tcp_reuses": 0,
+                "udp_sockets": 2}
 
             status, body = await _admin_get(admin, "/debug/traces?n=2")
             assert status == 200

@@ -24,9 +24,11 @@ import sys
 
 import pytest
 
-from repro.engine.api import Scheduler
+from repro.engine.api import MS, Scheduler
 from repro.engine.wallclock import WallClock
 from repro.errors import SimulationError
+from repro.net.address import IPv4Address
+from repro.net.node import Node
 from repro.sim.kernel import Simulator
 
 _SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
@@ -188,6 +190,62 @@ def test_clock_advances_monotonically_across_yields():
     for stamps in run_on_both(build):
         assert stamps == sorted(stamps)
         assert stamps[-1] > stamps[0]
+
+
+def test_modelled_cpu_is_spent_on_the_simulator_and_charged_on_the_wall():
+    """The cost effect: `occupy_cpu` advances virtual time (two holders
+    of a one-slot CPU serialise; sojourn = wait + hold) but on the wall
+    engine it is bookkeeping only — no timer, no sleep, sojourn 0."""
+    address = IPv4Address("192.168.8.1")
+
+    sim = Simulator()
+    assert sim.spends_modelled_time
+    router = Node(sim, "ap", address)
+
+    def two_holders():
+        first, second = router.occupy_cpu(0.5 * MS), router.occupy_cpu(0.2 * MS)
+        sojourns = yield sim.all_of([first, second])
+        return sojourns[first], sojourns[second]
+
+    first, second = sim.run_process(two_holders())
+    assert first == pytest.approx(0.5 * MS)
+    assert second == pytest.approx(0.7 * MS)      # waited 0.5, held 0.2
+    assert sim.now == pytest.approx(0.7 * MS)
+    assert router.cpu.busy_time == pytest.approx(0.7 * MS)
+    assert router.cpu.completed == 2
+
+    async def _wall():
+        engine = WallClock()
+        assert not engine.spends_modelled_time
+        loop = asyncio.get_running_loop()
+        timers = []
+        call_at = loop.call_at          # `call_later` lands here too
+        loop.call_at = lambda *args, **kw: (timers.append(args),
+                                            call_at(*args, **kw))[1]
+        try:
+            node = Node(engine, "ap", address)
+            hold = node.occupy_cpu(0.5 * MS)
+            # Still pending when it returns (bench/trace.py hooks in here).
+            assert isinstance(hold.callbacks, list)
+            assert node.cpu.busy_time == pytest.approx(0.5 * MS)
+            assert node.cpu.completed == 1
+            assert node.cpu.queue_length == 0
+            await asyncio.sleep(0)      # one loop turn
+            assert hold.processed and hold.value == 0.0
+
+            def handler():
+                started = engine.now
+                sojourn = yield node.occupy_cpu(0.5)    # half a second
+                return sojourn, engine.now - started
+
+            sojourn, elapsed = await engine.run_process(handler())
+            assert sojourn == 0.0 and elapsed < 0.25
+            assert node.cpu.busy_time == pytest.approx(0.5 + 0.5 * MS)
+            assert timers == []
+        finally:
+            del loop.call_at
+
+    asyncio.run(_wall())
 
 
 def test_wallclock_requires_a_running_loop():
