@@ -3,19 +3,16 @@
 
 Re-runs the workload at several seeds per system and puts confidence
 intervals on the latency differences — APE-CACHE vs each baseline —
-using paired per-seed comparisons.
+using paired per-seed comparisons.  One scenario declares every
+system x seed; ``fold_multiseed`` turns its cells into per-system
+seed samples.
 
 Run:  python examples/significance.py
 """
 
-from repro.analysis import paired_comparison, replicate
+from repro.analysis import paired_comparison
 from repro.apps import DummyAppParams, WorkloadConfig
-from repro.baselines import (
-    ApeCacheLruSystem,
-    ApeCacheSystem,
-    EdgeCacheSystem,
-    WiCacheSystem,
-)
+from repro.runner import ScenarioSpec, SweepEngine, fold_multiseed
 from repro.sim import MINUTE
 from repro.testbed import TestbedConfig
 
@@ -34,12 +31,13 @@ def config():
 def main() -> None:
     print(f"replicating across seeds {SEEDS}...\n")
     print(f"{'system':15s} {METRIC}")
-    results = {}
-    for factory in (ApeCacheSystem, ApeCacheLruSystem, WiCacheSystem,
-                    EdgeCacheSystem):
-        result = replicate(factory, config(), seeds=SEEDS)
-        results[result.system_name] = result
-        print(f"{result.system_name:15s} {result.summary(METRIC)}")
+    spec = ScenarioSpec(
+        name="significance",
+        systems=("APE-CACHE", "APE-CACHE-LRU", "Wi-Cache", "Edge Cache"),
+        seeds=SEEDS, workload=config())
+    results = fold_multiseed(SweepEngine().run(spec))
+    for name, result in results.items():
+        print(f"{name:15s} {result.summary(METRIC)}")
 
     ape = results["APE-CACHE"].samples[METRIC]
     print("\npaired differences (negative = APE-CACHE faster):")

@@ -1,10 +1,6 @@
-"""Multi-seed replication and statistics for experiment claims."""
+"""Statistics for experiment claims (multi-seed samples live in
+:class:`repro.runner.MultiSeedResult`)."""
 
-from repro.analysis.multiseed import (
-    MultiSeedResult,
-    compare_systems,
-    replicate,
-)
 from repro.analysis.stats import (
     PairedComparison,
     SampleSummary,
@@ -14,12 +10,9 @@ from repro.analysis.stats import (
 )
 
 __all__ = [
-    "MultiSeedResult",
     "PairedComparison",
     "SampleSummary",
-    "compare_systems",
     "confidence_interval",
     "paired_comparison",
-    "replicate",
     "summarize",
 ]

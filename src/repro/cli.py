@@ -18,53 +18,15 @@ from __future__ import annotations
 
 import argparse
 import ast
-import os
 import sys
 import typing as _t
 
 from repro._version import __version__
+from repro.experiments import EXPERIMENTS
+from repro.experiments.common import full_requested
 from repro.perf import perf_timer
 
-__all__ = ["main", "build_parser", "EXPERIMENTS"]
-
-
-def _lazy(module_name: str, attr: str = "run"):
-    def runner(quick: bool, seed: int, jobs: int = 1):
-        import importlib
-
-        module = importlib.import_module(
-            f"repro.experiments.{module_name}")
-        return getattr(module, attr)(quick=quick, seed=seed, jobs=jobs)
-
-    return runner
-
-
-#: name -> (description, runner(quick, seed) -> table(s)).
-EXPERIMENTS: dict[str, tuple[str, _t.Callable]] = {
-    "table1": ("Akamai DNS/RTT/hops measurement (Table I)",
-               _lazy("table1")),
-    "fig2": ("router load under traffic replay (Table II / Fig. 2)",
-             _lazy("fig2")),
-    "fig11": ("object-level caching latency (Fig. 11a/11c)",
-              _lazy("fig11")),
-    "fig11b": ("DNS-Cache query overhead (Fig. 11b)",
-               _lazy("fig11", "run_lookup_overhead")),
-    "tables456": ("PACM vs LRU hit ratios (Tables IV/V/VI)",
-                  _lazy("pacm_tables")),
-    "fig12": ("real-world apps' latency (Fig. 12)", _lazy("fig12")),
-    "fig13": ("app-level latency sweeps (Fig. 13a/b/c)", _lazy("fig13")),
-    "fig14": ("AP resource overhead (Fig. 14)", _lazy("fig14")),
-    "table7": ("programming effort comparison (Table VII)",
-               _lazy("table7")),
-    "ablations": ("design-choice ablations (beyond the paper)",
-                  _lazy("ablations")),
-    "offline": ("offline policy replay vs clairvoyant Belady bound",
-                _lazy("offline_optimal")),
-    "multiap": ("distributed Wi-Cache scaling with AP count",
-                _lazy("multi_ap")),
-    "replication": ("multi-seed replication with confidence intervals",
-                    _lazy("replication")),
-}
+__all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run sweep cells across N worker processes "
                              "(default 1 = in-process)")
 
-    for name, (description, _runner) in EXPERIMENTS.items():
+    for name, (description, _path) in EXPERIMENTS.items():
         subparsers.add_parser(name, help=description, parents=[common])
     subparsers.add_parser("all", help="run every experiment in order",
                           parents=[common])
@@ -125,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker process count (default 1)")
     sweep.add_argument("--runner", type=str, default="workload",
-                       help="cell runner: a registry name or "
+                       help="cell runner: workload or a "
                             "module:function path (default workload)")
     sweep.add_argument("--json", action="store_true",
                        help="emit the full per-cell JSON document "
@@ -401,7 +363,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     if args.command in (None, "list"):
         width = max(len(name) for name in EXPERIMENTS)
         print("available experiments:")
-        for name, (description, _runner) in EXPERIMENTS.items():
+        for name, (description, _path) in EXPERIMENTS.items():
             print(f"  {name.ljust(width)}  {description}")
         print(f"  {'all'.ljust(width)}  run everything")
         print(f"  {'obs'.ljust(width)}  telemetry panel: per-stage "
@@ -451,9 +413,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         print(f"done in {elapsed():.0f}s", file=sys.stderr)
         return 0
 
-    if args.full:
-        os.environ["REPRO_FULL"] = "1"
-    quick = not args.full
+    quick = not (args.full or full_requested())
 
     elapsed = perf_timer()
     if args.command == "obs" and args.follow:
@@ -557,15 +517,18 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         print(f"done in {elapsed():.0f}s", file=sys.stderr)
         return 0
     else:
+        from repro.runner.registry import resolve_path
+
         names = (list(EXPERIMENTS) if args.command == "all"
                  else [args.command])
         chunks = []
         for name in names:
-            description, runner = EXPERIMENTS[name]
+            description, path = EXPERIMENTS[name]
             print(f"--- {name}: {description} ---", file=sys.stderr,
                   flush=True)
             chunks.append(_render_tables(
-                runner(quick, args.seed, jobs=args.jobs), args.format))
+                resolve_path(path)(quick=quick, seed=args.seed,
+                                   jobs=args.jobs), args.format))
         rendered = "\n\n".join(chunks)
     _emit(rendered, args.output)
     print(f"done in {elapsed():.0f}s", file=sys.stderr)

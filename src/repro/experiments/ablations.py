@@ -10,25 +10,29 @@ Studies beyond the paper's own evaluation:
 * **on-device (L1) cache** size sweep.
 
 Every sweep is one :class:`~repro.runner.spec.ScenarioSpec`.  The swept
-knobs configure the *system*, not the workload, so the axes route their
-values through ``params.*`` overrides into each cell's runner.
+knobs configure the *system*, not the workload, so each knob value is
+one picklable ``ApeCacheSystem`` factory in the spec's ``systems`` and
+the cells run through the ``"workload"`` runner; only the fairness
+sweep (which reads the AP store after the run) and the short-circuit
+probe bring their own runners.
 """
 
 from __future__ import annotations
 
+import functools
 import typing as _t
 
 from repro.apps.generator import DummyAppParams
-from repro.apps.workload import WorkloadConfig
+from repro.apps.workload import Workload, WorkloadConfig
 from repro.baselines.ape import ApeCacheSystem
 from repro.core.annotations import CacheableSpec
 from repro.core.ap_runtime import ApRuntime
 from repro.core.client_runtime import ClientRuntime
 from repro.core.config import ApeCacheConfig
 from repro.errors import ConfigError
-from repro.experiments.common import ExperimentTable, effective_duration
-from repro.runner import ScenarioSpec, SweepEngine, SweepPoint
-from repro.runner.cells import execute_workload
+from repro.experiments.common import ExperimentTable, quick_duration
+from repro.runner import ScenarioSpec, SweepEngine, SweepPoint, \
+    cells_table, resolve_system
 from repro.runner.spec import Cell
 from repro.sim.kernel import HOUR, MINUTE
 from repro.testbed import Testbed, TestbedConfig
@@ -41,29 +45,28 @@ KB = 1024
 MB = 1024 * 1024
 
 
-def _workload_config(duration_s: float, seed: int,
+def _workload_config(quick: bool, seed: int,
                      **overrides) -> WorkloadConfig:
-    defaults = dict(n_apps=30, duration_s=duration_s, seed=seed,
-                    dummy_params=DummyAppParams(),
+    defaults = dict(n_apps=30,
+                    duration_s=quick_duration(quick, quick_s=3 * MINUTE),
+                    seed=seed, dummy_params=DummyAppParams(),
                     testbed=TestbedConfig(seed=seed))
     defaults.update(overrides)
     return WorkloadConfig(**defaults)
 
 
-def _param_axis(name: str, values: _t.Sequence[object],
-                labels: _t.Sequence[object] | None = None,
-                ) -> list[SweepPoint]:
-    """An axis whose points set a runner parameter, not a workload field."""
-    labels = values if labels is None else labels
-    return [SweepPoint(label=label,
-                       overrides={f"params.{name}": value})
-            for label, value in zip(labels, values)]
-
-
-def _require_workload(cell: Cell) -> WorkloadConfig:
-    if cell.workload is None:
-        raise ConfigError(f"{cell.scenario}: cells need a workload config")
-    return cell.workload
+def _knob_sweep(name: str, title: str, column: str,
+                labels: _t.Sequence[object],
+                systems: _t.Sequence[_t.Callable[[], object]],
+                workload: WorkloadConfig,
+                metrics: _t.Mapping[str, str], seed: int, jobs: int,
+                runner: str = "workload",
+                ints: _t.Collection[str] = ()) -> ExperimentTable:
+    """One workload cell per system-knob value, one row per cell."""
+    spec = ScenarioSpec(name=name, systems=tuple(systems), seeds=(seed,),
+                        workload=workload, runner=runner)
+    return cells_table(SweepEngine(jobs=jobs).run(spec), title, metrics,
+                       identity=False, labels={column: labels}, ints=ints)
 
 
 # ----------------------------------------------------------------------
@@ -107,19 +110,14 @@ def run_short_circuit(quick: bool = True, seed: int = 0,
     spec = ScenarioSpec(
         name="ablation-short-circuit", systems=(None,), seeds=(seed,),
         workload=None,
-        axes={"short_circuit": _param_axis(
-            "short_circuit", (True, False), labels=("on", "off"))},
+        axes={"short_circuit": [
+            SweepPoint(label, {"params.short_circuit": enabled})
+            for label, enabled in (("on", True), ("off", False))]},
         params={"runs": 40 if quick else 200},
         runner="repro.experiments.ablations:short_circuit_cell")
-    result = SweepEngine(jobs=jobs).run(spec)
-
-    table = ExperimentTable(
-        title="Ablation: dummy-IP short circuit",
-        columns=["short_circuit", "all_hit_lookup_ms"])
-    for cell_result in result.cells:
-        table.add_row(
-            short_circuit=cell_result.cell.coords["short_circuit"],
-            all_hit_lookup_ms=cell_result.metrics["all_hit_lookup_ms"])
+    table = cells_table(SweepEngine(jobs=jobs).run(spec),
+                        "Ablation: dummy-IP short circuit",
+                        ["all_hit_lookup_ms"], identity=False)
     on_ms, off_ms = (float(_t.cast(float, row["all_hit_lookup_ms"]))
                      for row in table.rows)
     table.notes.append(
@@ -132,10 +130,15 @@ def run_short_circuit(quick: bool = True, seed: int = 0,
 # Fairness threshold theta
 # ----------------------------------------------------------------------
 def fairness_cell(cell: Cell) -> dict[str, object]:
-    """Cell runner: one workload run at a given fairness threshold."""
-    theta = float(_t.cast(float, cell.params["theta"]))
-    system = ApeCacheSystem(ApeCacheConfig(fairness_threshold=theta))
-    result, _workload = execute_workload(_require_workload(cell), system)
+    """Cell runner: one workload run plus the fairness it achieved.
+
+    The one bespoke workload runner: ``achieved_fairness`` reads the
+    AP's store after the run, which ``workload_cell`` does not report.
+    """
+    if cell.workload is None:
+        raise ConfigError(f"{cell.scenario}: cells need a workload config")
+    system = _t.cast(ApeCacheSystem, resolve_system(cell.system))
+    result = Workload(cell.workload).run(system)
     runtime = system.ap_runtime
     assert runtime is not None
     fairness = runtime.policy.fairness(runtime.store) \
@@ -148,24 +151,17 @@ def fairness_cell(cell: Cell) -> dict[str, object]:
 def run_fairness_sweep(quick: bool = True, seed: int = 0,
                        jobs: int = 1) -> ExperimentTable:
     """Hit ratios and achieved fairness across theta."""
-    duration = effective_duration(quick, quick_s=3 * MINUTE)
-    spec = ScenarioSpec(
-        name="ablation-fairness", systems=(None,), seeds=(seed,),
-        workload=_workload_config(duration, seed),
-        axes={"theta": _param_axis("theta", (0.1, 0.2, 0.4, 0.7, 1.0))},
+    thetas = (0.1, 0.2, 0.4, 0.7, 1.0)
+    table = _knob_sweep(
+        "ablation-fairness", "Ablation: PACM fairness threshold theta",
+        "theta", thetas,
+        [functools.partial(ApeCacheSystem,
+                           ApeCacheConfig(fairness_threshold=theta))
+         for theta in thetas],
+        _workload_config(quick, seed),
+        {"hit_ratio": "hit_ratio", "hit_ratio_high": "hit_ratio_high",
+         "achieved_fairness": "achieved_fairness"}, seed, jobs,
         runner="repro.experiments.ablations:fairness_cell")
-    result = SweepEngine(jobs=jobs).run(spec)
-
-    table = ExperimentTable(
-        title="Ablation: PACM fairness threshold theta",
-        columns=["theta", "hit_ratio", "hit_ratio_high",
-                 "achieved_fairness"])
-    for cell_result in result.cells:
-        metrics = cell_result.metrics
-        table.add_row(theta=cell_result.cell.coords["theta"],
-                      hit_ratio=metrics["hit_ratio"],
-                      hit_ratio_high=metrics["hit_ratio_high"],
-                      achieved_fairness=metrics["achieved_fairness"])
     table.notes.append(
         "paper default theta=0.4; tighter theta trades utility (hit "
         "ratio) for evenly spread cache space")
@@ -175,34 +171,19 @@ def run_fairness_sweep(quick: bool = True, seed: int = 0,
 # ----------------------------------------------------------------------
 # EWMA alpha
 # ----------------------------------------------------------------------
-def alpha_cell(cell: Cell) -> dict[str, object]:
-    """Cell runner: one workload run at a given EWMA alpha."""
-    alpha = float(_t.cast(float, cell.params["alpha"]))
-    system = ApeCacheSystem(ApeCacheConfig(frequency_alpha=alpha))
-    result, _workload = execute_workload(_require_workload(cell), system)
-    return {"hit_ratio": result.hit_ratio(),
-            "hit_ratio_high": result.hit_ratio(only_high_priority=True)}
-
-
 def run_alpha_sweep(quick: bool = True, seed: int = 0,
                     jobs: int = 1) -> ExperimentTable:
     """Frequency-estimator smoothing vs hit ratios."""
-    duration = effective_duration(quick, quick_s=3 * MINUTE)
-    spec = ScenarioSpec(
-        name="ablation-alpha", systems=(None,), seeds=(seed,),
-        workload=_workload_config(duration, seed),
-        axes={"alpha": _param_axis("alpha", (0.1, 0.3, 0.5, 0.7, 0.9))},
-        runner="repro.experiments.ablations:alpha_cell")
-    result = SweepEngine(jobs=jobs).run(spec)
-
-    table = ExperimentTable(
-        title="Ablation: request-frequency EWMA alpha",
-        columns=["alpha", "hit_ratio", "hit_ratio_high"])
-    for cell_result in result.cells:
-        table.add_row(alpha=cell_result.cell.coords["alpha"],
-                      hit_ratio=cell_result.metrics["hit_ratio"],
-                      hit_ratio_high=cell_result.metrics[
-                          "hit_ratio_high"])
+    alphas = (0.1, 0.3, 0.5, 0.7, 0.9)
+    table = _knob_sweep(
+        "ablation-alpha", "Ablation: request-frequency EWMA alpha",
+        "alpha", alphas,
+        [functools.partial(ApeCacheSystem,
+                           ApeCacheConfig(frequency_alpha=alpha))
+         for alpha in alphas],
+        _workload_config(quick, seed),
+        {"hit_ratio": "hit_ratio",
+         "hit_ratio_high": "hit_ratio_high_priority"}, seed, jobs)
     table.notes.append("paper default alpha=0.7")
     return table
 
@@ -210,43 +191,23 @@ def run_alpha_sweep(quick: bool = True, seed: int = 0,
 # ----------------------------------------------------------------------
 # Block-list threshold
 # ----------------------------------------------------------------------
-def blocklist_cell(cell: Cell) -> dict[str, object]:
-    """Cell runner: large-object workload at one block-list threshold."""
-    threshold_kb = int(_t.cast(int, cell.params["threshold_kb"]))
-    system = ApeCacheSystem(ApeCacheConfig(
-        blocklist_threshold_bytes=threshold_kb * KB))
-    result, _workload = execute_workload(_require_workload(cell), system)
-    return {"hit_ratio": result.hit_ratio(),
-            "blocked_objects": int(result.ap_stats["blocked_objects"]),
-            "mean_app_latency_ms": result.mean_app_latency_s() * 1e3}
-
-
 def run_blocklist_sweep(quick: bool = True, seed: int = 0,
                         jobs: int = 1) -> ExperimentTable:
     """Large-object workload across block-list thresholds."""
-    duration = effective_duration(quick, quick_s=3 * MINUTE)
+    thresholds_kb = (100, 250, 500, 1000)
     large_params = DummyAppParams(min_size_bytes=50 * KB,
                                   max_size_bytes=700 * KB)
-    spec = ScenarioSpec(
-        name="ablation-blocklist", systems=(None,), seeds=(seed,),
-        workload=_workload_config(duration, seed,
-                                  dummy_params=large_params),
-        axes={"threshold_kb": _param_axis("threshold_kb",
-                                          (100, 250, 500, 1000))},
-        runner="repro.experiments.ablations:blocklist_cell")
-    result = SweepEngine(jobs=jobs).run(spec)
-
-    table = ExperimentTable(
-        title="Ablation: block-list size threshold",
-        columns=["threshold_kb", "hit_ratio", "blocked_objects",
-                 "mean_app_latency_ms"])
-    for cell_result in result.cells:
-        metrics = cell_result.metrics
-        table.add_row(threshold_kb=cell_result.cell.coords[
-                          "threshold_kb"],
-                      hit_ratio=metrics["hit_ratio"],
-                      blocked_objects=metrics["blocked_objects"],
-                      mean_app_latency_ms=metrics["mean_app_latency_ms"])
+    table = _knob_sweep(
+        "ablation-blocklist", "Ablation: block-list size threshold",
+        "threshold_kb", thresholds_kb,
+        [functools.partial(ApeCacheSystem, ApeCacheConfig(
+            blocklist_threshold_bytes=threshold_kb * KB))
+         for threshold_kb in thresholds_kb],
+        _workload_config(quick, seed, dummy_params=large_params),
+        {"hit_ratio": "hit_ratio",
+         "blocked_objects": "ap:blocked_objects",
+         "mean_app_latency_ms": "mean_app_latency_ms"}, seed, jobs,
+        ints=("blocked_objects",))
     table.notes.append(
         "paper default 500 KB; lower thresholds block more objects "
         "(fewer AP hits), higher ones let big objects churn the cache")
@@ -256,17 +217,6 @@ def run_blocklist_sweep(quick: bool = True, seed: int = 0,
 # ----------------------------------------------------------------------
 # Dependency-aware prefetching (the APPx-synergy extension)
 # ----------------------------------------------------------------------
-def prefetch_cell(cell: Cell) -> dict[str, object]:
-    """Cell runner: short-TTL workload with prefetching on or off."""
-    enabled = bool(cell.params["prefetch"])
-    system = ApeCacheSystem(ApeCacheConfig(enable_prefetch=enabled))
-    result, _workload = execute_workload(_require_workload(cell), system)
-    return {"mean_app_latency_ms": result.mean_app_latency_s() * 1e3,
-            "hit_ratio": result.hit_ratio(),
-            "prefetches": int(result.ap_stats.get("prefetches", 0)),
-            "edge_fetches": int(result.ap_stats["edge_fetches"])}
-
-
 def run_prefetch(quick: bool = True, seed: int = 0,
                  jobs: int = 1) -> ExperimentTable:
     """Workload latency with and without AP prefetching.
@@ -274,27 +224,19 @@ def run_prefetch(quick: bool = True, seed: int = 0,
     Short TTLs make delegations recur, which is where warming the rest
     of an app's DAG off the critical path pays.
     """
-    duration = effective_duration(quick, quick_s=3 * MINUTE)
     short_ttl = DummyAppParams(min_ttl_s=2 * MINUTE, max_ttl_s=5 * MINUTE)
-    spec = ScenarioSpec(
-        name="ablation-prefetch", systems=(None,), seeds=(seed,),
-        workload=_workload_config(duration, seed, dummy_params=short_ttl),
-        axes={"prefetch": _param_axis(
-            "prefetch", (False, True), labels=("off", "on"))},
-        runner="repro.experiments.ablations:prefetch_cell")
-    result = SweepEngine(jobs=jobs).run(spec)
-
-    table = ExperimentTable(
-        title="Ablation: dependency-aware prefetching on the AP",
-        columns=["prefetch", "mean_app_latency_ms", "hit_ratio",
-                 "prefetches", "edge_fetches"])
-    for cell_result in result.cells:
-        metrics = cell_result.metrics
-        table.add_row(prefetch=cell_result.cell.coords["prefetch"],
-                      mean_app_latency_ms=metrics["mean_app_latency_ms"],
-                      hit_ratio=metrics["hit_ratio"],
-                      prefetches=metrics["prefetches"],
-                      edge_fetches=metrics["edge_fetches"])
+    table = _knob_sweep(
+        "ablation-prefetch",
+        "Ablation: dependency-aware prefetching on the AP",
+        "prefetch", ("off", "on"),
+        [functools.partial(ApeCacheSystem,
+                           ApeCacheConfig(enable_prefetch=enabled))
+         for enabled in (False, True)],
+        _workload_config(quick, seed, dummy_params=short_ttl),
+        {"mean_app_latency_ms": "mean_app_latency_ms",
+         "hit_ratio": "hit_ratio", "prefetches": "ap:prefetches",
+         "edge_fetches": "ap:edge_fetches"}, seed, jobs,
+        ints=("prefetches", "edge_fetches"))
     table.notes.append(
         "the paper's related-work synergy: shipping request-dependency "
         "info to the AP prefetches dependents, cutting cold/expired "
@@ -305,15 +247,6 @@ def run_prefetch(quick: bool = True, seed: int = 0,
 # ----------------------------------------------------------------------
 # Device-local (L1) cache in front of the AP
 # ----------------------------------------------------------------------
-def device_cache_cell(cell: Cell) -> dict[str, object]:
-    """Cell runner: workload with an L1 device cache of a given size."""
-    device_kb = int(_t.cast(int, cell.params["device_cache_kb"]))
-    system = ApeCacheSystem(device_cache_bytes=device_kb * KB)
-    result, _workload = execute_workload(_require_workload(cell), system)
-    return {"mean_app_latency_ms": result.mean_app_latency_s() * 1e3,
-            "ap_hit_ratio_incl_device": result.hit_ratio()}
-
-
 def run_device_cache(quick: bool = True, seed: int = 0,
                      jobs: int = 1) -> ExperimentTable:
     """APE-CACHE with a PALOMA-style on-device cache layered in front.
@@ -321,26 +254,16 @@ def run_device_cache(quick: bool = True, seed: int = 0,
     The paper's related work positions client-side caching systems as
     complementary; this sweep quantifies the combination.
     """
-    duration = effective_duration(quick, quick_s=3 * MINUTE)
-    spec = ScenarioSpec(
-        name="ablation-device-cache", systems=(None,), seeds=(seed,),
-        workload=_workload_config(duration, seed),
-        axes={"device_cache_kb": _param_axis("device_cache_kb",
-                                             (0, 64, 256, 1024))},
-        runner="repro.experiments.ablations:device_cache_cell")
-    result = SweepEngine(jobs=jobs).run(spec)
-
-    table = ExperimentTable(
-        title="Ablation: on-device (L1) cache in front of the AP",
-        columns=["device_cache_kb", "mean_app_latency_ms",
-                 "ap_hit_ratio_incl_device"])
-    for cell_result in result.cells:
-        metrics = cell_result.metrics
-        table.add_row(device_cache_kb=cell_result.cell.coords[
-                          "device_cache_kb"],
-                      mean_app_latency_ms=metrics["mean_app_latency_ms"],
-                      ap_hit_ratio_incl_device=metrics[
-                          "ap_hit_ratio_incl_device"])
+    sizes_kb = (0, 64, 256, 1024)
+    table = _knob_sweep(
+        "ablation-device-cache",
+        "Ablation: on-device (L1) cache in front of the AP",
+        "device_cache_kb", sizes_kb,
+        [functools.partial(ApeCacheSystem, device_cache_bytes=kb * KB)
+         for kb in sizes_kb],
+        _workload_config(quick, seed),
+        {"mean_app_latency_ms": "mean_app_latency_ms",
+         "ap_hit_ratio_incl_device": "hit_ratio"}, seed, jobs)
     table.notes.append(
         "0 KB is the paper's configuration; device hits serve in ~0 ms "
         "and relieve the AP, stacking with (not replacing) AP caching")
@@ -355,9 +278,3 @@ def run(quick: bool = True, seed: int = 0,
             run_blocklist_sweep(quick, seed, jobs),
             run_prefetch(quick, seed, jobs),
             run_device_cache(quick, seed, jobs)]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for table in run():
-        print(table)
-        print()

@@ -1,9 +1,9 @@
 """Shared experiment scaffolding: result tables and run scaling.
 
-Every experiment module exposes ``run(quick=True)`` returning one or
-more :class:`ExperimentTable` objects that render as the same rows the
-paper prints.  ``quick`` trades simulated duration for wall-clock time;
-the full setting matches the paper's one-hour runs.
+Every experiment function takes ``(quick, seed, jobs)`` and returns one
+or more :class:`ExperimentTable` objects that render as the same rows
+the paper prints.  ``quick`` trades simulated duration for wall-clock
+time; the full setting matches the paper's one-hour runs.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import os
 
 from repro.sim.kernel import HOUR, MINUTE
 
-__all__ = ["ExperimentTable", "quick_duration", "full_requested",
-           "effective_duration"]
+__all__ = ["ExperimentTable", "quick_duration", "full_requested"]
 
 
 @dataclasses.dataclass
@@ -86,7 +85,11 @@ class ExperimentTable:
 
 
 def full_requested() -> bool:
-    """True when the environment asks for paper-length runs."""
+    """True when the environment asks for paper-length runs.
+
+    Read once, by the entry points (the CLI and the report tool), which
+    turn it into the ``quick`` flag every experiment takes.
+    """
     return os.environ.get("REPRO_FULL", "") not in ("", "0", "false")
 
 
@@ -94,11 +97,3 @@ def quick_duration(quick: bool, quick_s: float = 4 * MINUTE,
                    full_s: float = 1 * HOUR) -> float:
     """Simulated duration: short for CI, paper-length otherwise."""
     return quick_s if quick else full_s
-
-
-def effective_duration(quick: bool = True,
-                       quick_s: float = 4 * MINUTE) -> float:
-    """Honors ``REPRO_FULL=1`` over the caller's ``quick`` flag."""
-    if full_requested():
-        return quick_duration(False)
-    return quick_duration(quick, quick_s=quick_s)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.apps.generator import DummyAppParams
-from repro.apps.workload import WorkloadConfig
+from repro.apps.workload import Workload, WorkloadConfig
 from repro.baselines.base import CachingSystem
 from repro.core.annotations import CacheableSpec
 from repro.core.ap_runtime import ApRuntime
@@ -32,9 +32,8 @@ from repro.dnslib.message import Message
 from repro.dnslib.resolver import StubResolver
 from repro.dnslib.rr import RRClass, RRType
 from repro.errors import ConfigError
-from repro.experiments.common import ExperimentTable, effective_duration
+from repro.experiments.common import ExperimentTable, quick_duration
 from repro.runner import ScenarioSpec, SweepEngine, resolve_system, sweep_table
-from repro.runner.cells import execute_workload
 from repro.runner.spec import Cell
 from repro.sim.kernel import HOUR, MINUTE
 from repro.testbed import Testbed, TestbedConfig
@@ -90,8 +89,8 @@ def probe_cell(cell: Cell) -> dict[str, object]:
     assert system is not None
     samples: dict[str, list[float]] = {"lookup_ms": [],
                                        "retrieval_ms": []}
-    execute_workload(cell.workload, system,
-                     extra_processes=[_probe_factory(samples)])
+    Workload(cell.workload).run(
+        system, extra_processes=[_probe_factory(samples)])
     return {"system_name": system.name,
             "metrics": {"lookup_ms": _mean(samples["lookup_ms"]),
                         "retrieval_ms": _mean(samples["retrieval_ms"])}}
@@ -100,7 +99,7 @@ def probe_cell(cell: Cell) -> dict[str, object]:
 def run(quick: bool = True, seed: int = 0,
         jobs: int = 1) -> list[ExperimentTable]:
     """Fig. 11a (lookup) and Fig. 11c (retrieval) across frequencies."""
-    duration = effective_duration(quick, quick_s=3 * MINUTE)
+    duration = quick_duration(quick, quick_s=3 * MINUTE)
     spec = ScenarioSpec(
         name="fig11-object-latency", systems=SYSTEM_NAMES, seeds=(seed,),
         workload=WorkloadConfig(n_apps=30, duration_s=duration,
@@ -249,9 +248,3 @@ def run_lookup_overhead(quick: bool = True, seed: int = 0,
         f"standalone penalty vs piggyback: "
         f"{standalone_ms - dns_cache_ms:.2f} ms (paper: +7.02 ms)")
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for result_table in run():
-        print(result_table)
-    print(run_lookup_overhead())

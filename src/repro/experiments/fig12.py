@@ -9,7 +9,7 @@ runner's ``app_metrics`` parameter.
 from __future__ import annotations
 
 from repro.apps.workload import WorkloadConfig
-from repro.experiments.common import ExperimentTable, effective_duration
+from repro.experiments.common import ExperimentTable, quick_duration
 from repro.runner import ScenarioSpec, SweepEngine
 from repro.sim.kernel import MINUTE
 from repro.testbed import TestbedConfig
@@ -23,7 +23,7 @@ SYSTEM_NAMES = ("APE-CACHE", "APE-CACHE-LRU", "Wi-Cache", "Edge Cache")
 def run(quick: bool = True, seed: int = 0,
         jobs: int = 1) -> list[ExperimentTable]:
     """One table per real app: mean and tail latency per system."""
-    duration = effective_duration(quick, quick_s=5 * MINUTE)
+    duration = quick_duration(quick, quick_s=5 * MINUTE)
     spec = ScenarioSpec(
         name="fig12-real-apps", systems=SYSTEM_NAMES, seeds=(seed,),
         workload=WorkloadConfig(n_apps=30, duration_s=duration,
@@ -53,9 +53,3 @@ def run(quick: bool = True, seed: int = 0,
             "(paper: ~78% mean, ~76% tail)")
         tables.append(table)
     return tables
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for table in run():
-        print(table)
-        print()

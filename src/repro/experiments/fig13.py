@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.apps.generator import DummyAppParams
 from repro.apps.workload import WorkloadConfig
-from repro.experiments.common import ExperimentTable, effective_duration
+from repro.experiments.common import ExperimentTable, quick_duration
 from repro.experiments.pacm_tables import (
     APP_QUANTITIES,
     FREQUENCIES,
@@ -35,7 +35,7 @@ METRIC = "mean_app_latency_ms"
 
 def _base_spec(name: str, quick: bool, seed: int,
                axes: dict) -> ScenarioSpec:
-    duration = effective_duration(quick, quick_s=3 * MINUTE)
+    duration = quick_duration(quick, quick_s=3 * MINUTE)
     return ScenarioSpec(
         name=name, systems=SYSTEM_NAMES, seeds=(seed,),
         workload=WorkloadConfig(n_apps=30, avg_frequency_per_min=3.0,
@@ -98,9 +98,3 @@ def run(quick: bool = True, seed: int = 0,
     return [run_size_sweep(quick, seed, jobs),
             run_frequency_sweep(quick, seed, jobs),
             run_quantity_sweep(quick, seed, jobs)]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for table in run():
-        print(table)
-        print()

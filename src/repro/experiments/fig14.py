@@ -12,7 +12,7 @@ import typing as _t
 
 from repro.apps.workload import WorkloadConfig
 from repro.errors import ConfigError
-from repro.experiments.common import ExperimentTable, effective_duration
+from repro.experiments.common import ExperimentTable, quick_duration
 from repro.measurement.overhead import ApOverheadStudy
 from repro.runner import ScenarioSpec, SweepEngine
 from repro.runner.spec import Cell
@@ -32,7 +32,7 @@ def overhead_cell(cell: Cell) -> dict[str, object]:
 
 def run(quick: bool = True, seed: int = 0, jobs: int = 1,
         ) -> ExperimentTable:
-    duration = effective_duration(quick, quick_s=5 * MINUTE)
+    duration = quick_duration(quick, quick_s=5 * MINUTE)
     spec = ScenarioSpec(
         name="fig14-ap-overhead", systems=(None,), seeds=(seed,),
         workload=WorkloadConfig(n_apps=30, duration_s=duration,
@@ -61,7 +61,3 @@ def run(quick: bool = True, seed: int = 0, jobs: int = 1,
         "memory = 7 MB daemon footprint + 5 MB object cache + tables; "
         "CPU covers DNS-Cache handling, HTTP serving, and PACM runs")
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

@@ -16,7 +16,7 @@ from repro.measurement.traffic import (
     replay_trace,
     synthesize_trace,
 )
-from repro.runner import ScenarioSpec, SweepEngine
+from repro.runner import ScenarioSpec, SweepEngine, cells_table
 from repro.runner.spec import Cell
 
 __all__ = ["run", "replay_cell"]
@@ -49,29 +49,15 @@ def run(quick: bool = True, seed: int = 0,
         name="fig2-router-load", systems=(None,), seeds=(seed,),
         workload=None, axes={"trace": tuple(TRACES)},
         runner="repro.experiments.fig2:replay_cell")
-    result = SweepEngine(jobs=jobs).run(spec)
-
-    table = ExperimentTable(
-        title="Fig. 2: CPU/Memory usage of the WiFi router during replay",
-        columns=["trace", "packets", "flows", "total_mb", "apps",
-                 "mean_cpu_pct", "peak_cpu_pct", "mean_mem_mb",
-                 "peak_mem_mb"])
-    for cell_result in result.cells:
-        metrics = cell_result.metrics
-        table.add_row(trace=cell_result.cell.coords["trace"],
-                      packets=metrics["packets"],
-                      flows=metrics["flows"],
-                      total_mb=metrics["total_mb"],
-                      apps=metrics["apps"],
-                      mean_cpu_pct=metrics["mean_cpu_percent"],
-                      peak_cpu_pct=metrics["peak_cpu_percent"],
-                      mean_mem_mb=metrics["mean_memory_mb"],
-                      peak_mem_mb=metrics["peak_memory_mb"])
+    table = cells_table(
+        SweepEngine(jobs=jobs).run(spec),
+        "Fig. 2: CPU/Memory usage of the WiFi router during replay",
+        {"packets": "packets", "flows": "flows", "total_mb": "total_mb",
+         "apps": "apps", "mean_cpu_pct": "mean_cpu_percent",
+         "peak_cpu_pct": "peak_cpu_percent",
+         "mean_mem_mb": "mean_memory_mb",
+         "peak_mem_mb": "peak_memory_mb"}, identity=False)
     table.notes.append(
         "paper: high-rate replay keeps CPU well below 50% and memory "
         "around 120 MB of the router's 256 MB")
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

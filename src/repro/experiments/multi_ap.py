@@ -18,8 +18,8 @@ from repro.apps.executor import AppRunner
 from repro.apps.generator import DummyAppParams, generate_apps
 from repro.apps.workload import zipf_rates
 from repro.baselines.multi_ap import WiCacheDistributedSystem
-from repro.experiments.common import ExperimentTable, effective_duration
-from repro.runner import ScenarioSpec, SweepEngine
+from repro.experiments.common import ExperimentTable, quick_duration
+from repro.runner import ScenarioSpec, SweepEngine, cells_table
 from repro.runner.spec import Cell
 from repro.sim.kernel import MINUTE
 from repro.testbed import Testbed, TestbedConfig
@@ -87,30 +87,18 @@ def multi_ap_cell(cell: Cell) -> dict[str, object]:
 
 def run(quick: bool = True, seed: int = 0,
         jobs: int = 1) -> ExperimentTable:
-    duration = effective_duration(quick, quick_s=4 * MINUTE)
     spec = ScenarioSpec(
         name="multi-ap", systems=(None,), seeds=(seed,),
         workload=None, axes={"n_aps": AP_COUNTS},
-        params={"duration_s": duration},
+        params={"duration_s": quick_duration(quick, quick_s=4 * MINUTE)},
         runner="repro.experiments.multi_ap:multi_ap_cell")
-    result = SweepEngine(jobs=jobs).run(spec)
-
-    table = ExperimentTable(
-        title="Extension: distributed Wi-Cache, hit ratio vs AP count",
-        columns=["n_aps", "hit_ratio", "mean_app_latency_ms",
-                 "aggregate_cache_mb"])
-    for cell_result in result.cells:
-        point = cell_result.metrics
-        table.add_row(n_aps=cell_result.cell.coords["n_aps"],
-                      hit_ratio=point["hit_ratio"],
-                      mean_app_latency_ms=point["mean_app_latency_ms"],
-                      aggregate_cache_mb=point["aggregate_cache_mb"])
+    table = cells_table(
+        SweepEngine(jobs=jobs).run(spec),
+        "Extension: distributed Wi-Cache, hit ratio vs AP count",
+        ["hit_ratio", "mean_app_latency_ms", "aggregate_cache_mb"],
+        identity=False)
     table.notes.append(
         "each AP contributes 2 MB; more APs -> more aggregate cache -> "
         "higher hit ratio and lower latency (the original Wi-Cache's "
         "scaling argument)")
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

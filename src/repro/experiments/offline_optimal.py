@@ -22,10 +22,10 @@ from repro.cache.offline import BeladyPolicy, OfflineCacheSimulator
 from repro.cache.pacm import PacmPolicy
 from repro.cache.policies import FifoPolicy, LfuPolicy, LruPolicy
 from repro.errors import ConfigError
-from repro.experiments.common import ExperimentTable
-from repro.runner import ScenarioSpec, SweepEngine
+from repro.experiments.common import ExperimentTable, quick_duration
+from repro.runner import ScenarioSpec, SweepEngine, cells_table
 from repro.runner.spec import Cell
-from repro.sim.kernel import HOUR, MINUTE
+from repro.sim.kernel import MINUTE
 
 __all__ = ["run", "policy_cell", "POLICY_NAMES"]
 
@@ -74,28 +74,19 @@ def policy_cell(cell: Cell) -> dict[str, object]:
 
 def run(quick: bool = True, seed: int = 0,
         capacity_bytes: int = 5 * MB, jobs: int = 1) -> ExperimentTable:
-    duration = (20 * MINUTE) if quick else (1 * HOUR)
     spec = ScenarioSpec(
         name="offline-optimal", systems=(None,), seeds=(seed,),
         workload=None, axes={"policy": POLICY_NAMES},
-        params={"duration_s": duration, "capacity_bytes": capacity_bytes},
+        params={"duration_s": quick_duration(quick, quick_s=20 * MINUTE),
+                "capacity_bytes": capacity_bytes},
         runner="repro.experiments.offline_optimal:policy_cell")
     result = SweepEngine(jobs=jobs).run(spec)
-
-    table = ExperimentTable(
-        title="Offline replay: PACM vs classic policies vs Belady bound",
-        columns=["policy", "hit_ratio", "high_priority_hit_ratio",
-                 "bytes_fetched_mb", "evictions"])
-    trace_requests = 0
-    for cell_result in result.cells:
-        summary = cell_result.metrics
-        trace_requests = int(_t.cast(int, summary["trace_requests"]))
-        table.add_row(policy=cell_result.cell.coords["policy"],
-                      hit_ratio=summary["hit_ratio"],
-                      high_priority_hit_ratio=summary[
-                          "high_priority_hit_ratio"],
-                      bytes_fetched_mb=summary["bytes_fetched_mb"],
-                      evictions=int(_t.cast(int, summary["evictions"])))
+    table = cells_table(
+        result, "Offline replay: PACM vs classic policies vs Belady bound",
+        ["hit_ratio", "high_priority_hit_ratio", "bytes_fetched_mb",
+         "evictions"], identity=False, ints=("evictions",))
+    trace_requests = int(_t.cast(int,
+                                 result.cells[-1].metrics["trace_requests"]))
 
     belady = float(_t.cast(float, table.rows[-1]["hit_ratio"]))
     pacm = float(_t.cast(float, table.rows[0]["hit_ratio"]))
@@ -106,7 +97,3 @@ def run(quick: bool = True, seed: int = 0,
             f"({trace_requests} requests, {capacity_bytes // MB} MB "
             "cache)")
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.apps.generator import DummyAppParams
 from repro.apps.workload import WorkloadConfig
-from repro.experiments.common import ExperimentTable, effective_duration
+from repro.experiments.common import ExperimentTable, quick_duration
 from repro.runner import ScenarioSpec, SweepEngine, SweepPoint
 from repro.runner.engine import SweepResult
 from repro.sim.kernel import MINUTE
@@ -54,7 +54,7 @@ def size_range_axis(ranges=SIZE_RANGES) -> list[SweepPoint]:
 def _pacm_spec(name: str, quick: bool, seed: int, axes: dict,
                ) -> ScenarioSpec:
     """Paper defaults: 30 apps, 1-100 KB objects, 3 executions/min."""
-    duration = effective_duration(quick, quick_s=4 * MINUTE)
+    duration = quick_duration(quick, quick_s=4 * MINUTE)
     return ScenarioSpec(
         name=name, systems=("APE-CACHE", "APE-CACHE-LRU"), seeds=(seed,),
         workload=WorkloadConfig(
@@ -154,9 +154,3 @@ def run(quick: bool = True, seed: int = 0,
     return [run_size_sweep(quick, seed, jobs),
             run_frequency_sweep(quick, seed, jobs),
             run_quantity_sweep(quick, seed, jobs)]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for result in run():
-        print(result)
-        print()

@@ -4,21 +4,18 @@ Single runs are point estimates; this experiment replicates the default
 workload across seeds for every system and reports mean app-level
 latency with 95% confidence intervals, plus paired per-seed differences
 against APE-CACHE — the statistical backing for "who wins and by how
-much".
+much".  One spec covers every system x seed, so ``jobs`` fans out all
+of its cells at once.
 """
 
 from __future__ import annotations
 
-from repro.analysis import paired_comparison, replicate
+from repro.analysis import paired_comparison
 from repro.apps.generator import DummyAppParams
 from repro.apps.workload import WorkloadConfig
-from repro.baselines import (
-    ApeCacheLruSystem,
-    ApeCacheSystem,
-    EdgeCacheSystem,
-    WiCacheSystem,
-)
-from repro.experiments.common import ExperimentTable, effective_duration
+from repro.experiments.common import ExperimentTable, quick_duration
+from repro.runner import ScenarioSpec, SweepEngine, fold_multiseed, \
+    system_names
 from repro.sim.kernel import MINUTE
 from repro.testbed import TestbedConfig
 
@@ -29,17 +26,13 @@ METRIC = "mean_app_latency_ms"
 
 def run(quick: bool = True, seed: int = 0,
         jobs: int = 1) -> ExperimentTable:
-    duration = effective_duration(quick, quick_s=3 * MINUTE)
     seeds = tuple(range(seed, seed + (3 if quick else 5)))
-    config = WorkloadConfig(n_apps=28, duration_s=duration,
-                            dummy_params=DummyAppParams(),
-                            testbed=TestbedConfig())
-
-    results = {}
-    for factory in (ApeCacheSystem, ApeCacheLruSystem, WiCacheSystem,
-                    EdgeCacheSystem):
-        replicated = replicate(factory, config, seeds=seeds, jobs=jobs)
-        results[replicated.system_name] = replicated
+    spec = ScenarioSpec(
+        name="replication", systems=tuple(system_names()), seeds=seeds,
+        workload=WorkloadConfig(
+            n_apps=28, duration_s=quick_duration(quick, quick_s=3 * MINUTE),
+            dummy_params=DummyAppParams(), testbed=TestbedConfig()))
+    results = fold_multiseed(SweepEngine(jobs=jobs).run(spec))
 
     table = ExperimentTable(
         title="Replication: app-level latency across seeds (95% CI)",
@@ -63,7 +56,3 @@ def run(quick: bool = True, seed: int = 0,
         f"seeds {list(seeds)}; positive delta = slower than APE-CACHE; "
         "paired per-seed comparison")
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

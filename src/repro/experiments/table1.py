@@ -70,7 +70,3 @@ def run(quick: bool = True, seed: int = 0, jobs: int = 1,
         f"(paper ~38 incl. outliers), hops {mean_hops:.1f} (paper ~14 "
         f"one-way)")
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

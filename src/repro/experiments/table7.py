@@ -105,7 +105,3 @@ def run(quick: bool = True, seed: int = 0,
         "both add ~32 kb of client binary; only the API model rewrites "
         "app logic")
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run())

@@ -1,4 +1,4 @@
-"""Simulation-safety checkers: SIM001-SIM003.
+"""Simulation-safety checkers: SIM001-SIM002.
 
 The discrete-event kernel (``repro.sim.kernel``) advances virtual time
 instantaneously between events; a real ``time.sleep`` or socket read
@@ -6,10 +6,7 @@ inside a process generator stalls the whole simulation for *wall* time
 without advancing *simulated* time — the classic SimPy footgun (SIM001).
 Because simulated timestamps are floats accumulated through arithmetic,
 exact ``==`` comparisons against ``sim.now`` are one rounding error away
-from a heisenbug (SIM002).  And experiment modules must declare
-scenarios for the sweep engine rather than driving ``Workload`` objects
-by hand, or they silently lose seeding discipline, parallel execution,
-and per-cell telemetry (SIM003).
+from a heisenbug (SIM002).
 """
 
 from __future__ import annotations
@@ -21,8 +18,7 @@ from repro.lint.asthelpers import ImportMap, iter_own_body
 from repro.lint.findings import Finding
 from repro.lint.registry import Checker, ModuleUnderLint, register
 
-__all__ = ["BlockingCallInProcess", "SimTimeEquality",
-           "WorkloadOrchestrationInExperiment"]
+__all__ = ["BlockingCallInProcess", "SimTimeEquality"]
 
 #: Method names of the kernel's event factories — a generator yielding a
 #: call to one of these is a simulation process.
@@ -170,41 +166,3 @@ class SimTimeEquality(Checker):
     def _is_sim_time(node: ast.expr) -> bool:
         return isinstance(node, ast.Attribute) and node.attr in ("now",
                                                                  "_now")
-
-
-#: The workload driver experiment modules must not construct directly.
-_WORKLOAD_PATHS = ("repro.apps.workload.Workload",)
-
-
-@register
-class WorkloadOrchestrationInExperiment(Checker):
-    """SIM003: direct ``Workload(...)`` orchestration in an experiment.
-
-    Experiment modules declare :class:`~repro.runner.spec.ScenarioSpec`
-    objects and hand them to the sweep engine; cell runners that need a
-    workload call ``repro.runner.cells.execute_workload`` — the one
-    sanctioned ``Workload`` call site.  A hand-rolled
-    ``Workload(...).run(...)`` loop bypasses per-cell seeding, the
-    parallel/serial determinism contract, and telemetry threading.
-    """
-
-    code = "SIM003"
-    description = ("direct Workload orchestration inside an experiment "
-                   "module; declare a ScenarioSpec and go through the "
-                   "sweep engine (repro.runner)")
-
-    def check(self, module: ModuleUnderLint) -> _t.Iterator[Finding]:
-        if not module.config.in_experiments(module.path):
-            return
-        imports = module.imports
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            path = imports.resolve(node.func)
-            if path in _WORKLOAD_PATHS:
-                yield module.finding(
-                    self.code, node,
-                    f"{path}() constructed inside an experiment module; "
-                    "declare a ScenarioSpec and run it through "
-                    "repro.runner.SweepEngine (cell runners use "
-                    "repro.runner.cells.execute_workload)")

@@ -45,12 +45,6 @@ _DEFAULT_TELEMETRY_PROFILING_ALLOW = (
     "src/repro/telemetry/profiling.py",
 )
 
-#: Experiment modules must drive workloads through the scenario engine
-#: (SIM003) instead of constructing ``Workload`` objects directly.
-_DEFAULT_EXPERIMENTS_PATHS = (
-    "src/repro/experiments/",
-)
-
 #: The real-time engine: the one module whose whole purpose is turning
 #: the host clock into ``engine.now``.  Unlike ``wallclock-allow``
 #: (operator tooling, where clock values must still never reach sim
@@ -96,8 +90,6 @@ class LintConfig:
     #: Files inside those paths allowed to touch the host clock.
     telemetry_profiling_allow: tuple[str, ...] = (
         _DEFAULT_TELEMETRY_PROFILING_ALLOW)
-    #: Paths where direct Workload orchestration is banned (SIM003).
-    experiments_paths: tuple[str, ...] = _DEFAULT_EXPERIMENTS_PATHS
     #: The blessed wall-clock *engine* module(s): exempt from DET002,
     #: DET004, and the clock branch of DET101 (docs/live.md).
     engine_wallclock_allow: tuple[str, ...] = (
@@ -135,10 +127,6 @@ class LintConfig:
     def allows_telemetry_profiling(self, relpath: str) -> bool:
         """True if ``relpath`` is the sanctioned profiling hook."""
         return path_matches(relpath, self.telemetry_profiling_allow)
-
-    def in_experiments(self, relpath: str) -> bool:
-        """True if ``relpath`` is an experiment module (SIM003)."""
-        return path_matches(relpath, self.experiments_paths)
 
     def allows_engine_wallclock(self, relpath: str) -> bool:
         """True if ``relpath`` is a blessed wall-clock engine module."""
@@ -189,8 +177,7 @@ def load_config(start: pathlib.Path | str = ".") -> LintConfig:
 
     known = {"baseline", "paths", "wallclock-allow", "ignore", "exclude",
              "cacheable-priority-range", "telemetry-paths",
-             "telemetry-profiling-allow", "experiments-paths",
-             "engine-wallclock-allow",
+             "telemetry-profiling-allow", "engine-wallclock-allow",
              "program-cache", "span-receiver-hints",
              "span-loop-allow",
              "perf-hot-paths", "async-blocking-allow"}
@@ -231,8 +218,6 @@ def load_config(start: pathlib.Path | str = ".") -> LintConfig:
         telemetry_profiling_allow=_strings(
             "telemetry-profiling-allow",
             _DEFAULT_TELEMETRY_PROFILING_ALLOW),
-        experiments_paths=_strings("experiments-paths",
-                                   _DEFAULT_EXPERIMENTS_PATHS),
         engine_wallclock_allow=_strings("engine-wallclock-allow",
                                         _DEFAULT_ENGINE_WALLCLOCK_ALLOW),
         span_receiver_hints=_strings("span-receiver-hints",

@@ -1,6 +1,6 @@
 """``repro.lint.program`` — whole-program analysis beneath the linter.
 
-The per-file checkers (DET001–DET004, SIM001–SIM003, CACHE001) can only
+The per-file checkers (DET001–DET004, SIM001–SIM002, CACHE001) can only
 see one module at a time; this package builds a project-wide view and
 runs inter-procedural passes on top of it:
 

@@ -1,17 +1,13 @@
-"""Built-in cell runners and the one sanctioned ``Workload`` call site.
+"""The ``"workload"`` cell runner and its telemetry hand-off.
 
 A *cell runner* is a plain function ``(Cell) -> dict`` executing one
-unit of sweep work and returning JSON-able metrics.  Experiment modules
-with bespoke measurement loops (probes, resource samplers, offline
-replays) define their own runners next to the experiment and reference
-them by ``"module:function"`` path; everything workload-shaped goes
-through :func:`workload_cell` here.
-
-Direct ``Workload(...).run(...)`` orchestration inside
-``src/repro/experiments/`` is flagged by lint rule SIM003 — experiment
-runners call :func:`execute_workload` instead, which keeps the engine
-the single place workloads are driven from (and the single place
-per-cell telemetry is threaded through).
+unit of sweep work and returning JSON-able metrics.  Everything
+workload-shaped goes through :func:`workload_cell` here — a sweep over
+a system knob passes one picklable factory per knob value as the spec's
+``systems`` (e.g. ``functools.partial(ApeCacheSystem, config)``).
+Experiments with bespoke measurement loops (probes, resource samplers,
+offline replays) define their own runners next to the experiment and
+reference them by ``"module:function"`` path.
 """
 
 from __future__ import annotations
@@ -19,33 +15,12 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.apps.workload import Workload, WorkloadConfig, WorkloadResult
+from repro.apps.workload import Workload
 from repro.errors import ConfigError
-from repro.runner.registry import register_runner, resolve_system
+from repro.runner.registry import resolve_system
 from repro.runner.spec import Cell
 
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.baselines.base import CachingSystem
-
-__all__ = ["execute_workload", "workload_cell", "telemetry_snapshot",
-           "telemetry_state"]
-
-ProcessFactory = _t.Callable[..., _t.Generator[object, object, object]]
-
-
-def execute_workload(config: WorkloadConfig,
-                     system: "CachingSystem",
-                     extra_processes: _t.Sequence[ProcessFactory] = (),
-                     ) -> tuple[WorkloadResult, Workload]:
-    """Run one workload cell; returns the result and its driver.
-
-    The returned :class:`~repro.apps.workload.Workload` still holds the
-    finished testbed (``_last_bed``), which is how runners reach the
-    telemetry registry or system runtimes for cell-local post-analysis.
-    """
-    workload = Workload(config)
-    result = workload.run(system, extra_processes=extra_processes)
-    return result, workload
+__all__ = ["workload_cell", "telemetry_snapshot", "telemetry_state"]
 
 
 def telemetry_snapshot(workload: Workload) -> list[dict[str, object]]:
@@ -73,7 +48,6 @@ def telemetry_state(workload: Workload) -> dict[str, object] | None:
     return bed.telemetry.state_dict()
 
 
-@register_runner("workload")
 def workload_cell(cell: Cell) -> dict[str, object]:
     """The default runner: one seeded workload run against one system.
 
@@ -96,7 +70,8 @@ def workload_cell(cell: Cell) -> dict[str, object]:
                                                 enable_telemetry=True))
     system = resolve_system(cell.system)
     assert system is not None
-    result, workload = execute_workload(config, system)
+    workload = Workload(config)
+    result = workload.run(system)
 
     metrics: dict[str, object] = dict(result.summary())
     for key, value in sorted(result.ap_stats.items()):

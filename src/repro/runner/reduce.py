@@ -2,25 +2,43 @@
 
 The engine hands back one metrics dict per cell; experiments want the
 paper's shapes — an :class:`~repro.experiments.common.ExperimentTable`
-with one row per axis point and one column per system, or a
-:class:`~repro.analysis.multiseed.MultiSeedResult` with one sample per
-seed.  These folds are pure functions of the (deterministically
-ordered) sweep result, so serial and parallel runs reduce identically.
+with one row per cell (:func:`cells_table`) or one row per axis point
+and one column per system (:func:`sweep_table`), or a
+:class:`MultiSeedResult` with one sample per seed.  These folds are pure
+functions of the (deterministically ordered) sweep result, so serial
+and parallel runs reduce identically.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import typing as _t
 
 from repro.errors import ConfigError
 from repro.experiments.common import ExperimentTable
 from repro.runner.engine import CellResult, SweepResult
 
-if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.multiseed import MultiSeedResult
+if _t.TYPE_CHECKING:  # pragma: no cover - scipy loads on first use
+    from repro.analysis.stats import SampleSummary
 
-__all__ = ["fold_multiseed", "sweep_table", "cells_table",
-           "common_numeric_metrics"]
+__all__ = ["MultiSeedResult", "fold_multiseed", "sweep_table",
+           "cells_table", "common_numeric_metrics"]
+
+
+@dataclasses.dataclass
+class MultiSeedResult:
+    """Per-seed metric samples for one system."""
+
+    system_name: str
+    seeds: list[int]
+    #: metric name -> one value per seed, in seed order.
+    samples: dict[str, list[float]]
+
+    def summary(self, metric: str,
+                confidence: float = 0.95) -> "SampleSummary":
+        from repro.analysis.stats import summarize
+
+        return summarize(self.samples[metric], confidence)
 
 
 def common_numeric_metrics(cells: _t.Iterable[CellResult]) -> list[str]:
@@ -39,16 +57,13 @@ def common_numeric_metrics(cells: _t.Iterable[CellResult]) -> list[str]:
     return list(seen)
 
 
-def fold_multiseed(result: SweepResult,
-                   ) -> dict[str, "MultiSeedResult"]:
+def fold_multiseed(result: SweepResult) -> dict[str, MultiSeedResult]:
     """Per-system seed samples: system name -> MultiSeedResult.
 
     Every numeric metric becomes one sample list in seed order.  The
     sweep must be axis-free (one cell per system x seed); sweeping an
     axis and folding over seeds at once would silently mix populations.
     """
-    from repro.analysis.multiseed import MultiSeedResult
-
     folded: dict[str, MultiSeedResult] = {}
     for system_name, cell_results in result.by_system().items():
         if any(cr.cell.coords for cr in cell_results):
@@ -101,23 +116,49 @@ def sweep_table(result: SweepResult, title: str, axis: str,
 
 
 def cells_table(result: SweepResult, title: str | None = None,
-                metrics: _t.Sequence[str] | None = None,
+                metrics: _t.Sequence[str] | _t.Mapping[str, str]
+                | None = None,
+                identity: bool = True,
+                labels: _t.Mapping[str, _t.Sequence[object]]
+                | None = None,
+                ints: _t.Collection[str] = (),
                 ) -> ExperimentTable:
-    """The generic flat shape: one row per cell (CLI `sweep` output)."""
-    axis_columns = list(result.spec.axes)
+    """The flat shape: one row per cell, in cell order.
+
+    Columns are ``system`` and ``seed`` (unless ``identity`` is off),
+    then ``labels``, then the spec's axis coordinates, then the metrics.
+    This is the CLI ``sweep`` output and every per-cell paper table.
+
+    * ``metrics`` — metric names, or a column -> metric mapping that
+      renames; default every numeric metric, first-seen order.
+    * ``labels`` — column -> one value per cell, for a knob a sweep
+      varies through its ``systems`` factories rather than an axis.
+    * ``ints`` — columns cast to ``int`` (counts render without
+      decimals).
+    """
     if metrics is None:
         metrics = common_numeric_metrics(result.cells)
+    sources = (dict(metrics) if isinstance(metrics, _t.Mapping)
+               else {name: name for name in metrics})
+    labels = labels or {}
+    axis_columns = list(result.spec.axes)
+    identity_columns = ["system", "seed"] if identity else []
     table = ExperimentTable(
         title=title or f"Sweep: {result.spec.name}",
-        columns=["system", "seed", *axis_columns, *metrics])
-    for cr in result.cells:
-        row: dict[str, object] = {"system": cr.system_name,
-                                  "seed": cr.cell.seed}
+        columns=[*identity_columns, *labels, *axis_columns, *sources])
+    for index, cr in enumerate(result.cells):
+        row: dict[str, object] = (
+            {"system": cr.system_name, "seed": cr.cell.seed}
+            if identity else {})
+        for column, values in labels.items():
+            row[column] = values[index]
         for axis in axis_columns:
             row[axis] = cr.cell.coords.get(axis)
-        for name in metrics:
+        for column, name in sources.items():
             if name in cr.metrics:
-                row[name] = cr.metrics[name]
+                value = cr.metrics[name]
+                row[column] = (int(_t.cast(float, value))
+                               if column in ints else value)
         table.rows.append(row)
     return table
 

@@ -80,7 +80,7 @@ def metric_records(telemetry: Telemetry) -> list[dict[str, object]]:
                 record["value"] = instrument.value(**keyed)
             elif isinstance(instrument, Histogram):
                 # The summary's "backend" key states how percentiles
-                # were computed (exact/capped/sketch); the top-level
+                # were computed (exact/sketch); the top-level
                 # key mirrors the configured storage strategy so
                 # consumers can filter without parsing summaries.
                 record["backend"] = instrument.backend

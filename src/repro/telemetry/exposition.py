@@ -17,7 +17,7 @@ reads it back so ``repro.cli obs --follow`` can rebuild the registry
 under the original names).
 
 Histograms render as cumulative ``le`` buckets plus ``_sum`` and
-``_count``.  Exact/capped backends expose their configured bounds;
+``_count``.  Exact series expose their configured bounds;
 sketch-backed series expose their **gamma log-buckets** (upper bound
 ``gamma^i``) and carry ``backend="sketch"`` / ``alpha`` labels so a
 scrape never silently mixes fidelities.

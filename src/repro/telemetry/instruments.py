@@ -12,13 +12,7 @@ bounds (sim-milliseconds by default) and come in two **backends**:
 
 * ``backend="exact"`` retains the raw samples, so percentiles are exact
   (computed through :func:`percentile` below — the repository's one
-  percentile implementation).  Pass ``max_samples`` to
-  cap how many raw samples each label set keeps (percentiles are
-  *exact until the cap*, then computed over the first ``max_samples``
-  observations, with bucket counts/sum/count staying exact forever).
-  Drops are counted per instrument and surfaced through the registry's
-  ``telemetry.samples_dropped`` counter, so a million-request run
-  cannot silently degrade its percentiles — see docs/telemetry.md.
+  percentile implementation).
 * ``backend="sketch"`` summarizes each label set in a fixed-memory
   :class:`~repro.telemetry.sketch.QuantileSketch` instead: percentiles
   carry a configurable relative-error bound while count/sum/min/max
@@ -316,7 +310,7 @@ class _HistogramState:
     """Per-label-set histogram storage."""
 
     __slots__ = ("bucket_counts", "samples", "sum", "sum_terms",
-                 "dropped", "sketch")
+                 "sketch")
 
     def __init__(self, n_buckets: int,
                  sketch_relative_error: float | None = None) -> None:
@@ -326,8 +320,6 @@ class _HistogramState:
         self.sum = 0.0
         #: Per-shard sum contributions from merges (fsum'd on read).
         self.sum_terms: list[float] = []
-        #: Observations not retained as raw samples (max_samples cap).
-        self.dropped = 0
         #: The fixed-memory quantile summary (sketch backend only).
         self.sketch = (None if sketch_relative_error is None
                        else QuantileSketch(sketch_relative_error))
@@ -342,7 +334,7 @@ class _HistogramState:
     def observations(self) -> int:
         if self.sketch is not None:
             return self.sketch.count
-        return len(self.samples) + self.dropped
+        return len(self.samples)
 
 
 class Histogram(Instrument):
@@ -356,24 +348,15 @@ class Histogram(Instrument):
     ``backend="sketch"`` each label set keeps a fixed-memory
     :class:`~repro.telemetry.sketch.QuantileSketch` whose quantiles are
     within ``sketch_relative_error`` of exact.
-
-    ``max_samples`` (exact backend only) bounds the retained raw
-    samples *per label set*: past the cap, bucket counts, ``count`` and
-    ``sum`` stay exact while further samples are dropped (percentiles
-    become first-``max_samples``-exact) and ``on_drop`` — if set — is
-    invoked once per dropped sample so the registry can count drops.
-    A capped histogram refuses to merge (the retained-prefix policy is
-    order-dependent); switch merging fleets to the sketch backend.
     """
 
     kind = "histogram"
 
     def __init__(self, name: str, help: str = "",
                  buckets: _t.Sequence[float] | None = None,
-                 max_samples: int | None = None,
                  backend: str = "exact",
                  sketch_relative_error: float = DEFAULT_RELATIVE_ERROR,
-                 on_drop: _t.Callable[[str], None] | None = None) -> None:
+                 ) -> None:
         super().__init__(name, help)
         bounds = tuple(buckets if buckets is not None
                        else DEFAULT_LATENCY_BUCKETS_MS)
@@ -383,23 +366,13 @@ class Histogram(Instrument):
             raise TelemetryError(
                 f"histogram {name}: buckets must be strictly increasing, "
                 f"got {bounds}")
-        if max_samples is not None and max_samples < 1:
-            raise TelemetryError(
-                f"histogram {name}: max_samples must be >= 1, "
-                f"got {max_samples}")
         if backend not in HISTOGRAM_BACKENDS:
             raise TelemetryError(
                 f"histogram {name}: unknown backend {backend!r} "
                 f"(expected one of {'/'.join(HISTOGRAM_BACKENDS)})")
-        if backend == "sketch" and max_samples is not None:
-            raise TelemetryError(
-                f"histogram {name}: max_samples applies to the exact "
-                f"backend only (the sketch is fixed-memory already)")
         self.buckets = bounds
-        self.max_samples = max_samples
         self.backend = backend
         self.sketch_relative_error = sketch_relative_error
-        self._on_drop = on_drop
         self._states: dict[LabelSet, _HistogramState] = {}
 
     def _new_state(self) -> _HistogramState:
@@ -419,13 +392,7 @@ class Histogram(Instrument):
             state.sketch.add(value)
             return
         state.sum += value
-        if self.max_samples is not None \
-                and len(state.samples) >= self.max_samples:
-            state.dropped += 1
-            if self._on_drop is not None:
-                self._on_drop(self.name)
-        else:
-            state.samples.append(value)
+        state.samples.append(value)
 
     def _bucket_index(self, value: float) -> int:
         for index, bound in enumerate(self.buckets):
@@ -460,13 +427,9 @@ class Histogram(Instrument):
         return collected
 
     def count(self, **labels: object) -> int:
-        """Total observations, including samples dropped at the cap."""
+        """Total observations across the matching label sets."""
         return sum(state.observations()
                    for state in self._matching(labels))
-
-    def dropped(self, **labels: object) -> int:
-        """Observations not retained as raw samples (max_samples cap)."""
-        return sum(state.dropped for state in self._matching(labels))
 
     def sum(self, **labels: object) -> float:
         return math.fsum(state.folded_sum()
@@ -509,7 +472,7 @@ class Histogram(Instrument):
         ascending ``(upper_bound, cumulative_count)`` list *excluding*
         the ``+inf`` bucket (``total`` is its value), ``sum`` is the
         folded sample sum and ``backend`` the per-state fidelity tag.
-        Exact/capped states expose the configured bounds; sketch states
+        Exact states expose the configured bounds; sketch states
         expose their gamma log-buckets (exact counts, approximate
         positions within the sketch's relative-error bound).  This is
         the accessor the ``/metrics`` exposition renders from
@@ -528,25 +491,15 @@ class Histogram(Instrument):
             cumulative += count
             rows.append((bound, cumulative))
         total = cumulative + state.bucket_counts[-1]
-        return rows, total, state.folded_sum(), \
-            self._backend_tag(state.dropped)
-
-    def _backend_tag(self, dropped: int) -> str:
-        if self.backend == "sketch":
-            return "sketch"
-        return "capped" if dropped else "exact"
+        return rows, total, state.folded_sum(), "exact"
 
     def summary(self, **labels: object) -> dict[str, object]:
         """count/mean/p50/p95/p99/max over the matching states.
 
         The ``backend`` key states how the percentiles were computed —
-        ``exact`` (raw samples), ``capped`` (raw samples truncated at
-        the ``max_samples`` cap) or ``sketch`` (relative-error-bounded)
+        ``exact`` (raw samples) or ``sketch`` (relative-error-bounded)
         — so exported series of different fidelities are never compared
-        as identical stats (``diff_runs`` keys on it).  ``count`` and
-        ``mean`` cover *every* observation under every backend; a
-        ``samples_dropped`` key appears only once the cap has actually
-        dropped something.
+        as identical stats (``diff_runs`` keys on it).
         """
         if self.backend == "sketch":
             states = self._matching(labels)
@@ -565,21 +518,15 @@ class Histogram(Instrument):
         values = self.samples(**labels)
         if not values:
             return {"count": 0.0, "backend": "exact"}
-        count = self.count(**labels)
-        dropped = self.dropped(**labels)
-        summary: dict[str, object] = {
-            "count": float(count),
-            "mean": (self.sum(**labels) / count if dropped
-                     else math.fsum(values) / len(values)),
+        return {
+            "count": float(len(values)),
+            "mean": math.fsum(values) / len(values),
             "p50": percentile(values, 50.0),
             "p95": percentile(values, 95.0),
             "p99": percentile(values, 99.0),
             "max": max(values),
-            "backend": self._backend_tag(dropped),
+            "backend": "exact",
         }
-        if dropped:
-            summary["samples_dropped"] = float(dropped)
-        return summary
 
     # -- merging --------------------------------------------------------
     def _check_state_compat(self, state: _t.Mapping[str, object]) -> None:
@@ -596,12 +543,6 @@ class Histogram(Instrument):
             raise TelemetryError(
                 f"histogram {self.name}: cannot merge shards with "
                 f"different sketch error bounds")
-        if self.max_samples is not None \
-                or state.get("max_samples") is not None:
-            raise TelemetryError(
-                f"histogram {self.name}: capped exact histograms do not "
-                f"merge (the retained-sample prefix is order-dependent);"
-                f" use backend='sketch' for mergeable fleets")
 
     def state_dict(self) -> dict[str, object]:
         states: dict[str, object] = {}
@@ -617,13 +558,11 @@ class Histogram(Instrument):
                 entry["sum_terms"] = sorted(
                     term for term in [state.sum, *state.sum_terms]
                     if term != 0.0)
-                entry["dropped"] = state.dropped
             states[_encode_labelset(key)] = entry
         return {
             "kind": self.kind,
             "help": self.help,
             "buckets": list(self.buckets),
-            "max_samples": self.max_samples,
             "backend": self.backend,
             "sketch_relative_error": self.sketch_relative_error,
             "states": states,

@@ -23,7 +23,7 @@ import typing as _t
 from repro.apps.workload import Workload, WorkloadConfig
 from repro.baselines.ape import ApeCacheSystem
 from repro.cache.fairness import gini
-from repro.experiments.common import ExperimentTable, effective_duration
+from repro.experiments.common import ExperimentTable, quick_duration
 from repro.sim.kernel import MINUTE
 from repro.telemetry.analysis import (
     AttributionReport,
@@ -251,7 +251,6 @@ class ObsRun:
 def instrumented_run(quick: bool = True, seed: int = 0,
                      profile: bool = False,
                      system: "CachingSystem | None" = None,
-                     max_samples: int | None = None,
                      backend: str = "exact",
                      tail_threshold_ms: float | None = None,
                      tail_sample_every: int = 0) -> ObsRun:
@@ -261,12 +260,11 @@ def instrumented_run(quick: bool = True, seed: int = 0,
     ``tail_threshold_ms``/``tail_sample_every`` attach a tail-based
     trace sampler (off by default, so every trace is kept).
     """
-    duration = effective_duration(quick, quick_s=2 * MINUTE)
+    duration = quick_duration(quick, quick_s=2 * MINUTE)
     config = WorkloadConfig(
         n_apps=30, duration_s=duration, seed=seed,
         testbed=TestbedConfig(
             seed=seed, enable_telemetry=True,
-            telemetry_max_samples=max_samples,
             telemetry_backend=backend,
             telemetry_tail_threshold_ms=tail_threshold_ms,
             telemetry_tail_sample_every=tail_sample_every))
@@ -324,12 +322,6 @@ def run_obs(quick: bool = True, seed: int = 0,
         tables[0].notes.append(
             f"histogram backend: {backend} (percentiles within the "
             f"declared relative-error bound of exact)")
-    dropped = telemetry.get("telemetry.samples_dropped")
-    if isinstance(dropped, Counter) and dropped.total():
-        tables[0].notes.append(
-            f"WARNING: {dropped.total():.0f} raw histogram samples "
-            f"dropped (telemetry.samples_dropped; raise "
-            f"--max-samples or use --backend sketch)")
     sampler = telemetry.spans.sampler
     if sampler is not None:
         stats = sampler.stats()
@@ -453,7 +445,7 @@ def fleet_tables(n_aps: int = 2, quick: bool = True,
     from repro.apps.workload import zipf_rates
     from repro.baselines.multi_ap import WiCacheDistributedSystem
 
-    duration = effective_duration(quick, quick_s=2 * MINUTE)
+    duration = quick_duration(quick, quick_s=2 * MINUTE)
     bed = Testbed(TestbedConfig(seed=seed, enable_telemetry=True))
     system = WiCacheDistributedSystem(n_aps=n_aps,
                                       cache_capacity_per_ap=2 * _MB)

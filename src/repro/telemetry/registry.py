@@ -52,11 +52,6 @@ class Telemetry:
     ``now``) or any zero-argument callable; ``None`` pins the clock to
     zero, which suits pure unit tests of instruments.
 
-    ``max_samples`` is the default retained-raw-sample cap applied to
-    every histogram created through :meth:`histogram` (``None`` =
-    unbounded, the historical behaviour).  Capped drops are tallied in
-    the ``telemetry.samples_dropped`` counter, labelled by instrument.
-
     ``histogram_backend`` selects the default histogram storage:
     ``"exact"`` (raw samples, exact percentiles) or ``"sketch"``
     (fixed-memory :class:`~repro.telemetry.sketch.QuantileSketch` per
@@ -70,7 +65,6 @@ class Telemetry:
 
     def __init__(self, clock: "Simulator | _t.Callable[[], float] | None"
                  = None, max_spans: int = 100_000,
-                 max_samples: int | None = None,
                  histogram_backend: str = "exact",
                  sketch_relative_error: float = DEFAULT_RELATIVE_ERROR,
                  sampler: "TailSampler | None" = None) -> None:
@@ -85,25 +79,10 @@ class Telemetry:
                 f"unknown histogram backend {histogram_backend!r} "
                 f"(expected one of {'/'.join(HISTOGRAM_BACKENDS)})")
         self._instruments: dict[str, Instrument] = {}
-        self.max_samples = max_samples
         self.histogram_backend = histogram_backend
         self.sketch_relative_error = sketch_relative_error
         self.spans = SpanLog(self._clock, max_spans=max_spans,
                              sampler=sampler)
-        # Pre-registered (not lazily, like everything else) so the
-        # default sentry budget `metric:telemetry.samples_dropped/value
-        # <= 0` resolves to an honest zero instead of "unresolved" on
-        # runs that never dropped a sample.  Zero label sets recorded
-        # means zero exported records, so JSONL dumps are unchanged.
-        self._get("telemetry.samples_dropped", Counter,
-                  help="histogram samples not retained "
-                       "(max_samples cap)")
-
-    def _count_dropped_sample(self, instrument: str) -> None:
-        self.counter(
-            "telemetry.samples_dropped",
-            "histogram samples not retained (max_samples cap)",
-        ).inc(instrument=instrument)
 
     # -- clock ----------------------------------------------------------
     def now(self) -> float:
@@ -130,18 +109,13 @@ class Telemetry:
 
     def histogram(self, name: str, help: str = "",
                   buckets: _t.Sequence[float] | None = None,
-                  max_samples: int | None = None,
                   backend: str | None = None) -> Histogram:
-        """A histogram; ``max_samples``/``backend`` override defaults."""
+        """A histogram; ``backend`` overrides the registry default."""
         resolved = self.histogram_backend if backend is None else backend
-        cap = self.max_samples if max_samples is None else max_samples
-        if resolved == "sketch":
-            cap = None  # the sketch is fixed-memory already
         return _t.cast(Histogram, self._get(
             name, Histogram, help=help, buckets=buckets,
-            max_samples=cap, backend=resolved,
-            sketch_relative_error=self.sketch_relative_error,
-            on_drop=self._count_dropped_sample))
+            backend=resolved,
+            sketch_relative_error=self.sketch_relative_error))
 
     def instruments(self) -> list[Instrument]:
         """Every registered instrument, sorted by name."""
@@ -189,12 +163,9 @@ class Telemetry:
                     mine = Histogram(
                         name, help=_t.cast(str, istate["help"]),
                         buckets=_t.cast(list, istate["buckets"]),
-                        max_samples=_t.cast(
-                            "int | None", istate["max_samples"]),
                         backend=_t.cast(str, istate["backend"]),
                         sketch_relative_error=_t.cast(
-                            float, istate["sketch_relative_error"]),
-                        on_drop=self._count_dropped_sample)
+                            float, istate["sketch_relative_error"]))
                 else:
                     mine = cls(name, help=_t.cast(str, istate["help"]))
                 self._instruments[name] = mine
@@ -243,7 +214,6 @@ class _NullInstrument(Counter, Gauge, Histogram):
         self.help = ""
         self.buckets = ()
         self.backend = "exact"
-        self.max_samples = None
 
     # Recording is a no-op; reads report emptiness.
     def inc(self, amount: float = 1.0, **labels: object) -> None:
@@ -272,9 +242,6 @@ class _NullInstrument(Counter, Gauge, Histogram):
 
     def sum(self, **labels: object) -> float:
         return 0.0
-
-    def dropped(self, **labels: object) -> int:
-        return 0
 
     def mean(self, **labels: object) -> float:
         return 0.0
@@ -340,7 +307,6 @@ class NullTelemetry(Telemetry):
 
     def histogram(self, name: str, help: str = "",
                   buckets: _t.Sequence[float] | None = None,
-                  max_samples: int | None = None,
                   backend: str | None = None) -> Histogram:
         return self._null_instrument
 

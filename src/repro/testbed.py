@@ -86,10 +86,6 @@ class TestbedConfig:
     #: Collect metrics and spans (see :mod:`repro.telemetry`).  Off by
     #: default: un-instrumented runs keep the no-op null backend.
     enable_telemetry: bool = False
-    #: Retained-raw-sample cap per histogram label set (None =
-    #: unbounded).  Percentiles are exact until the cap; drops are
-    #: tallied in ``telemetry.samples_dropped`` (docs/telemetry.md).
-    telemetry_max_samples: int | None = None
     #: Histogram storage: ``"exact"`` retains raw samples (exact
     #: percentiles), ``"sketch"`` keeps a fixed-memory quantile sketch
     #: per label set (percentiles within
@@ -168,7 +164,6 @@ class Testbed:
                 sample_every=cfg.telemetry_tail_sample_every)
         return Telemetry(
             self.sim,
-            max_samples=cfg.telemetry_max_samples,
             histogram_backend=cfg.telemetry_backend,
             sketch_relative_error=cfg.telemetry_sketch_relative_error,
             sampler=sampler)

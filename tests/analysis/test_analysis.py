@@ -1,16 +1,16 @@
-"""Tests for the multi-seed analysis package."""
+"""Tests for the statistics package and multi-seed replication."""
 
 import pytest
 
 from repro.analysis import (
-    compare_systems,
     confidence_interval,
     paired_comparison,
-    replicate,
     summarize,
 )
 from repro.apps import DummyAppParams, WorkloadConfig
-from repro.baselines import ApeCacheSystem, EdgeCacheSystem
+from repro.baselines import ApeCacheSystem
+from repro.errors import ConfigError
+from repro.runner import ScenarioSpec, SweepEngine, fold_multiseed
 from repro.sim import MINUTE
 from repro.testbed import TestbedConfig
 
@@ -83,8 +83,15 @@ def small_config():
         testbed=TestbedConfig(jitter_fraction=0.0))
 
 
+def replicate(seeds):
+    spec = ScenarioSpec(name="replicate", systems=(ApeCacheSystem,),
+                        seeds=seeds, workload=small_config())
+    (result,) = fold_multiseed(SweepEngine().run(spec)).values()
+    return result
+
+
 def test_replicate_collects_per_seed_samples():
-    result = replicate(ApeCacheSystem, small_config(), seeds=(0, 1, 2))
+    result = replicate(seeds=(0, 1, 2))
     assert result.system_name == "APE-CACHE"
     assert result.seeds == [0, 1, 2]
     latencies = result.samples["mean_app_latency_ms"]
@@ -95,13 +102,19 @@ def test_replicate_collects_per_seed_samples():
 
 
 def test_replicate_requires_seeds():
-    with pytest.raises(ValueError):
-        replicate(ApeCacheSystem, small_config(), seeds=())
+    with pytest.raises(ConfigError, match="empty seed list"):
+        replicate(seeds=())
 
 
 def test_compare_ape_vs_edge_is_significant():
-    comparison = compare_systems(ApeCacheSystem, EdgeCacheSystem,
-                                 small_config(), seeds=(0, 1, 2))
-    # APE-CACHE is faster on every seed: negative and significant.
-    assert comparison.mean_difference < 0
-    assert comparison.significant
+    # The comparison behind `repro.cli diff --systems`.
+    from repro.telemetry.analysis import compare_systems
+
+    table = compare_systems("APE-CACHE", "Edge Cache", seeds=(0, 1, 2),
+                            n_apps=5, duration_s=2 * MINUTE)
+    (row,) = [row for row in table.rows
+              if row["metric"] == "mean_app_latency_ms"]
+    # APE-CACHE is faster on every seed: positive delta (B - A) and
+    # a significant verdict.
+    assert float(row["delta"]) > 0
+    assert row["verdict"] == "significant"

@@ -8,11 +8,7 @@ harness machinery and the experiments that run in seconds.
 import pytest
 
 from repro.experiments import table7
-from repro.experiments.common import (
-    ExperimentTable,
-    effective_duration,
-    quick_duration,
-)
+from repro.experiments.common import ExperimentTable, quick_duration
 from repro.sim import HOUR, MINUTE
 
 
@@ -59,12 +55,12 @@ def test_table_float_formatting():
 def test_duration_helpers(monkeypatch):
     assert quick_duration(True) == 4 * MINUTE
     assert quick_duration(False) == 1 * HOUR
-    monkeypatch.delenv("REPRO_FULL", raising=False)
-    assert effective_duration(True, quick_s=2 * MINUTE) == 2 * MINUTE
+    assert quick_duration(True, quick_s=2 * MINUTE) == 2 * MINUTE
+    # The helper follows its flag only; the environment is read once,
+    # by the entry points that compute the flag.
     monkeypatch.setenv("REPRO_FULL", "1")
-    assert effective_duration(True) == 1 * HOUR
-    monkeypatch.setenv("REPRO_FULL", "0")
-    assert effective_duration(False) == 1 * HOUR
+    assert quick_duration(True, quick_s=2 * MINUTE) == 2 * MINUTE
+    assert quick_duration(False, quick_s=2 * MINUTE) == 1 * HOUR
 
 
 # ----------------------------------------------------------------------

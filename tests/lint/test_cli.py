@@ -65,6 +65,22 @@ def test_list_checkers_names_every_layer():
         assert code in result.stdout
 
 
+def test_docs_catalogue_lists_exactly_the_registered_checkers():
+    """A retired rule must take its docs row with it, and vice versa."""
+    import re
+
+    result = run_cli("--list-checkers")
+    assert result.returncode == 0
+    listed = {line.split()[0] for line in result.stdout.splitlines()
+              if line.strip()}
+    documented = set(re.findall(
+        r"^\| `([A-Z]+\d+)` \|",
+        (REPO_ROOT / "docs" / "linting.md").read_text(), re.MULTILINE))
+    assert listed, "--list-checkers printed nothing"
+    assert listed - documented == set(), "registered but undocumented"
+    assert documented - listed == set(), "documented but not registered"
+
+
 def test_program_findings_render_their_traces():
     # cwd = the fixture root, so module names line up with its imports
     # and the cross-module chains link.

@@ -154,6 +154,16 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(tmp_path)
 
 
+@pytest.mark.parametrize("key", [
+    "experiments-paths",  # scoped SIM003, retired with the rule
+])
+def test_load_config_rejects_retired_keys(tmp_path, key):
+    (tmp_path / "pyproject.toml").write_text(
+        f'[tool.repro-lint]\n{key} = ["src/"]\n')
+    with pytest.raises(ConfigError, match=key):
+        load_config(tmp_path)
+
+
 def test_load_config_defaults_without_pyproject(tmp_path):
     config = load_config(tmp_path)
     assert config.root == tmp_path

@@ -112,6 +112,19 @@ def test_cells_table_flat_shape():
     assert table.rows[1]["seed_value"] == 1.0
 
 
+def test_cells_table_renames_labels_and_casts():
+    spec = _tiny_spec(systems=(None,), workload=None, runner=ECHO,
+                      seeds=(2, 3))
+    table = cells_table(SweepEngine().run(spec), "T",
+                        {"count": "seed_value"}, identity=False,
+                        labels={"knob": ("low", "high")}, ints=("count",))
+    assert table.columns == ["knob", "count"]
+    assert table.rows == [{"knob": "low", "count": 2},
+                          {"knob": "high", "count": 3}]
+    # An int renders without decimals, where the float would not.
+    assert "2.000" not in table.render()
+
+
 def test_workload_cells_resolve_system_name():
     spec = ScenarioSpec(name="wl", systems=("APE-CACHE",), seeds=(0,),
                         workload=WorkloadConfig(n_apps=3,

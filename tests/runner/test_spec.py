@@ -9,8 +9,6 @@ from repro.errors import ConfigError
 from repro.runner import (
     ScenarioSpec,
     SweepPoint,
-    register_runner,
-    register_system,
     resolve_runner,
     resolve_system,
     system_names,
@@ -208,18 +206,13 @@ def test_resolve_system_passthrough():
     assert isinstance(resolve_system(Fake), Fake)
 
 
-def test_register_system_rejects_silent_replacement():
-    register_system("test-only-system", lambda: object(), replace=True)
-    with pytest.raises(ConfigError, match="already registered"):
-        register_system("test-only-system", lambda: object())
-
-
 def test_resolve_runner_registered_and_dotted():
-    assert resolve_runner("workload") is not None
-    cell_fn = resolve_runner("repro.experiments.fig14:overhead_cell")
-    from repro.experiments.fig14 import overhead_cell
+    from repro.experiments.ablations import fairness_cell
+    from repro.runner.cells import workload_cell
 
-    assert cell_fn is overhead_cell
+    assert resolve_runner("workload") is workload_cell
+    assert resolve_runner(
+        "repro.experiments.ablations:fairness_cell") is fairness_cell
 
 
 def test_resolve_runner_unknown_rejected():

@@ -4,8 +4,8 @@ The admin plane's ``/metrics`` contract (docs/telemetry.md): the
 rendered text is deterministic byte-for-byte — families sorted by
 exposed name, series by label set, buckets by ascending ``le`` — and
 the golden file here pins the exact bytes for every instrument shape
-the registry can hold (counter, gauge, exact / capped / sketch
-histograms, escaped label values).  ``parse_exposition`` is the
+the registry can hold (counter, gauge, exact / sketch histograms,
+escaped label values).  ``parse_exposition`` is the
 scrape-side validator ``tools/check.sh`` runs against a live stack;
 ``telemetry_from_exposition`` is the ``obs --follow`` inverse.
 """
@@ -43,10 +43,6 @@ def build_registry() -> Telemetry:
                                 buckets=(1.0, 5.0, 25.0))
     for value in (0.5, 3.0, 7.0, 100.0):
         exact.observe(value, app="news")
-    capped = telemetry.histogram("demo.capped_ms", help="capped",
-                                 buckets=(1.0, 10.0), max_samples=2)
-    for value in (0.5, 2.0, 3.0, 20.0):
-        capped.observe(value)
     sketch = telemetry.histogram("demo.sketch_ms", help="sketched",
                                  backend="sketch")
     for value in (1.0, 2.0, 4.0):
@@ -109,9 +105,6 @@ def test_parse_round_trips_families_and_escapes():
                        ("+Inf", 4.0)]
     assert all(labels["backend"] == "exact"
                for _n, labels, _v in exact.samples)
-    capped = by_name["demo_capped_ms"]
-    assert {labels["backend"] for _n, labels, _v in capped.samples} \
-        == {"capped"}
     sketch = by_name["demo_sketch_ms"]
     assert {labels["backend"] for _n, labels, _v in sketch.samples} \
         == {"sketch"}

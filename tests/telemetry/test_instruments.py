@@ -177,53 +177,3 @@ def test_histogram_empty_reads_raise_or_report_zero():
     with pytest.raises(TelemetryError):
         hist.percentile(50.0)
     assert hist.summary() == {"count": 0.0, "backend": "exact"}
-
-
-# ----------------------------------------------------------------------
-# The max_samples cap
-# ----------------------------------------------------------------------
-def test_histogram_cap_keeps_aggregates_exact_and_counts_drops():
-    hist = Histogram("lat", buckets=(10.0, 100.0), max_samples=5)
-    for value in range(1, 11):  # 1..10; only 1..5 are retained
-        hist.observe(float(value))
-    assert hist.count() == 10           # full count survives the cap
-    assert hist.dropped() == 5
-    assert hist.sum() == pytest.approx(55.0)   # exact, cap or not
-    assert sorted(hist.samples()) == [1.0, 2.0, 3.0, 4.0, 5.0]
-    summary = hist.summary()
-    assert summary["count"] == 10.0
-    assert summary["samples_dropped"] == 5.0
-    assert summary["mean"] == pytest.approx(5.5)  # sum/count: exact
-    # Percentiles degrade to first-max_samples-exact.
-    assert summary["p50"] == percentile([1.0, 2.0, 3.0, 4.0, 5.0], 50.0)
-
-
-def test_histogram_cap_is_per_label_set():
-    hist = Histogram("lat", buckets=(10.0,), max_samples=2)
-    for value in (1.0, 2.0, 3.0):
-        hist.observe(value, app="maps")
-    hist.observe(9.0, app="mail")
-    assert hist.dropped(app="maps") == 1
-    assert hist.dropped(app="mail") == 0
-    assert hist.count() == 4
-
-
-def test_uncapped_summary_has_no_samples_dropped_key():
-    hist = Histogram("lat", buckets=(10.0,), max_samples=5)
-    hist.observe(1.0)
-    assert "samples_dropped" not in hist.summary()
-
-
-def test_histogram_rejects_nonpositive_cap():
-    with pytest.raises(TelemetryError):
-        Histogram("lat", buckets=(1.0,), max_samples=0)
-
-
-def test_on_drop_hook_fires_once_per_dropped_sample():
-    names = []
-    hist = Histogram("lat", buckets=(1.0,), max_samples=1,
-                     on_drop=names.append)
-    hist.observe(0.5)
-    hist.observe(0.5)
-    hist.observe(0.5)
-    assert names == ["lat", "lat"]

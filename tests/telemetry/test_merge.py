@@ -77,7 +77,7 @@ def test_merged_aggregates_are_the_shard_sums():
 
 def test_uncapped_exact_histograms_merge_with_sorted_samples():
     def shard(values):
-        telemetry = Telemetry()  # exact backend, no cap
+        telemetry = Telemetry()  # exact backend
         histogram = telemetry.histogram("lat", help="ms")
         for value in values:
             histogram.observe(value)
@@ -87,19 +87,6 @@ def test_uncapped_exact_histograms_merge_with_sorted_samples():
     histogram = merged.histogram("lat")
     assert histogram.samples() == [1.0, 3.0, 5.0, 9.0]
     assert histogram.percentile(100.0) == 9.0
-
-
-def test_capped_exact_histograms_refuse_to_merge():
-    def capped():
-        telemetry = Telemetry(max_samples=2)
-        histogram = telemetry.histogram("lat", help="ms")
-        for value in (1.0, 2.0, 3.0):
-            histogram.observe(value)
-        return telemetry
-
-    with pytest.raises(TelemetryError,
-                       match="use backend='sketch'"):
-        capped().merge(capped())
 
 
 def test_backend_mismatch_refuses_to_merge():

@@ -120,8 +120,7 @@ def test_registry_shares_instruments_by_name():
     second = telemetry.counter("dns.queries")
     assert first is second
     assert "dns.queries" in telemetry
-    assert [i.name for i in telemetry.instruments()] == [
-        "dns.queries", "telemetry.samples_dropped"]
+    assert [i.name for i in telemetry.instruments()] == ["dns.queries"]
 
 
 def test_registry_rejects_kind_clash():
@@ -139,28 +138,6 @@ def test_registry_clock_drives_spans():
         clock.now = 2.0
     assert telemetry.now() == 2.0
     assert (span.start_s, span.end_s) == (1.5, 2.0)
-
-
-def test_registry_default_cap_feeds_the_drop_counter():
-    telemetry = Telemetry(max_samples=2)
-    hist = telemetry.histogram("client.total_ms", buckets=(100.0,))
-    for value in (1.0, 2.0, 3.0, 4.0):
-        hist.observe(value)
-    dropped = telemetry.get("telemetry.samples_dropped")
-    assert dropped is not None
-    assert dropped.total(instrument="client.total_ms") == 2.0
-    assert hist.summary()["samples_dropped"] == 2.0
-
-
-def test_histogram_cap_override_beats_registry_default():
-    telemetry = Telemetry(max_samples=1)
-    hist = telemetry.histogram("lat", buckets=(1.0,), max_samples=3)
-    for _ in range(3):
-        hist.observe(0.5)
-    assert hist.dropped() == 0
-    # The drop counter is pre-registered but never ticked.
-    dropped = telemetry.get("telemetry.samples_dropped")
-    assert dropped is not None and dropped.labelsets() == []
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments import EXPERIMENTS
 from repro.experiments.common import ExperimentTable
 
 
@@ -66,6 +67,34 @@ def test_run_fig2_csv(capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["definitely-not-an-experiment"])
+
+
+RECORDED: list[dict] = []
+
+
+def record_run(**kwargs):
+    """Stands in for an experiment function; resolved by dotted path."""
+    RECORDED.append(kwargs)
+    return ExperimentTable("recorded", columns=["x"])
+
+
+@pytest.mark.parametrize("argv, env, quick", [
+    (["replication"], None, True),
+    (["replication"], "1", False),
+    (["replication", "--full"], None, False),
+])
+def test_full_mode_reaches_the_experiment_as_quick_false(
+        argv, env, quick, monkeypatch, capsys):
+    monkeypatch.setitem(EXPERIMENTS, "replication",
+                        ("recorder", f"{__name__}:record_run"))
+    if env is None:
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_FULL", env)
+    RECORDED.clear()
+    assert main(argv) == 0
+    assert RECORDED == [{"quick": quick, "seed": 0, "jobs": 1}]
+    capsys.readouterr()
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ def test_design_md_referenced_files_exist():
 
 def test_experiment_lists_agree():
     """One list of experiments: the CLI's, the report's, the index's."""
-    from repro.cli import EXPERIMENTS
+    from repro.experiments import EXPERIMENTS
     from tests.experiments.test_report import load_tool
 
     reported = [section[0] for section in load_tool().SECTIONS]
@@ -53,15 +53,6 @@ def test_readme_documented_examples_exist():
     readme = (REPO / "README.md").read_text()
     for name in re.findall(r"`(\w+\.py)` \|", readme):
         assert (REPO / "examples" / name).exists(), name
-
-
-def test_cli_experiments_match_design_index():
-    """Every paper artifact in DESIGN.md's index has a CLI entry."""
-    from repro.cli import EXPERIMENTS
-    # The index's experiment ids map onto CLI commands.
-    for command in ("table1", "fig2", "fig11", "tables456", "fig12",
-                    "fig13", "fig14", "table7"):
-        assert command in EXPERIMENTS
 
 
 def test_changelog_and_contributing_exist():
