@@ -12,7 +12,6 @@ from repro.lint.checkers import (
     determinism,
     perf,
     simsafety,
-    telemetry,
 )
 
-__all__ = ["determinism", "simsafety", "cachespec", "perf", "telemetry"]
+__all__ = ["determinism", "simsafety", "cachespec", "perf"]

@@ -138,8 +138,11 @@ class WallClock(Checker):
     """DET002: wall-clock reads outside the allowlist.
 
     Simulated components must take time from ``sim.now`` — mixing in
-    host time makes latency results depend on machine load.  Operator
-    tooling (``tools/``, the ``repro.perf`` helper) is allowlisted via
+    host time makes latency results depend on machine load.  That
+    includes the telemetry layer, whose spans and histograms clock off
+    ``Simulator.now``; its profiling hook takes host time only through
+    ``repro.perf.perf_timer``.  Operator tooling (``tools/``, the
+    ``repro.perf`` helper) is allowlisted via
     ``[tool.repro-lint] wallclock-allow``.
     """
 

@@ -18,7 +18,8 @@ from repro.lint.asthelpers import ImportMap, iter_own_body
 from repro.lint.findings import Finding
 from repro.lint.registry import Checker, ModuleUnderLint, register
 
-__all__ = ["BlockingCallInProcess", "SimTimeEquality"]
+__all__ = ["BLOCKING_BUILTINS", "BLOCKING_CALLS", "BlockingCallInProcess",
+           "SimTimeEquality", "blocking_kind"]
 
 #: Method names of the kernel's event factories — a generator yielding a
 #: call to one of these is a simulation process.
@@ -31,18 +32,33 @@ _EVENT_CLASSES = {"Event", "Timeout", "Process", "AllOf", "AnyOf",
 #: Names that indicate the function holds a simulator handle.
 _SIM_NAMES = {"sim", "_sim", "env", "_env"}
 
-#: Call targets that block the hosting thread (canonical paths, or
-#: prefixes when ending with a dot).
-_BLOCKING_PREFIXES = (
-    "time.sleep",
-    "socket.",
-    "subprocess.",
-    "os.system",
-    "os.popen",
-    "requests.",
-    "urllib.request.",
-    "http.client.",
-)
+#: Call targets that block the hosting thread, shared by SIM001 and the
+#: whole-program ASYNC101: canonical paths, or families when ending
+#: with a dot, each mapped to the blocking kind ASYNC101 reports.
+BLOCKING_CALLS = {
+    "time.sleep": "sleep",
+    "os.system": "subprocess",
+    "os.popen": "subprocess",
+    "os.wait": "subprocess",
+    "os.waitpid": "subprocess",
+    "subprocess.": "subprocess",
+    "socket.": "socket",
+    "requests.": "http",
+    "urllib.request.": "http",
+    "http.client.": "http",
+}
+
+#: Builtins that block on the filesystem or console → what they do.
+BLOCKING_BUILTINS = {"open": "file I/O", "input": "console I/O"}
+
+
+def blocking_kind(path: str) -> str | None:
+    """The :data:`BLOCKING_CALLS` kind of a canonical call path."""
+    for target, kind in BLOCKING_CALLS.items():
+        if path == target or (target.endswith(".")
+                              and path.startswith(target)):
+            return kind
+    return None
 
 
 def _is_process_generator(func: ast.FunctionDef | ast.AsyncFunctionDef,
@@ -88,8 +104,9 @@ def _is_process_generator(func: ast.FunctionDef | ast.AsyncFunctionDef,
 class BlockingCallInProcess(Checker):
     """SIM001: blocking call inside a simulation process generator.
 
-    Flags ``time.sleep``, socket/subprocess/HTTP calls, and builtin
-    ``open`` inside generators that yield kernel events.  Simulated
+    Flags every :data:`BLOCKING_CALLS` target (``time.sleep``,
+    socket/subprocess/HTTP calls, ``os.wait``) and the builtins ``open``
+    and ``input`` inside generators that yield kernel events.  Simulated
     delay is ``yield sim.timeout(...)``; real I/O belongs outside the
     event loop (load traces before the run, write results after).
     """
@@ -118,16 +135,14 @@ class BlockingCallInProcess(Checker):
 
     @staticmethod
     def _blocking_target(imports: ImportMap, call: ast.Call) -> str | None:
-        if isinstance(call.func, ast.Name) and call.func.id == "open":
-            return "file I/O via open()"
+        if isinstance(call.func, ast.Name) \
+                and call.func.id in BLOCKING_BUILTINS:
+            return (f"{BLOCKING_BUILTINS[call.func.id]} via "
+                    f"{call.func.id}()")
         path = imports.resolve(call.func)
-        if path is None:
+        if path is None or blocking_kind(path) is None:
             return None
-        for prefix in _BLOCKING_PREFIXES:
-            if path == prefix or (prefix.endswith(".")
-                                  and path.startswith(prefix)):
-                return f"blocking call {path}()"
-        return None
+        return f"blocking call {path}()"
 
 
 @register

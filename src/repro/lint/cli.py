@@ -10,11 +10,11 @@ Beyond plain linting the CLI exposes the whole-program layer:
   wrappers), then re-lints so the report reflects the repaired tree —
   fixes are idempotent, so a second ``--fix`` run is a no-op;
 * ``--stats`` prints deterministic JSON describing the run: per-checker
-  finding counts, call-graph size, taint-fixpoint rounds, cache
-  hits/misses (add ``--timings`` for wall-clock seconds, which are by
-  nature not deterministic);
-* the incremental summary cache (``[tool.repro-lint] program-cache``)
-  is read and written by default; ``--no-cache`` forces a cold build.
+  finding counts, call-graph size, taint-fixpoint rounds (add
+  ``--timings`` for wall-clock seconds, which are by nature not
+  deterministic).
+
+A lint run writes no file; only ``--fix`` and ``--write-baseline`` do.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from repro.errors import ConfigError
 from repro.lint.baseline import (load_baseline, split_by_baseline,
                                  write_baseline)
 from repro.lint.config import LintConfig, load_config
-from repro.lint.engine import (iter_python_files, lint_file,
-                               program_findings)
+from repro.lint.engine import LintRun, lint_paths
 from repro.lint.findings import Finding
 from repro.lint.fixes import fix_source
 from repro.lint.registry import all_checkers, all_program_checkers
@@ -64,9 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in --stats "
                              "output (not deterministic)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore the incremental program-summary "
-                             "cache; build cold and do not write it")
     parser.add_argument("--list-checkers", action="store_true",
                         help="list registered checkers and exit")
     return parser
@@ -102,18 +98,6 @@ def _print_json(fresh: _t.Sequence[Finding],
     stream.write("\n")
 
 
-def _collect(paths: _t.Sequence[pathlib.Path], config: LintConfig,
-             cache: "_t.Any") -> tuple[list[Finding], _t.Any, _t.Any]:
-    """One full run: per-file + program findings over ``paths``."""
-    files = list(iter_python_files(paths, config))
-    findings: list[Finding] = []
-    for file_path in files:
-        findings.extend(lint_file(file_path, config))
-    extra, program, stats = program_findings(files, config, cache)
-    findings.extend(extra)
-    return sorted(set(findings)), program, stats
-
-
 def _apply_fixes(findings: _t.Sequence[Finding],
                  config: LintConfig) -> tuple[int, int]:
     """Rewrite files in place; returns (fixes applied, files touched)."""
@@ -137,24 +121,18 @@ def _apply_fixes(findings: _t.Sequence[Finding],
     return applied, touched
 
 
-def _stats_document(findings: _t.Sequence[Finding], program: _t.Any,
-                    build_stats: _t.Any, cache_used: bool,
-                    timings: dict[str, float] | None,
+def _stats_document(run: LintRun, timings: dict[str, float] | None,
                     ) -> dict[str, _t.Any]:
     from repro.lint.program.asyncsafety import async_stats
     from repro.lint.program.taint import taint_result
 
+    program = run.program
     counts: dict[str, int] = {}
-    for finding in findings:
+    for finding in run.findings:
         counts[finding.code] = counts.get(finding.code, 0) + 1
     taint = taint_result(program)
     document: dict[str, _t.Any] = {
-        "files": build_stats.files,
-        "cache": {
-            "enabled": cache_used,
-            "hits": build_stats.cache_hits,
-            "misses": build_stats.cache_misses,
-        },
+        "files": run.files,
         "program": {
             "functions": program.function_count(),
             "call_edges": program.edge_count(),
@@ -184,18 +162,12 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
             print(f"{program_class.code}  {program_class.description}")
         return 0
 
-    from repro.lint.program.cache import (SummaryCache, load_cache,
-                                          save_cache)
-
     try:
         config = load_config(pathlib.Path.cwd())
         paths = [pathlib.Path(p) for p in args.paths] \
             or [config.root / p for p in config.paths]
-        cache: SummaryCache | None = None
-        if not args.no_cache:
-            cache = load_cache(config.program_cache_path())
         stopwatch = perf_timer()
-        findings, program, build_stats = _collect(paths, config, cache)
+        run = lint_paths(paths, config)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"repro.lint: error: {exc}", file=sys.stderr)
         return 2
@@ -204,8 +176,8 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         else config.baseline_path()
 
     if args.write_baseline:
-        write_baseline(baseline_path, findings)
-        print(f"wrote {len(findings)} finding(s) to {baseline_path}",
+        write_baseline(baseline_path, run.findings)
+        print(f"wrote {len(run.findings)} finding(s) to {baseline_path}",
               file=sys.stderr)
         return 0
 
@@ -215,7 +187,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"repro.lint: error: {exc}", file=sys.stderr)
         return 2
-    fresh, baselined = split_by_baseline(findings, baseline)
+    fresh, baselined = split_by_baseline(run.findings, baseline)
 
     if args.fix:
         applied, touched = _apply_fixes(fresh, config)
@@ -224,19 +196,13 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         if touched:
             # Re-lint so the report (and exit code) reflect the
             # repaired tree; fixes are idempotent so this converges.
-            findings, program, build_stats = _collect(
-                paths, config, cache)
-            fresh, baselined = split_by_baseline(findings, baseline)
-
-    if cache is not None:
-        save_cache(config.program_cache_path(), cache)
+            run = lint_paths(paths, config)
+            fresh, baselined = split_by_baseline(run.findings, baseline)
 
     if args.stats:
         timings = {"lint_s": round(stopwatch(), 3)} \
             if args.timings else None
-        json.dump(_stats_document(findings, program, build_stats,
-                                  cache is not None, timings),
-                  sys.stdout, indent=2)
+        json.dump(_stats_document(run, timings), sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0
 

@@ -34,22 +34,11 @@ _DEFAULT_EXCLUDE = (
     "dist",
 )
 
-#: The telemetry layer measures *simulated* time, so it gets its own,
-#: stricter host-clock rule (DET004) on top of DET002.
-_DEFAULT_TELEMETRY_PATHS = (
-    "src/repro/telemetry/",
-)
-
-#: The single blessed host-profiling hook inside the telemetry layer.
-_DEFAULT_TELEMETRY_PROFILING_ALLOW = (
-    "src/repro/telemetry/profiling.py",
-)
-
 #: The real-time engine: the one module whose whole purpose is turning
 #: the host clock into ``engine.now``.  Unlike ``wallclock-allow``
 #: (operator tooling, where clock values must still never reach sim
-#: sinks), this blessing also covers DET004 and the DET101 clock-taint
-#: sinks — feeding host time into event scheduling *is* its job.
+#: sinks), this blessing also covers the DET101 clock-taint sinks —
+#: feeding host time into event scheduling *is* its job.
 _DEFAULT_ENGINE_WALLCLOCK_ALLOW = (
     "src/repro/engine/wallclock.py",
 )
@@ -71,8 +60,6 @@ class LintConfig:
     root: pathlib.Path
     #: Baseline file path, relative to ``root``.
     baseline: str = "tools/lint_baseline.json"
-    #: Incremental whole-program summary cache, relative to ``root``.
-    program_cache: str = "build/lint-program-cache.json"
     #: Default scan paths when the CLI gets none.
     paths: tuple[str, ...] = ("src",)
     #: Path prefixes/files where wall-clock calls are legitimate.
@@ -85,13 +72,8 @@ class LintConfig:
     #: "values of 1 or 2, which stand for low and high priority".
     cacheable_priority_min: int = 1
     cacheable_priority_max: int = 2
-    #: Paths the telemetry-specific host-clock rule (DET004) covers.
-    telemetry_paths: tuple[str, ...] = _DEFAULT_TELEMETRY_PATHS
-    #: Files inside those paths allowed to touch the host clock.
-    telemetry_profiling_allow: tuple[str, ...] = (
-        _DEFAULT_TELEMETRY_PROFILING_ALLOW)
-    #: The blessed wall-clock *engine* module(s): exempt from DET002,
-    #: DET004, and the clock branch of DET101 (docs/live.md).
+    #: The blessed wall-clock *engine* module(s): exempt from DET002
+    #: and the clock branch of DET101 (docs/live.md).
     engine_wallclock_allow: tuple[str, ...] = (
         _DEFAULT_ENGINE_WALLCLOCK_ALLOW)
     #: Receiver substrings identifying telemetry span scopes (TEL002).
@@ -113,20 +95,9 @@ class LintConfig:
     def baseline_path(self) -> pathlib.Path:
         return self.root / self.baseline
 
-    def program_cache_path(self) -> pathlib.Path:
-        return self.root / self.program_cache
-
     def allows_wallclock(self, relpath: str) -> bool:
         """True if ``relpath`` may read the wall clock (DET002)."""
         return path_matches(relpath, self.wallclock_allow)
-
-    def in_telemetry(self, relpath: str) -> bool:
-        """True if ``relpath`` belongs to the telemetry layer (DET004)."""
-        return path_matches(relpath, self.telemetry_paths)
-
-    def allows_telemetry_profiling(self, relpath: str) -> bool:
-        """True if ``relpath`` is the sanctioned profiling hook."""
-        return path_matches(relpath, self.telemetry_profiling_allow)
 
     def allows_engine_wallclock(self, relpath: str) -> bool:
         """True if ``relpath`` is a blessed wall-clock engine module."""
@@ -176,10 +147,8 @@ def load_config(start: pathlib.Path | str = ".") -> LintConfig:
             table = tomllib.load(handle).get("tool", {}).get("repro-lint", {})
 
     known = {"baseline", "paths", "wallclock-allow", "ignore", "exclude",
-             "cacheable-priority-range", "telemetry-paths",
-             "telemetry-profiling-allow", "engine-wallclock-allow",
-             "program-cache", "span-receiver-hints",
-             "span-loop-allow",
+             "cacheable-priority-range", "engine-wallclock-allow",
+             "span-receiver-hints", "span-loop-allow",
              "perf-hot-paths", "async-blocking-allow"}
     unknown = set(table) - known
     if unknown:
@@ -204,8 +173,6 @@ def load_config(start: pathlib.Path | str = ".") -> LintConfig:
     return LintConfig(
         root=root,
         baseline=str(table.get("baseline", "tools/lint_baseline.json")),
-        program_cache=str(table.get("program-cache",
-                                    "build/lint-program-cache.json")),
         paths=_strings("paths", ("src",)),
         wallclock_allow=_strings("wallclock-allow",
                                  _DEFAULT_WALLCLOCK_ALLOW),
@@ -213,11 +180,6 @@ def load_config(start: pathlib.Path | str = ".") -> LintConfig:
         exclude=_strings("exclude", _DEFAULT_EXCLUDE),
         cacheable_priority_min=int(priority_range[0]),
         cacheable_priority_max=int(priority_range[1]),
-        telemetry_paths=_strings("telemetry-paths",
-                                 _DEFAULT_TELEMETRY_PATHS),
-        telemetry_profiling_allow=_strings(
-            "telemetry-profiling-allow",
-            _DEFAULT_TELEMETRY_PROFILING_ALLOW),
         engine_wallclock_allow=_strings("engine-wallclock-allow",
                                         _DEFAULT_ENGINE_WALLCLOCK_ALLOW),
         span_receiver_hints=_strings("span-receiver-hints",

@@ -4,14 +4,15 @@ The engine is deliberately free of CLI concerns so tests (and the tier-1
 gate in ``tests/test_lint_clean.py``) call it as a library:
 
     config = load_config(repo_root)
-    findings = lint_paths([repo_root / "src"], config)
+    findings = lint_paths([repo_root / "src"], config).findings
 
-``lint_paths`` runs both layers: the per-file checkers over each module,
-then the whole-program passes (DET101/DET102/SIM101) over the linked
-:class:`~repro.lint.program.model.Program` built from the same file
-set.  Passing ``program=False`` restricts a run to the per-file layer;
-passing a :class:`~repro.lint.program.cache.SummaryCache` serves
-unchanged files from the incremental cache.
+``lint_paths`` is the one run loop.  Each file is read, parsed and
+tokenized exactly once; that single tree feeds the per-file checkers
+and :func:`~repro.lint.program.extract.extract_module`, and the same
+suppression map filters both layers' findings.  The whole-program
+passes (DET101/DET102/SIM101, ...) then run over the linked
+:class:`~repro.lint.program.model.Program`, which the run returns so
+``--stats`` and ``--fix`` work from the same pass.
 """
 
 from __future__ import annotations
@@ -22,17 +23,24 @@ import typing as _t
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
+from repro.lint.program.extract import extract_module
+from repro.lint.program.model import Program
 from repro.lint.registry import (ModuleUnderLint, all_checkers,
                                  all_program_checkers)
-from repro.lint.suppressions import parse_suppressions
 
-if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.lint.program.build import BuildStats
-    from repro.lint.program.cache import SummaryCache
-    from repro.lint.program.model import Program
+__all__ = ["LintRun", "lint_file", "lint_paths", "iter_python_files"]
 
-__all__ = ["lint_file", "lint_paths", "iter_python_files",
-           "program_findings"]
+
+class LintRun(_t.NamedTuple):
+    """Everything one :func:`lint_paths` run produced."""
+
+    #: Both layers' findings, suppression-filtered, sorted, deduplicated.
+    findings: list[Finding]
+    #: The linked whole-program view (files that failed to parse are
+    #: reported as LINT999 and left out).
+    program: Program
+    #: Number of files scanned, including LINT999 ones.
+    files: int
 
 
 def iter_python_files(paths: _t.Iterable[pathlib.Path],
@@ -71,83 +79,73 @@ def _relpath(path: pathlib.Path, config: LintConfig) -> str:
         return resolved.as_posix()
 
 
+def _parse(path: pathlib.Path,
+           config: LintConfig) -> ModuleUnderLint | Finding:
+    """Read and parse one file, or the LINT999 finding saying why not."""
+    relpath = _relpath(path, config)
+    try:
+        source = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        return Finding(path=relpath, line=line, col=0, code="LINT999",
+                       message="file is not valid UTF-8")
+    try:
+        tree = ast.parse(source, filename=str(path))
+    except SyntaxError as exc:
+        return Finding(path=relpath, line=exc.lineno or 1,
+                       col=(exc.offset or 1) - 1, code="LINT999",
+                       message=f"file does not parse: {exc.msg}")
+    return ModuleUnderLint(relpath, source, tree, config)
+
+
+def _check(module: ModuleUnderLint) -> list[Finding]:
+    """The per-file checkers' unsuppressed findings for one module."""
+    findings: list[Finding] = []
+    for checker_class in all_checkers():
+        if checker_class.code in module.config.ignore:
+            continue
+        findings.extend(
+            finding for finding in checker_class().check(module)
+            if not module.suppressions.is_suppressed(finding.code,
+                                                     finding.line))
+    return findings
+
+
 def lint_file(path: pathlib.Path, config: LintConfig) -> list[Finding]:
     """Per-file findings for one file, sorted by location.
 
     Whole-program findings require the full file set and therefore only
-    come out of :func:`lint_paths` / :func:`program_findings`.
+    come out of :func:`lint_paths`.
     """
-    relpath = _relpath(path, config)
-    source = path.read_text(encoding="utf-8")
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [Finding(path=relpath, line=exc.lineno or 1,
-                        col=(exc.offset or 1) - 1, code="LINT999",
-                        message=f"file does not parse: {exc.msg}")]
-    module = ModuleUnderLint(relpath, source, tree, config)
-    suppressions = parse_suppressions(source)
-    findings: list[Finding] = []
-    for checker_class in all_checkers():
-        if checker_class.code in config.ignore:
-            continue
-        for finding in checker_class().check(module):
-            if not suppressions.is_suppressed(finding.code, finding.line):
-                findings.append(finding)
-    return sorted(findings)
-
-
-def program_findings(files: _t.Sequence[pathlib.Path],
-                     config: LintConfig,
-                     cache: "SummaryCache | None" = None,
-                     ) -> "tuple[list[Finding], Program, BuildStats]":
-    """Run the whole-program passes over ``files``.
-
-    Returns the (suppression-filtered, sorted) findings together with
-    the linked program and the build accounting, so ``--stats`` can
-    report call-graph and cache numbers from the same run.
-    """
-    from repro.lint.program.build import build_program
-
-    pairs = [(_relpath(path, config), path) for path in files]
-    program, stats = build_program(pairs, cache)
-    raw: list[Finding] = []
-    for checker_class in all_program_checkers():
-        if checker_class.code in config.ignore:
-            continue
-        raw.extend(checker_class().check_program(program, config))
-    by_path: dict[str, list[Finding]] = {}
-    for finding in raw:
-        by_path.setdefault(finding.path, []).append(finding)
-    sources = dict(pairs)
-    kept: list[Finding] = []
-    for relpath in sorted(by_path):
-        path = sources.get(relpath)
-        if path is None:  # pragma: no cover - findings track scanned files
-            kept.extend(by_path[relpath])
-            continue
-        suppressions = parse_suppressions(
-            path.read_text(encoding="utf-8"))
-        for finding in by_path[relpath]:
-            if not suppressions.is_suppressed(finding.code,
-                                              finding.line):
-                kept.append(finding)
-    return sorted(kept), program, stats
+    parsed = _parse(path, config)
+    if isinstance(parsed, Finding):
+        return [parsed]
+    return sorted(_check(parsed))
 
 
 def lint_paths(paths: _t.Iterable[pathlib.Path | str],
-               config: LintConfig, *, program: bool = True,
-               cache: "SummaryCache | None" = None) -> list[Finding]:
-    """Lint every Python file under ``paths``; sorted, deduplicated.
-
-    Runs the per-file checkers and — unless ``program=False`` — the
-    whole-program passes over the same file set.
-    """
-    findings: list[Finding] = []
+               config: LintConfig) -> LintRun:
+    """Lint every Python file under ``paths`` with both layers."""
     files = list(iter_python_files(
         (pathlib.Path(p) for p in paths), config))
+    findings: list[Finding] = []
+    modules: list[ModuleUnderLint] = []
     for file_path in files:
-        findings.extend(lint_file(file_path, config))
-    if program:
-        findings.extend(program_findings(files, config, cache)[0])
-    return sorted(set(findings))
+        parsed = _parse(file_path, config)
+        if isinstance(parsed, Finding):
+            findings.append(parsed)
+            continue
+        modules.append(parsed)
+        findings.extend(_check(parsed))
+    program = Program([extract_module(module.path, module.tree)
+                       for module in modules])
+    by_path = {module.path: module for module in modules}
+    for checker_class in all_program_checkers():
+        if checker_class.code in config.ignore:
+            continue
+        findings.extend(
+            finding
+            for finding in checker_class().check_program(program, config)
+            if not by_path[finding.path].suppressions.is_suppressed(
+                finding.code, finding.line))
+    return LintRun(sorted(set(findings)), program, len(files))

@@ -1,6 +1,6 @@
 """``repro.lint.program`` — whole-program analysis beneath the linter.
 
-The per-file checkers (DET001–DET004, SIM001–SIM002, CACHE001) can only
+The per-file checkers (DET001–DET003, SIM001–SIM002, CACHE001) can only
 see one module at a time; this package builds a project-wide view and
 runs inter-procedural passes on top of it:
 
@@ -16,20 +16,18 @@ runs inter-procedural passes on top of it:
   distinct process generators with no intervening resource acquisition
   between them, reported with both write sites.
 
-The pipeline is: :mod:`extract` turns one parsed module into a
-serializable :class:`~repro.lint.program.model.ModuleSummary`
-(optionally served from the incremental cache, :mod:`cache`);
-:mod:`build` links summaries into a :class:`~repro.lint.program.model.
-Program`; :mod:`passes` registers the program checkers the engine runs.
+The pipeline is: :mod:`extract` turns the tree the engine already
+parsed into a :class:`~repro.lint.program.model.ModuleSummary`;
+:class:`~repro.lint.program.model.Program` links the summaries;
+:mod:`passes` registers the program checkers the engine runs.
 
 Everything here is deterministic by construction — sorted iteration
-everywhere, no wall clocks, no hashing beyond content digests — so two
-runs over the same tree produce byte-identical findings, cached or not.
+everywhere, no wall clocks — so two runs over the same tree produce
+byte-identical findings.
 """
 
 from __future__ import annotations
 
-from repro.lint.program.build import build_program
 from repro.lint.program.model import (FunctionSummary, ModuleSummary,
                                       Program)
 
@@ -37,5 +35,4 @@ __all__ = [
     "FunctionSummary",
     "ModuleSummary",
     "Program",
-    "build_program",
 ]

@@ -1,8 +1,9 @@
 """Per-file extraction: one parsed module → one :class:`ModuleSummary`.
 
-This is the only stage that touches an AST; everything downstream (the
-call-graph build, the taint fixpoint, the race detector) consumes the
-serializable summary, which is what the incremental cache stores.
+This is the only stage of the whole-program layer that touches an AST
+(the tree the engine already parsed for the per-file checkers);
+everything downstream (the call-graph link, the taint fixpoint, the race
+detector) consumes the summary.
 
 The local dataflow is a forward approximation: statements are processed
 in order, loop bodies twice (so ``x = taint(); y = x`` chains inside a
@@ -23,6 +24,7 @@ import typing as _t
 
 from repro.lint.asthelpers import ImportMap
 from repro.lint.checkers.determinism import WALLCLOCK_CALLS
+from repro.lint.checkers.simsafety import BLOCKING_BUILTINS, blocking_kind
 from repro.lint.program.model import (MODULE_BODY, AllocRec, BlockRec,
                                       CallRec, Dest, Flow,
                                       FunctionSummary, LoadRec, LockRec,
@@ -96,24 +98,6 @@ SORTED_REF = "<sorted>"
 
 #: ``module:function`` runner strings (repro.runner.registry).
 _RUNNER_STRING = re.compile(r"\A[A-Za-z_][\w.]*\.[\w.]*:[A-Za-z_]\w*\Z")
-
-#: Exact loop-blocking calls (ASYNC101), path → blocking kind.
-_BLOCKING_CALLS = {
-    "time.sleep": "sleep",
-    "os.system": "subprocess", "os.popen": "subprocess",
-    "os.wait": "subprocess", "os.waitpid": "subprocess",
-}
-
-#: Loop-blocking call families by dotted-path prefix (ASYNC101).
-_BLOCKING_PREFIXES = (
-    ("socket.", "socket"),
-    ("subprocess.", "subprocess"),
-    ("requests.", "http"),
-    ("urllib.request.", "http"),
-)
-
-#: Builtins that block on the filesystem/console (ASYNC101).
-_BLOCKING_BUILTINS = {"open", "input"}
 
 #: Task-spawn APIs whose dropped result is GC-vulnerable (ASYNC102):
 #: the loop keeps only weak references to tasks.
@@ -920,16 +904,11 @@ class _FunctionExtractor:
         kind: str | None = None
         detail = ""
         if path is not None:
-            kind = _BLOCKING_CALLS.get(path)
-            if kind is None:
-                for prefix, family in _BLOCKING_PREFIXES:
-                    if path.startswith(prefix):
-                        kind = family
-                        break
+            kind = blocking_kind(path)
             if kind is not None:
                 detail = f"{path}(...)"
         if kind is None and isinstance(func, ast.Name) \
-                and func.id in _BLOCKING_BUILTINS \
+                and func.id in BLOCKING_BUILTINS \
                 and func.id not in self.env \
                 and func.id not in self.owner.module_globals \
                 and func.id not in self.owner.imports_aliases:
@@ -1078,7 +1057,7 @@ class _ModuleExtractor:
                         table[target.id] = table[value]
         return table
 
-    def extract(self, digest: str) -> ModuleSummary:
+    def extract(self) -> ModuleSummary:
         functions: list[FunctionSummary] = []
         # Module body as a pseudo-function (runner strings, module-level
         # process registrations).
@@ -1096,7 +1075,7 @@ class _ModuleExtractor:
             functions.append(
                 extractor.summary(self.relpath, node.lineno))
         return ModuleSummary(
-            path=self.relpath, module=self.module, digest=digest,
+            path=self.relpath, module=self.module,
             exports=self.exports(), functions=functions,
             head_line=self._head_line())
 
@@ -1140,7 +1119,6 @@ class _ModuleExtractor:
         yield from walk(self.tree.body, self.module, None)
 
 
-def extract_module(relpath: str, tree: ast.Module,
-                   digest: str) -> ModuleSummary:
+def extract_module(relpath: str, tree: ast.Module) -> ModuleSummary:
     """Extract the whole-program summary for one parsed module."""
-    return _ModuleExtractor(relpath, tree).extract(digest)
+    return _ModuleExtractor(relpath, tree).extract()

@@ -1,10 +1,8 @@
-"""Serializable data model for the whole-program analysis.
+"""Data model for the whole-program analysis.
 
 Every per-file fact the inter-procedural passes consume lives in a
-:class:`ModuleSummary` built from plain ints/strings/lists, so the
-incremental cache can round-trip summaries through JSON with no loss —
-a cache hit and a fresh extraction are *the same object graph*, which
-is what makes cached and cold runs byte-identical.
+:class:`ModuleSummary` built from plain ints/strings/tuples; the passes
+never see an AST.
 
 Taint flows are encoded as ``(origin, destination)`` pairs over small
 tagged tuples:
@@ -48,14 +46,6 @@ class SourceRec:
     #: Human-readable description, e.g. ``"random.Random() without a seed"``.
     detail: str
 
-    def to_json(self) -> list[object]:
-        return [self.kind, self.line, self.col, self.detail]
-
-    @staticmethod
-    def from_json(data: _t.Sequence[object]) -> "SourceRec":
-        return SourceRec(str(data[0]), int(_t.cast(int, data[1])),
-                         int(_t.cast(int, data[2])), str(data[3]))
-
 
 @dataclasses.dataclass(frozen=True, order=True)
 class SinkRec:
@@ -66,14 +56,6 @@ class SinkRec:
     line: int
     col: int
     detail: str
-
-    def to_json(self) -> list[object]:
-        return [self.kind, self.line, self.col, self.detail]
-
-    @staticmethod
-    def from_json(data: _t.Sequence[object]) -> "SinkRec":
-        return SinkRec(str(data[0]), int(_t.cast(int, data[1])),
-                       int(_t.cast(int, data[2])), str(data[3]))
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -91,14 +73,6 @@ class CallRec:
     col: int
     #: Display name for traces, e.g. ``"jitter"``.
     name: str
-
-    def to_json(self) -> list[object]:
-        return [self.ref, self.line, self.col, self.name]
-
-    @staticmethod
-    def from_json(data: _t.Sequence[object]) -> "CallRec":
-        return CallRec(str(data[0]), int(_t.cast(int, data[1])),
-                       int(_t.cast(int, data[2])), str(data[3]))
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -118,16 +92,6 @@ class WriteRec:
     col: int
     after_acquire: bool
 
-    def to_json(self) -> list[object]:
-        return [self.scope, self.attr, self.line, self.col,
-                self.after_acquire]
-
-    @staticmethod
-    def from_json(data: _t.Sequence[object]) -> "WriteRec":
-        return WriteRec(str(data[0]), str(data[1]),
-                        int(_t.cast(int, data[2])),
-                        int(_t.cast(int, data[3])), bool(data[4]))
-
 
 @dataclasses.dataclass(frozen=True, order=True)
 class SpanStartRec:
@@ -136,8 +100,8 @@ class SpanStartRec:
     ``receiver`` is the last identifier of the receiver chain
     (``self.telemetry.span(...)`` → ``"telemetry"``); the TEL002 pass
     decides whether it is telemetry-like via the configurable
-    ``span-receiver-hints``, so summaries stay config-independent and
-    cacheable.  ``usage`` records how the produced scope is consumed
+    ``span-receiver-hints``, so summaries stay config-independent.
+    ``usage`` records how the produced scope is consumed
     locally: ``"with"`` (entered), ``"returned"`` (responsibility hands
     to the caller — a factory), or ``"leaked"`` (neither).
     ``loop_line`` is the innermost enclosing loop statement's line, or
@@ -150,16 +114,6 @@ class SpanStartRec:
     usage: str
     loop_line: int = 0
 
-    def to_json(self) -> list[object]:
-        return [self.receiver, self.line, self.col, self.usage,
-                self.loop_line]
-
-    @staticmethod
-    def from_json(data: _t.Sequence[object]) -> "SpanStartRec":
-        return SpanStartRec(str(data[0]), int(_t.cast(int, data[1])),
-                            int(_t.cast(int, data[2])), str(data[3]),
-                            int(_t.cast(int, data[4])))
-
 
 @dataclasses.dataclass(frozen=True, order=True)
 class AllocRec:
@@ -169,14 +123,6 @@ class AllocRec:
     desc: str
     line: int
     col: int
-
-    def to_json(self) -> list[object]:
-        return [self.desc, self.line, self.col]
-
-    @staticmethod
-    def from_json(data: _t.Sequence[object]) -> "AllocRec":
-        return AllocRec(str(data[0]), int(_t.cast(int, data[1])),
-                        int(_t.cast(int, data[2])))
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -196,16 +142,6 @@ class LoadRec:
     col: int
     in_test: bool
 
-    def to_json(self) -> list[object]:
-        return [self.chain, self.loop_line, self.line, self.col,
-                self.in_test]
-
-    @staticmethod
-    def from_json(data: _t.Sequence[object]) -> "LoadRec":
-        return LoadRec(str(data[0]), int(_t.cast(int, data[1])),
-                       int(_t.cast(int, data[2])),
-                       int(_t.cast(int, data[3])), bool(data[4]))
-
 
 @dataclasses.dataclass(frozen=True, order=True)
 class BlockRec:
@@ -213,7 +149,8 @@ class BlockRec:
 
     ``kind`` classifies the blocking family: ``"sleep"``
     (``time.sleep``), ``"socket"``, ``"subprocess"``, ``"file-io"``
-    (builtin ``open``/``input``), or ``"http"`` (requests/urllib).
+    (builtin ``open``/``input``), or ``"http"`` (requests/urllib/
+    http.client) — see ``repro.lint.checkers.simsafety.BLOCKING_CALLS``.
     Whether the site is actually a defect depends on reachability from
     a coroutine, which only the whole-program pass can decide.
     """
@@ -222,14 +159,6 @@ class BlockRec:
     line: int
     col: int
     detail: str
-
-    def to_json(self) -> list[object]:
-        return [self.kind, self.line, self.col, self.detail]
-
-    @staticmethod
-    def from_json(data: _t.Sequence[object]) -> "BlockRec":
-        return BlockRec(str(data[0]), int(_t.cast(int, data[1])),
-                        int(_t.cast(int, data[2])), str(data[3]))
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -251,18 +180,6 @@ class TaskRec:
     end_col: int
     indent: int
 
-    def to_json(self) -> list[object]:
-        return [self.api, self.line, self.col, self.end_line,
-                self.end_col, self.indent]
-
-    @staticmethod
-    def from_json(data: _t.Sequence[object]) -> "TaskRec":
-        return TaskRec(str(data[0]), int(_t.cast(int, data[1])),
-                       int(_t.cast(int, data[2])),
-                       int(_t.cast(int, data[3])),
-                       int(_t.cast(int, data[4])),
-                       int(_t.cast(int, data[5])))
-
 
 @dataclasses.dataclass(frozen=True, order=True)
 class LockRec:
@@ -276,14 +193,6 @@ class LockRec:
     line: int
     col: int
     detail: str
-
-    def to_json(self) -> list[object]:
-        return [self.line, self.col, self.detail]
-
-    @staticmethod
-    def from_json(data: _t.Sequence[object]) -> "LockRec":
-        return LockRec(int(_t.cast(int, data[0])),
-                       int(_t.cast(int, data[1])), str(data[2]))
 
 
 @dataclasses.dataclass
@@ -329,90 +238,15 @@ class FunctionSummary:
     #: Sync locks held across an ``await`` (ASYNC103).
     lock_awaits: tuple[LockRec, ...] = ()
 
-    def to_json(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "path": self.path,
-            "line": self.line,
-            "params": list(self.params),
-            "is_generator": self.is_generator,
-            "yields_event": self.yields_event,
-            "has_sim_handle": self.has_sim_handle,
-            "sources": [rec.to_json() for rec in self.sources],
-            "sinks": [rec.to_json() for rec in self.sinks],
-            "calls": [rec.to_json() for rec in self.calls],
-            "flows": [[list(origin), list(dest)]
-                      for origin, dest in self.flows],
-            "writes": [rec.to_json() for rec in self.writes],
-            "process_refs": [list(ref) for ref in self.process_refs],
-            "span_starts": [rec.to_json() for rec in self.span_starts],
-            "entered_calls": list(self.entered_calls),
-            "loop_allocs": [rec.to_json() for rec in self.loop_allocs],
-            "loop_loads": [rec.to_json() for rec in self.loop_loads],
-            "is_coroutine": self.is_coroutine,
-            "awaited_calls": list(self.awaited_calls),
-            "discarded_calls": list(self.discarded_calls),
-            "blocking_calls": [rec.to_json()
-                               for rec in self.blocking_calls],
-            "task_drops": [rec.to_json() for rec in self.task_drops],
-            "lock_awaits": [rec.to_json() for rec in self.lock_awaits],
-        }
-
-    @staticmethod
-    def from_json(data: _t.Mapping[str, _t.Any]) -> "FunctionSummary":
-        return FunctionSummary(
-            name=str(data["name"]),
-            path=str(data["path"]),
-            line=int(data["line"]),
-            params=tuple(str(p) for p in data["params"]),
-            is_generator=bool(data["is_generator"]),
-            yields_event=bool(data["yields_event"]),
-            has_sim_handle=bool(data["has_sim_handle"]),
-            sources=tuple(SourceRec.from_json(rec)
-                          for rec in data["sources"]),
-            sinks=tuple(SinkRec.from_json(rec) for rec in data["sinks"]),
-            calls=tuple(CallRec.from_json(rec) for rec in data["calls"]),
-            flows=tuple(
-                ((str(origin[0]), int(origin[1])),
-                 tuple(item if isinstance(item, int) else str(item)
-                       for item in dest))
-                for origin, dest in data["flows"]),
-            writes=tuple(WriteRec.from_json(rec)
-                         for rec in data["writes"]),
-            process_refs=tuple((str(ref[0]), int(ref[1]))
-                               for ref in data["process_refs"]),
-            span_starts=tuple(SpanStartRec.from_json(rec)
-                              for rec in data["span_starts"]),
-            entered_calls=tuple(int(index)
-                                for index in data["entered_calls"]),
-            loop_allocs=tuple(AllocRec.from_json(rec)
-                              for rec in data["loop_allocs"]),
-            loop_loads=tuple(LoadRec.from_json(rec)
-                             for rec in data["loop_loads"]),
-            is_coroutine=bool(data["is_coroutine"]),
-            awaited_calls=tuple(int(index)
-                                for index in data["awaited_calls"]),
-            discarded_calls=tuple(int(index)
-                                  for index in data["discarded_calls"]),
-            blocking_calls=tuple(BlockRec.from_json(rec)
-                                 for rec in data["blocking_calls"]),
-            task_drops=tuple(TaskRec.from_json(rec)
-                             for rec in data["task_drops"]),
-            lock_awaits=tuple(LockRec.from_json(rec)
-                              for rec in data["lock_awaits"]),
-        )
-
 
 @dataclasses.dataclass
 class ModuleSummary:
-    """Per-file extraction result; the unit of incremental caching."""
+    """Per-file extraction result."""
 
     #: Repo-relative POSIX path.
     path: str
     #: Dotted module name derived from the path (``repro.sim.kernel``).
     module: str
-    #: SHA-256 of the file contents (the cache key).
-    digest: str
     #: Module-level name → canonical dotted path (imports + local defs);
     #: this is what resolves re-exports across modules.
     exports: dict[str, str] = dataclasses.field(default_factory=dict)
@@ -423,30 +257,6 @@ class ModuleSummary:
     #: imports.  The ASYNC102 autofix anchors its module-level
     #: strong-reference set here.
     head_line: int = 1
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "digest": self.digest,
-            "exports": {name: self.exports[name]
-                        for name in sorted(self.exports)},
-            "functions": [fn.to_json() for fn in self.functions],
-            "head_line": self.head_line,
-        }
-
-    @staticmethod
-    def from_json(data: _t.Mapping[str, _t.Any]) -> "ModuleSummary":
-        return ModuleSummary(
-            path=str(data["path"]),
-            module=str(data["module"]),
-            digest=str(data["digest"]),
-            exports={str(key): str(value)
-                     for key, value in data["exports"].items()},
-            functions=[FunctionSummary.from_json(fn)
-                       for fn in data["functions"]],
-            head_line=int(data["head_line"]),
-        )
 
 
 class Program:

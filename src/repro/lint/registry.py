@@ -16,6 +16,7 @@ import typing as _t
 
 from repro.lint.asthelpers import ImportMap
 from repro.lint.findings import Finding
+from repro.lint.suppressions import Suppressions, parse_suppressions
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.config import LintConfig
@@ -40,6 +41,12 @@ class ModuleUnderLint:
     def imports(self) -> ImportMap:
         """The file's import aliases; one tree walk, shared by checkers."""
         return ImportMap(self.tree)
+
+    @functools.cached_property
+    def suppressions(self) -> Suppressions:
+        """The file's ``# lint: disable=`` map; one tokenize, shared by
+        the per-file and whole-program layers."""
+        return parse_suppressions(self.source)
 
     def finding(self, code: str, node: ast.AST, message: str) -> Finding:
         """Build a :class:`Finding` anchored at ``node``'s location."""

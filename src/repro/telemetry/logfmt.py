@@ -15,7 +15,7 @@ Records are plain dicts rendered with sorted keys and compact
 separators (the same canonical JSON the telemetry exports use), so log
 files diff cleanly.  The clock is injected — ``engine.now`` for live
 runs, ``Simulator.now`` for tests — keeping this module free of host
-clock reads like the rest of the telemetry layer (DET004).
+clock reads like the rest of the telemetry layer (DET002).
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ milliseconds spent per simulated second — the numbers the scaling work
 (sharding, batching, async kernels) needs as its before/after yardstick.
 
 Wall time is read exclusively through :func:`repro.perf.perf_timer`, the
-repository's single blessed wall-clock seam.  The ``DET004`` lint rule
+repository's single blessed wall-clock seam.  The ``DET002`` lint rule
 forbids direct ``time.monotonic``/``time.perf_counter`` calls anywhere
-in ``repro.telemetry`` outside this allowlisted module, so stray host
-time cannot leak into metric or span recording.
+in ``repro.telemetry``, this module included, so stray host time cannot
+leak into metric or span recording.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
-"""DET004 fixture — host clocks *outside* the telemetry layer.
+"""DET002 fixture — host clocks *outside* the telemetry layer.
 
-DET004 is scoped to ``telemetry-paths``; this file sits outside them,
-so the telemetry rule must stay silent here (DET002 governs instead,
-and the DET004 tests allowlist it away to isolate the rule under test).
+DET002 treats this file exactly like the telemetry modules beside it:
+a host-clock read in simulated code is a finding wherever it sits, so
+no telemetry-specific rule is needed.
 """
 
 import time
 
 
 def somewhere_else():
-    return time.monotonic()
+    return time.monotonic()                        # expect: DET002

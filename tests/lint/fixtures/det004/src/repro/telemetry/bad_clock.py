@@ -1,8 +1,8 @@
-"""DET004 fixture — a telemetry module sneaking host-clock reads.
+"""DET002 fixture — a telemetry module sneaking host-clock reads.
 
-Never imported, only linted.  The DET004 tests lint it with
-``wallclock-allow`` covering this subtree, proving the telemetry rule
-stays in force even where the general DET002 rule has been relaxed.
+Never imported, only linted.  The telemetry layer clocks off
+``Simulator.now``; DET002 flags every host-clock read here exactly as
+it does anywhere else in simulated code.
 """
 
 import datetime
@@ -12,27 +12,27 @@ import time as clock
 
 
 def span_start():
-    return time.monotonic()                        # expect: DET004
+    return time.monotonic()                        # expect: DET002
 
 
 def span_start_ns():
-    return time.monotonic_ns()                     # expect: DET004
+    return time.monotonic_ns()                     # expect: DET002
 
 
 def histogram_stamp():
-    return perf_counter()                          # expect: DET004
+    return perf_counter()                          # expect: DET002
 
 
 def aliased_module():
-    return clock.perf_counter_ns()                 # expect: DET004
+    return clock.perf_counter_ns()                 # expect: DET002
 
 
 def export_timestamp():
-    return datetime.datetime.now()                 # expect: DET004
+    return datetime.datetime.now()                 # expect: DET002
 
 
 def cpu_budget():
-    return time.process_time()                     # expect: DET004
+    return time.process_time()                     # expect: DET002
 
 
 def sim_clocked(sim):

@@ -3,7 +3,7 @@
 Mirrors the real :mod:`repro.engine.wallclock` layout — the one module
 whose job is turning the host clock into ``engine.now``.  Its path
 matches the default ``engine-wallclock-allow`` entry, so the host-clock
-reads below are sanctioned (no DET002/DET004 expected anywhere here).
+reads below are sanctioned (no DET002 expected anywhere here).
 """
 
 import time

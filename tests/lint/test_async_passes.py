@@ -7,17 +7,12 @@ report my sites" and "don't traverse through me"), fix payloads, the
 ASYNC102 ``--fix`` round-trip, and the ``--stats`` async section.
 """
 
-import json
 import pathlib
 import shutil
 
 from repro.lint import LintConfig, lint_paths
-from repro.lint.engine import program_findings
 from repro.lint.fixes import fix_source
 from repro.lint.program.asyncsafety import async_stats
-from repro.lint.program.cache import (CACHE_VERSION, SummaryCache,
-                                      load_cache, save_cache)
-from repro.lint.program.model import ModuleSummary
 
 PROGRAM = pathlib.Path(__file__).parent / "fixtures" / "program"
 ASYNC_FILES = [PROGRAM / "src" / "repro" / name
@@ -27,7 +22,7 @@ ASYNC_FILES = [PROGRAM / "src" / "repro" / name
 
 def _findings(code, **overrides):
     config = LintConfig(root=PROGRAM, **overrides)
-    return [finding for finding in lint_paths([PROGRAM], config)
+    return [finding for finding in lint_paths([PROGRAM], config).findings
             if finding.code == code]
 
 
@@ -101,7 +96,7 @@ def test_async102_fix_roundtrip(tmp_path):
     target = tmp_path / "asynctasks.py"
     shutil.copy(PROGRAM / "src" / "repro" / "asynctasks.py", target)
     config = LintConfig(root=tmp_path)
-    before = lint_paths([target], config)
+    before = lint_paths([target], config).findings
     assert {finding.code for finding in before} == {"ASYNC102"}
     fixed, applied = fix_source(target.read_text(), before)
     target.write_text(fixed)
@@ -115,7 +110,7 @@ def test_async102_fix_roundtrip(tmp_path):
     assert "_bg_task = asyncio.create_task(work())" in fixed
     assert "_bg_task = asyncio.ensure_future(work())" in fixed
 
-    after = lint_paths([target], config)
+    after = lint_paths([target], config).findings
     assert len(after) == 1  # only the fixless sync-caller drop remains
     assert after[0].fix is None
 
@@ -170,11 +165,11 @@ def test_eng101_blessed_engine_is_exempt():
     assert blessed == []
 
 
-# -- --stats / cache -----------------------------------------------------
+# -- --stats ------------------------------------------------------------
 
 def test_async_stats_counts_the_fixture_facts():
     config = LintConfig(root=PROGRAM)
-    _findings_, program, _stats = program_findings(ASYNC_FILES, config)
+    program = lint_paths(ASYNC_FILES, config).program
     stats = async_stats(program)
     assert stats["coroutines"] == 16
     assert stats["blocking_sites"] == 4
@@ -184,12 +179,9 @@ def test_async_stats_counts_the_fixture_facts():
     assert stats["wall_sinks"] >= 10
 
 
-def test_summary_roundtrip_preserves_async_facts():
+def test_summary_records_async_facts():
     config = LintConfig(root=PROGRAM)
-    _findings_, program, _stats = program_findings(ASYNC_FILES, config)
-    for module in program.modules:
-        assert ModuleSummary.from_json(
-            json.loads(json.dumps(module.to_json()))) == module
+    program = lint_paths(ASYNC_FILES, config).program
     tasks = program.functions["repro.asynctasks.fire_and_forget"]
     assert tasks.is_coroutine
     assert len(tasks.task_drops) == 1
@@ -199,19 +191,3 @@ def test_summary_roundtrip_preserves_async_facts():
     assert helper.blocking_calls[0].kind == "sleep"
     shared = program.functions["repro.asyncshared.Mixer.update"]
     assert len(shared.lock_awaits) == 1
-
-
-def test_cache_version_mismatch_discards_entries(tmp_path):
-    config = LintConfig(root=PROGRAM)
-    cache = SummaryCache()
-    program_findings(ASYNC_FILES, config, cache)
-    cache_file = tmp_path / "cache.json"
-    save_cache(cache_file, cache)
-
-    document = json.loads(cache_file.read_text())
-    assert document["version"] == CACHE_VERSION
-    document["version"] = CACHE_VERSION - 1
-    cache_file.write_text(json.dumps(document))
-    stale = load_cache(cache_file)
-    program_findings(ASYNC_FILES, config, stale)
-    assert stale.hits == 0 and stale.misses == len(ASYNC_FILES)

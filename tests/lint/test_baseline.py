@@ -15,7 +15,7 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 def test_baseline_round_trip(tmp_path):
     config = LintConfig(root=FIXTURES)
-    findings = lint_paths([FIXTURES], config)
+    findings = lint_paths([FIXTURES], config).findings
     assert findings, "fixtures should produce findings"
 
     baseline_file = tmp_path / "baseline.json"
@@ -29,7 +29,7 @@ def test_baseline_round_trip(tmp_path):
 
 def test_new_finding_is_fresh_against_old_baseline(tmp_path):
     config = LintConfig(root=FIXTURES)
-    findings = lint_paths([FIXTURES], config)
+    findings = lint_paths([FIXTURES], config).findings
     baseline_file = tmp_path / "baseline.json"
     write_baseline(baseline_file, findings[:-1])  # last finding missing
     fresh, grandfathered = split_by_baseline(
@@ -40,7 +40,7 @@ def test_new_finding_is_fresh_against_old_baseline(tmp_path):
 
 def test_baseline_file_is_stable_json(tmp_path):
     config = LintConfig(root=FIXTURES)
-    findings = lint_paths([FIXTURES], config)
+    findings = lint_paths([FIXTURES], config).findings
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
     write_baseline(first, findings)

@@ -38,6 +38,8 @@ def lint_fixture(name: str) -> list:
     "simsafety_violations.py",
     "cachespec_violations.py",
     "suppressed.py",
+    "det004/src/repro/telemetry/profiling.py",
+    "det004/src/repro/sim_component.py",
 ])
 def test_fixture_reports_exactly_the_marked_lines(fixture):
     findings = lint_fixture(fixture)

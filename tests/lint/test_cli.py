@@ -84,8 +84,7 @@ def test_docs_catalogue_lists_exactly_the_registered_checkers():
 def test_program_findings_render_their_traces():
     # cwd = the fixture root, so module names line up with its imports
     # and the cross-module chains link.
-    result = run_cli("--no-baseline", "--no-cache", "src",
-                     cwd=FIXTURES / "program")
+    result = run_cli("--no-baseline", "src", cwd=FIXTURES / "program")
     assert result.returncode == 1
     for code in ("DET101", "DET102", "SIM101"):
         assert code in result.stdout
@@ -95,8 +94,8 @@ def test_program_findings_render_their_traces():
 
 
 def test_stats_json_is_deterministic():
-    first = run_cli("--stats", "--no-cache", "src")
-    second = run_cli("--stats", "--no-cache", "src")
+    first = run_cli("--stats", "src")
+    second = run_cli("--stats", "src")
     assert first.returncode == 0, first.stdout + first.stderr
     assert first.stdout == second.stdout
     document = json.loads(first.stdout)
@@ -106,7 +105,7 @@ def test_stats_json_is_deterministic():
 
 
 def test_stats_timings_are_opt_in():
-    result = run_cli("--stats", "--timings", "--no-cache", "src")
+    result = run_cli("--stats", "--timings", "src")
     assert result.returncode == 0
     assert "lint_s" in json.loads(result.stdout)["timings"]
 
@@ -114,15 +113,13 @@ def test_stats_timings_are_opt_in():
 def test_fix_rewrites_in_place_and_exits_clean(tmp_path):
     target = tmp_path / "fifo.py"
     shutil.copy(FIXTURES / "autofix" / "fifo.py", target)
-    result = run_cli("--fix", "--no-baseline", "--no-cache", "fifo.py",
-                     cwd=tmp_path)
+    result = run_cli("--fix", "--no-baseline", "fifo.py", cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
     assert "applied" in result.stderr
     fixed = target.read_text()
     assert "popleft()" in fixed and "pop(0)" not in fixed
     # Idempotence: a second --fix run changes nothing.
-    rerun = run_cli("--fix", "--no-baseline", "--no-cache", "fifo.py",
-                    cwd=tmp_path)
+    rerun = run_cli("--fix", "--no-baseline", "fifo.py", cwd=tmp_path)
     assert rerun.returncode == 0
     assert "applied 0 fix(es)" in rerun.stderr
     assert target.read_text() == fixed
@@ -141,20 +138,32 @@ def _tmp_project(tmp_path):
 
 
 def test_no_cache_run_writes_no_file(tmp_path):
+    """The linter keeps no cache: a run over an explicit path leaves the
+    project tree as it found it."""
     before = _tmp_project(tmp_path)
-    result = run_cli("--no-cache", "--no-baseline", "src/fifo.py",
-                     cwd=tmp_path)
+    result = run_cli("--no-baseline", "src/fifo.py", cwd=tmp_path)
     assert result.returncode == 1, result.stdout + result.stderr
     assert _project_tree(tmp_path) == before
 
 
-def test_cached_run_writes_only_the_program_cache(tmp_path):
+def test_lint_run_leaves_the_project_tree_byte_identical(tmp_path):
     before = _tmp_project(tmp_path)
-    result = run_cli("--no-baseline", cwd=tmp_path)
+    for arguments in ((), ("--stats",), ("--format", "json")):
+        result = run_cli("--no-baseline", *arguments, cwd=tmp_path)
+        assert result.returncode in (0, 1), result.stdout + result.stderr
+        assert _project_tree(tmp_path) == before, arguments
+
+
+def test_non_utf8_file_is_a_finding_not_a_crash(tmp_path):
+    (tmp_path / "pyproject.toml").write_text("[tool.repro-lint]\n")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "latin1.py").write_bytes(
+        b'"""Latin-1, not UTF-8."""\nx = "\xe9"\n')
+    result = run_cli("--no-baseline", "src", cwd=tmp_path)
     assert result.returncode == 1, result.stdout + result.stderr
-    after = _project_tree(tmp_path)
-    assert set(after) - set(before) == {"build/lint-program-cache.json"}
-    assert all(after[name] == before[name] for name in before)
+    assert "Traceback" not in result.stderr
+    assert "src/latin1.py:2:0: LINT999 file is not valid UTF-8" \
+        in result.stdout
 
 
 def test_nonexistent_path_is_a_usage_error():

@@ -1,29 +1,19 @@
-"""DET004: the telemetry layer must clock off ``Simulator.now``.
+"""Host clocks in the telemetry layer, over the ``fixtures/det004/`` tree.
 
-The fixtures under ``fixtures/det004/`` mimic the real layout (a
-``src/repro/telemetry/`` subtree), and every config here allowlists the
-whole subtree for DET002 — isolating DET004 and proving it holds even
-where the general wall-clock rule has been relaxed.
+The tree mimics the real layout (a ``src/repro/telemetry/`` subtree).
+It was written for DET004, a telemetry-only clock rule that is now
+folded into DET002: these tests pin that DET002 alone flags every
+host-clock read there, and that no second rule is left behind it.
 """
 
 import pathlib
 import re
-import textwrap
 
-import pytest
-
-from repro.errors import ConfigError
 from repro.lint import LintConfig, lint_file
-from repro.lint.config import load_config
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-DET004 = FIXTURES / "det004"
+BAD_CLOCK = FIXTURES / "det004" / "src/repro/telemetry/bad_clock.py"
 _EXPECT = re.compile(r"#\s*expect:\s*(?P<code>[A-Z]+\d{3})")
-
-
-def det004_config(**overrides) -> LintConfig:
-    return LintConfig(root=FIXTURES, wallclock_allow=("det004/",),
-                      **overrides)
 
 
 def marked_lines(path: pathlib.Path) -> set[tuple[int, str]]:
@@ -36,59 +26,19 @@ def marked_lines(path: pathlib.Path) -> set[tuple[int, str]]:
 
 
 def test_host_clocks_in_telemetry_report_exactly_the_marked_lines():
-    path = DET004 / "src/repro/telemetry/bad_clock.py"
-    findings = lint_file(path, det004_config())
-    assert {(f.line, f.code) for f in findings} == marked_lines(path)
-    assert all("Simulator.now" in f.message for f in findings)
+    findings = lint_file(BAD_CLOCK, LintConfig(root=FIXTURES))
+    assert {(f.line, f.code) for f in findings} == marked_lines(BAD_CLOCK)
+    assert all("sim.now" in f.message for f in findings)
 
 
-def test_profiling_hook_is_allowlisted():
-    path = DET004 / "src/repro/telemetry/profiling.py"
-    assert lint_file(path, det004_config()) == []
-
-
-def test_rule_is_scoped_to_the_telemetry_paths():
-    path = DET004 / "src/repro/sim_component.py"
-    codes = {f.code for f in lint_file(path, det004_config())}
-    assert "DET004" not in codes
-
-
-def test_det004_fires_alongside_det002_without_the_allowance():
-    """Both rules flag the same call when neither path is allowlisted."""
-    path = DET004 / "src/repro/telemetry/bad_clock.py"
-    config = LintConfig(root=FIXTURES)  # no wallclock-allow for det004/
+def test_det002_is_the_only_rule_on_telemetry_clocks():
+    """Without an allowance each marked call gets DET002 and nothing
+    else; with the wall-clock allowance the file is clean, because no
+    telemetry-only rule remains to fire."""
     by_line: dict[int, set[str]] = {}
-    for finding in lint_file(path, config):
+    for finding in lint_file(BAD_CLOCK, LintConfig(root=FIXTURES)):
         by_line.setdefault(finding.line, set()).add(finding.code)
-    for line, code in marked_lines(path):
-        assert code in by_line[line]
-        assert "DET002" in by_line[line]
-
-
-def test_profiling_allowlist_is_configurable():
-    """Dropping the allowance makes the profiling hook a violation."""
-    path = DET004 / "src/repro/telemetry/profiling.py"
-    config = det004_config(telemetry_profiling_allow=())
-    codes = {f.code for f in lint_file(path, config)}
-    assert codes == {"DET004"}
-
-
-def test_pyproject_keys_round_trip(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
-        [tool.repro-lint]
-        telemetry-paths = ["lib/obs/"]
-        telemetry-profiling-allow = ["lib/obs/hostprof.py"]
-        """))
-    config = load_config(tmp_path)
-    assert config.telemetry_paths == ("lib/obs/",)
-    assert config.telemetry_profiling_allow == ("lib/obs/hostprof.py",)
-    assert config.in_telemetry("lib/obs/registry.py")
-    assert config.allows_telemetry_profiling("lib/obs/hostprof.py")
-    assert not config.in_telemetry("lib/other/registry.py")
-
-
-def test_pyproject_rejects_non_string_lists(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(
-        "[tool.repro-lint]\ntelemetry-paths = [1, 2]\n")
-    with pytest.raises(ConfigError):
-        load_config(tmp_path)
+    assert by_line == {line: {"DET002"}
+                       for line, _ in marked_lines(BAD_CLOCK)}
+    allowed = LintConfig(root=FIXTURES, wallclock_allow=("det004/",))
+    assert lint_file(BAD_CLOCK, allowed) == []

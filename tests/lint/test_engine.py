@@ -156,11 +156,21 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 
 @pytest.mark.parametrize("key", [
     "experiments-paths",  # scoped SIM003, retired with the rule
+    "program-cache",  # the whole-program summary cache, deleted
+    "telemetry-paths",  # scoped DET004, folded into DET002
+    "telemetry-profiling-allow",  # DET004's exemption, same
 ])
 def test_load_config_rejects_retired_keys(tmp_path, key):
     (tmp_path / "pyproject.toml").write_text(
         f'[tool.repro-lint]\n{key} = ["src/"]\n')
     with pytest.raises(ConfigError, match=key):
+        load_config(tmp_path)
+
+
+def test_load_config_rejects_non_string_lists(tmp_path):
+    (tmp_path / "pyproject.toml").write_text(
+        "[tool.repro-lint]\nwallclock-allow = [1, 2]\n")
+    with pytest.raises(ConfigError, match="wallclock-allow"):
         load_config(tmp_path)
 
 
@@ -172,6 +182,37 @@ def test_load_config_defaults_without_pyproject(tmp_path):
 
 def test_lint_paths_accepts_strings():
     config = load_config(REPO_ROOT)
-    findings = lint_paths([str(REPO_ROOT / "src" / "repro" / "perf.py")],
-                          config)
-    assert findings == []
+    run = lint_paths([str(REPO_ROOT / "src" / "repro" / "perf.py")],
+                     config)
+    assert run.findings == []
+
+
+# ----------------------------------------------------------------------
+# One pass per file
+# ----------------------------------------------------------------------
+def test_lint_paths_reads_parses_and_tokenizes_each_file_once(
+        monkeypatch):
+    import repro.lint.registry
+
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "program"
+    config = LintConfig(root=fixture)
+    files = list(iter_python_files([fixture], config))
+    calls = {"read_text": 0, "parse": 0, "tokenize": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pathlib.Path, "read_text",
+                        counting("read_text", pathlib.Path.read_text))
+    monkeypatch.setattr(ast, "parse", counting("parse", ast.parse))
+    monkeypatch.setattr(
+        repro.lint.registry, "parse_suppressions",
+        counting("tokenize", repro.lint.registry.parse_suppressions))
+    run = lint_paths([fixture], config)
+    assert run.files == len(files) > 1
+    assert calls["read_text"] == calls["parse"] == len(files)
+    assert calls["tokenize"] <= len(files)
+    assert run.findings  # the fixture tree does have findings

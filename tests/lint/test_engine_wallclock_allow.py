@@ -1,7 +1,7 @@
 """The ``engine-wallclock-allow`` escape hatch (docs/live.md).
 
 Exactly one module — the real-time engine — may read the host clock to
-implement ``engine.now``; everything else stays under DET002/DET004.
+implement ``engine.now``; everything else stays under DET002.
 The fixture tree under ``fixtures/engine_allow`` mirrors the real
 layout: a blessed ``src/repro/engine/wallclock.py`` plus an
 unsanctioned sibling that must still be flagged.
@@ -34,17 +34,6 @@ def test_dropping_the_allowance_restores_det002():
     codes = [finding.code
              for finding in lint_file(ENGINE / "wallclock.py", strict)]
     assert codes and set(codes) == {"DET002"}
-
-
-def test_allowance_also_covers_det004_inside_telemetry_paths():
-    """DET004 defers to the engine blessing even when its path scope
-    is widened to cover the engine package."""
-    scoped = LintConfig(root=FIXTURES,
-                        telemetry_paths=("src/repro/engine/",))
-    assert lint_file(ENGINE / "wallclock.py", scoped) == []
-    codes = {finding.code
-             for finding in lint_file(ENGINE / "sidecar.py", scoped)}
-    assert {"DET002", "DET004"} <= codes
 
 
 def test_repo_pyproject_blesses_exactly_the_real_engine():

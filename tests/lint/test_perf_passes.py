@@ -8,8 +8,7 @@ PERF103 is per-file.  Each test builds a miniature module in
 
 import pathlib
 
-from repro.lint import LintConfig, lint_file
-from repro.lint.engine import iter_python_files, program_findings
+from repro.lint import LintConfig, lint_file, lint_paths
 
 HOT_SOURCE = '''\
 def drive(items):
@@ -42,9 +41,8 @@ def _program_codes(tmp_path, source, hot_prefixes):
     target = tmp_path / "hot.py"
     target.write_text(source)
     config = LintConfig(root=tmp_path, perf_hot_paths=hot_prefixes)
-    files = list(iter_python_files([tmp_path], config))
-    findings, _program, _stats = program_findings(files, config, None)
-    return [(finding.code, finding.line) for finding in findings
+    return [(finding.code, finding.line)
+            for finding in lint_paths([tmp_path], config).findings
             if finding.code.startswith("PERF1")]
 
 

@@ -11,15 +11,10 @@ sorted views, lock-guarded writes) live in the same files, so
 over-reporting fails too.
 """
 
-import json
 import pathlib
 import re
 
 from repro.lint import LintConfig, lint_paths
-from repro.lint.engine import iter_python_files, program_findings
-from repro.lint.program.build import build_program
-from repro.lint.program.cache import (SummaryCache, load_cache,
-                                      save_cache)
 
 PROGRAM = pathlib.Path(__file__).parent / "fixtures" / "program"
 _EXPECT = re.compile(
@@ -40,9 +35,9 @@ def expected_findings(root: pathlib.Path) -> set[tuple[str, int, str]]:
     return marks
 
 
-def lint_program_fixture(cache=None):
+def lint_program_fixture():
     config = LintConfig(root=PROGRAM)
-    return lint_paths([PROGRAM], config, cache=cache)
+    return lint_paths([PROGRAM], config).findings
 
 
 def test_program_fixture_reports_exactly_the_marked_lines():
@@ -112,7 +107,7 @@ def test_tel002_factory_leak_traces_back_to_the_definition():
 def test_tel003_allow_list_exempts_the_driver():
     config = LintConfig(root=PROGRAM,
                         span_loop_allow=("repro.hotspans.pump",))
-    findings = [finding for finding in lint_paths([PROGRAM], config)
+    findings = [finding for finding in lint_paths([PROGRAM], config).findings
                 if finding.code == "TEL003"]
     assert findings == []
 
@@ -129,49 +124,18 @@ def test_tel003_names_the_loop_and_the_escape_hatch():
 def test_tel002_hints_are_configurable():
     # An empty hint list disables the rule outright.
     config = LintConfig(root=PROGRAM, span_receiver_hints=())
-    findings = [finding for finding in lint_paths([PROGRAM], config)
+    findings = [finding for finding in lint_paths([PROGRAM], config).findings
                 if finding.code == "TEL002"]
     assert findings == []
 
 
 def test_runner_string_registers_a_process_generator():
     config = LintConfig(root=PROGRAM)
-    files = list(iter_python_files([PROGRAM], config))
-    _findings, program, _stats = program_findings(files, config)
+    program = lint_paths([PROGRAM], config).program
     generators = set(program.process_generators())
     # ``drain`` has no sim handle and yields no known event factory —
     # only the "repro.cells:drain" runner string marks it.
     assert "repro.cells.drain" in generators
-
-
-def test_incremental_cache_round_trip(tmp_path):
-    cache = SummaryCache()
-    cold = lint_program_fixture(cache=cache)
-    assert cache.misses > 0 and cache.hits == 0
-
-    cache_file = tmp_path / "cache.json"
-    save_cache(cache_file, cache)
-    reloaded = load_cache(cache_file)
-    warm = lint_program_fixture(cache=reloaded)
-    assert reloaded.hits > 0 and reloaded.misses == 0
-    assert [finding.to_dict() for finding in warm] == \
-        [finding.to_dict() for finding in cold]
-
-
-def test_corrupt_cache_is_ignored(tmp_path):
-    cache_file = tmp_path / "cache.json"
-    cache_file.write_text("{not json")
-    assert load_cache(cache_file).lookup("x.py", "0" * 64) is None
-
-
-def test_cache_file_is_deterministic(tmp_path):
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
-    for target in (first, second):
-        cache = SummaryCache()
-        lint_program_fixture(cache=cache)
-        save_cache(target, cache)
-    assert first.read_bytes() == second.read_bytes()
-    json.loads(first.read_text())  # stays valid JSON
 
 
 def test_build_skips_broken_files(tmp_path):
@@ -179,7 +143,11 @@ def test_build_skips_broken_files(tmp_path):
     good.write_text("def fine():\n    return 1\n")
     bad = tmp_path / "bad.py"
     bad.write_text("def oops(:\n")
-    program, stats = build_program(
-        [("good.py", good), ("bad.py", bad)])
-    assert stats.parse_failures == 1
-    assert "good.fine" in program.functions
+    latin1 = tmp_path / "latin1.py"
+    latin1.write_bytes(b'def latin():\n    return "\xe9"\n')
+    run = lint_paths([good, bad, latin1], LintConfig(root=tmp_path))
+    assert [(finding.path, finding.code) for finding in run.findings] == \
+        [("bad.py", "LINT999"), ("latin1.py", "LINT999")]
+    assert [module.path for module in run.program.modules] == ["good.py"]
+    assert "good.fine" in run.program.functions
+    assert run.files == 3

@@ -19,7 +19,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 def test_src_has_no_unbaselined_lint_findings():
     config = load_config(REPO_ROOT)
     findings = lint_paths([REPO_ROOT / path for path in config.paths],
-                          config)
+                          config).findings
     baseline = load_baseline(config.baseline_path())
     fresh, _grandfathered = split_by_baseline(findings, baseline)
     assert fresh == [], (
@@ -34,7 +34,7 @@ def test_baseline_has_no_stale_entries():
     # was fixed but the baseline wasn't regenerated; keep it honest.
     config = load_config(REPO_ROOT)
     findings = lint_paths([REPO_ROOT / path for path in config.paths],
-                          config)
+                          config).findings
     current_keys = {finding.baseline_key() for finding in findings}
     stale = load_baseline(config.baseline_path()) - current_keys
     assert stale == set(), (

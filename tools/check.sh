@@ -19,50 +19,37 @@ echo "==> repro.lint"
 python -m repro.lint
 
 echo "==> repro.lint program-pass determinism"
-# The whole-program passes must be (a) deterministic run to run and
-# (b) indistinguishable between a cold build and an incremental-cache
-# hit — byte-identical JSON in both comparisons.
-lint_cold_a=$(mktemp) lint_cold_b=$(mktemp) lint_cached=$(mktemp)
+# The whole-program passes must be deterministic run to run:
+# byte-identical JSON from two runs.
+lint_a=$(mktemp) lint_b=$(mktemp)
 spans_a=$(mktemp) spans_b=$(mktemp) trace_a=$(mktemp)
 sweep_serial=$(mktemp) sweep_parallel=$(mktemp)
 merged_serial=$(mktemp) merged_parallel=$(mktemp)
 bench_a=$(mktemp) bench_b=$(mktemp) diff_out=$(mktemp)
-async_cold=$(mktemp) async_cached=$(mktemp) async_proj=$(mktemp -d)
+lint_stats=$(mktemp) async_proj=$(mktemp -d)
 admin_clean=$(mktemp) admin_stall=$(mktemp) admin_follow=$(mktemp)
-trap 'rm -f "$lint_cold_a" "$lint_cold_b" "$lint_cached" \
+trap 'rm -f "$lint_a" "$lint_b" "$lint_stats" \
     "$spans_a" "$spans_b" "$trace_a" \
     "$sweep_serial" "$sweep_parallel" \
     "$merged_serial" "$merged_parallel" \
     "$bench_a" "$bench_b" "$diff_out" \
-    "$admin_clean" "$admin_stall" "$admin_follow" \
-    "$async_cold" "$async_cached"; rm -rf "$async_proj"' EXIT
-python -m repro.lint --format json --no-cache > "$lint_cold_a"
-python -m repro.lint --format json --no-cache > "$lint_cold_b"
-if ! cmp -s "$lint_cold_a" "$lint_cold_b"; then
-    echo "FAIL: two cold repro.lint runs produced different JSON" >&2
-    exit 1
-fi
-python -m repro.lint --format json > /dev/null   # warm the cache
-python -m repro.lint --format json > "$lint_cached"
-if ! cmp -s "$lint_cold_a" "$lint_cached"; then
-    echo "FAIL: cached repro.lint run differs from a cold build" >&2
+    "$admin_clean" "$admin_stall" "$admin_follow"; \
+    rm -rf "$async_proj"' EXIT
+python -m repro.lint --format json > "$lint_a"
+python -m repro.lint --format json > "$lint_b"
+if ! cmp -s "$lint_a" "$lint_b"; then
+    echo "FAIL: two repro.lint runs produced different JSON" >&2
     exit 1
 fi
 
 echo "==> repro.lint async/engine-seam passes"
-# The ASYNC/ENG whole-program passes ride the same summary cache: the
-# --stats document (which carries the async fact counts the passes run
-# on) must agree between a cold build and a cache hit, modulo the
-# cache-accounting key itself.
-python -m repro.lint --stats --no-cache > "$async_cold"
-python -m repro.lint --stats > "$async_cached"
-python - "$async_cold" "$async_cached" <<'EOF'
+# The --stats document carries the async fact counts the ASYNC/ENG
+# whole-program passes run on; extraction must have seen coroutines.
+python -m repro.lint --stats > "$lint_stats"
+python - "$lint_stats" <<'EOF'
 import json, sys
-cold, cached = (json.load(open(path)) for path in sys.argv[1:3])
-cold.pop("cache"), cached.pop("cache")
-assert cold["async"]["coroutines"] > 0, "async extraction saw nothing"
-assert cold == cached, \
-    "cached --stats differs from a cold build beyond cache accounting"
+stats = json.load(open(sys.argv[1]))
+assert stats["async"]["coroutines"] > 0, "async extraction saw nothing"
 EOF
 # And the passes must actually bite: a scratch project with a dropped
 # task handle (the ASYNC102 GC hazard) fails the lint with exit 1.
