@@ -1,9 +1,10 @@
 """0/1 knapsack solvers used by PACM's object-selection step.
 
-The production solver quantizes sizes and runs a vectorized DP (numpy),
-which keeps per-admission cost low enough to run on every cache-full
-insertion during hour-long workloads.  An exact exponential solver is
-provided for cross-validation in tests.
+The production solver quantizes sizes and solves the complement: which
+items to evict so the rest fit.  A full store overflows by a few dozen
+units out of ~1 270, so a DP over the overflow is cheap enough in pure
+Python to run on every cache-full insertion.  An exact exponential
+solver is provided for cross-validation in tests.
 
 Quantization rounds item sizes *up* to the granularity, so any DP-feasible
 selection is also feasible in real bytes.
@@ -14,8 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import typing as _t
-
-import numpy as np
 
 from repro.errors import CacheError
 
@@ -31,10 +30,16 @@ def solve_knapsack(utilities: _t.Sequence[float],
                    granularity: int = DEFAULT_GRANULARITY) -> list[int]:
     """Indices of the max-utility subset with total size <= capacity.
 
-    Zero-sized items are always kept.  Items with non-positive utility
-    are still eligible (keeping them never hurts if space permits is NOT
-    assumed — the DP simply never selects utility < 0 unless forced,
-    which it never is in 0/1 knapsack).
+    Zero-sized items are always kept.  Items with non-positive utility,
+    or larger than the capacity, are never kept.
+
+    Keeping the best subset within ``units`` is evicting the cheapest
+    subset that frees ``demand = sum(weights) - units``, so the DP runs
+    over ``demand + 1`` cells.  ``best[d]`` is the most utility the
+    items so far can keep while freeing at least ``d`` units (``-inf``
+    if they cannot).  It holds *kept* utility, summed in item order, so
+    every comparison is the one a DP over the whole capacity makes:
+    ties evict, and the chosen set does not depend on the formulation.
     """
     if len(utilities) != len(sizes):
         raise CacheError("utilities and sizes must have equal length")
@@ -58,24 +63,31 @@ def solve_knapsack(utilities: _t.Sequence[float],
     if not feasible:
         return sorted(free_items)
 
-    # dp[c] = best utility achievable with exactly <= c units.
-    dp = np.zeros(units + 1, dtype=np.float64)
-    keep = np.zeros((len(feasible), units + 1), dtype=np.bool_)
-    for row, (_index, value, weight) in enumerate(feasible):
-        shifted = np.empty_like(dp)
-        shifted[:weight] = -np.inf
-        shifted[weight:] = dp[:units + 1 - weight] + value
-        take = shifted > dp
-        keep[row] = take
-        dp = np.where(take, shifted, dp)
+    # When everything fits the demand is 0 and the DP is one cell wide:
+    # it still adds in item order, so an item too small to change the
+    # float sum is dropped exactly as a full-capacity DP drops it.
+    demand = max(sum(weight for _index, _value, weight in feasible) - units,
+                 0)
+    best = [0.0] + [-math.inf] * demand
+    rows: list[list[float]] = []
+    for _index, value, weight in feasible:
+        rows.append(best)
+        # Keep the item (the items before it still free d units) or
+        # evict it (they free the remaining max(d - weight, 0)).
+        best = [kept if (kept := previous + value) > evicted else evicted
+                for previous, evicted in zip(best, itertools.chain(
+                    itertools.repeat(best[0], weight), best))]
 
     chosen: list[int] = []
-    remaining = units
+    short = demand
     for row in range(len(feasible) - 1, -1, -1):
-        if keep[row, remaining]:
-            index, _value, weight = feasible[row]
+        previous = rows[row]
+        index, value, weight = feasible[row]
+        freed = max(short - weight, 0)
+        if previous[short] + value > previous[freed]:
             chosen.append(index)
-            remaining -= weight
+        else:
+            short = freed
     return sorted(free_items + chosen)
 
 

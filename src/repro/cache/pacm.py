@@ -44,78 +44,86 @@ def utility_of(entry: CacheEntry, frequency: float, now: float) -> float:
             entry.fetch_latency_s * entry.priority)
 
 
-def _efficiencies(entries: _t.Sequence[CacheEntry],
-                  frequency_of: _t.Callable[[str], float],
-                  ) -> dict[str, float]:
-    usage: dict[str, int] = {}
-    for entry in entries:
-        usage[entry.app_id] = usage.get(entry.app_id, 0) + entry.size_bytes
-    return {app: size / max(frequency_of(app), MIN_FREQUENCY)
-            for app, size in usage.items()}
-
-
 def select_keep_set(entries: _t.Sequence[CacheEntry],
                     capacity_bytes: int,
                     frequency_of: _t.Callable[[str], float],
                     now: float,
                     fairness_threshold: float = DEFAULT_FAIRNESS_THRESHOLD,
                     granularity: int = DEFAULT_GRANULARITY,
-                    max_repair_rounds: int | None = None,
                     ) -> list[CacheEntry]:
     """The subset of ``entries`` PACM retains within ``capacity_bytes``."""
+    return _keep_set(entries, capacity_bytes, frequency_of, now,
+                     fairness_threshold, granularity)[0]
+
+
+def _keep_set(entries: _t.Sequence[CacheEntry],
+              capacity_bytes: int,
+              frequency_of: _t.Callable[[str], float],
+              now: float,
+              fairness_threshold: float,
+              granularity: int,
+              ) -> tuple[list[CacheEntry], int]:
+    """:func:`select_keep_set`, plus how many repair rounds it ran."""
     if capacity_bytes < 0:
-        return []
+        return [], 0
     live = [entry for entry in entries if not entry.is_expired(now)]
     if not live:
-        return []
-    utilities = [utility_of(entry, frequency_of(entry.app_id), now)
-                 for entry in live]
+        return [], 0
+    apps = [entry.app_id for entry in live]
+    frequencies = {app: frequency_of(app) for app in dict.fromkeys(apps)}
+    utilities = [utility_of(entry, frequencies[app], now)
+                 for entry, app in zip(live, apps)]
     sizes = [entry.size_bytes for entry in live]
     # Never quantize coarser than ~1/512 of the capacity, so small caches
     # (and unit tests) keep a meaningful DP resolution.
     effective_granularity = max(1, min(granularity, capacity_bytes // 512))
-    kept_indices = solve_knapsack(utilities, sizes, capacity_bytes,
-                                  effective_granularity)
-    kept = [live[index] for index in kept_indices]
-    rejected = [live[index] for index in range(len(live))
-                if index not in set(kept_indices)]
-    utility_by_id = {id(entry): utility
-                     for entry, utility in zip(live, utilities)}
+    # The repair works on indices into ``live``, so it never compares
+    # two entries.  ``kept`` and ``rejected`` are ordered sets: a key
+    # deleted and inserted again moves to the end.
+    kept = dict.fromkeys(solve_knapsack(utilities, sizes, capacity_bytes,
+                                        effective_granularity))
+    rejected = dict.fromkeys(index for index in range(len(live))
+                             if index not in kept)
+    held: dict[str, list[int]] = {app: [] for app in frequencies}  # kept order
+    usage = dict.fromkeys(frequencies, 0)
+    for index in kept:
+        held[apps[index]].append(index)
+        usage[apps[index]] += sizes[index]
+    denominators = {app: max(frequency, MIN_FREQUENCY)
+                    for app, frequency in frequencies.items()}
 
-    rounds = max_repair_rounds if max_repair_rounds is not None else len(live)
-    for _ in range(rounds):
-        efficiencies = _efficiencies(kept, frequency_of)
+    rounds = 0
+    while rounds < len(live):
+        efficiencies = {app: usage[app] / denominators[app]
+                        for app, indices in held.items() if indices}
         if len(efficiencies) <= 1 or \
                 gini(list(efficiencies.values())) <= fairness_threshold:
             break
+        rounds += 1
         # sorted() pins the tie-break to app_id order; without it, equal
         # efficiencies would shed whichever app the dict iterates first.
         over_served = max(sorted(efficiencies), key=efficiencies.get)
-        over_entries = [entry for entry in kept
-                        if entry.app_id == over_served]
-        if not over_entries:  # pragma: no cover - app key implies entries
-            break
         # Shed the over-served app's worst value-per-byte object.
-        victim = min(
-            over_entries,
-            key=lambda entry:
-                utility_by_id[id(entry)] / max(entry.size_bytes, 1))
-        kept.remove(victim)
-        rejected.append(victim)
+        victim = min(held[over_served],
+                     key=lambda index: utilities[index] / max(sizes[index], 1))
+        held[over_served].remove(victim)
+        del kept[victim]
+        rejected[victim] = None
+        usage[over_served] -= sizes[victim]
         # Back-fill with rejected objects of under-served apps.
-        used = sum(entry.size_bytes for entry in kept)
-        spare = capacity_bytes - used
+        spare = capacity_bytes - sum(usage.values())
         backfill = sorted(
-            (entry for entry in rejected
-             if entry.app_id != over_served and
-             entry.size_bytes <= spare),
-            key=lambda entry: utility_by_id[id(entry)], reverse=True)
-        for entry in backfill:
-            if entry.size_bytes <= spare:
-                kept.append(entry)
-                rejected.remove(entry)
-                spare -= entry.size_bytes
-    return kept
+            (index for index in rejected
+             if apps[index] != over_served and sizes[index] <= spare),
+            key=utilities.__getitem__, reverse=True)
+        for index in backfill:
+            if sizes[index] <= spare:
+                kept[index] = None
+                del rejected[index]
+                held[apps[index]].append(index)
+                usage[apps[index]] += sizes[index]
+                spare -= sizes[index]
+    return [live[index] for index in kept], rounds
 
 
 class PacmPolicy(EvictionPolicy):
@@ -143,6 +151,12 @@ class PacmPolicy(EvictionPolicy):
         self._t_victims = telemetry.histogram(
             "pacm.victims", help="victims evicted per PACM selection",
             buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
+        self._t_repair_rounds = telemetry.histogram(
+            "pacm.repair_rounds",
+            help="fairness repair rounds per PACM selection "
+                 "(capped at the live entry count)",
+            buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
+                     256.0))
 
     def select_victims(self, store: CacheStore, incoming: CacheEntry,
                        now: float) -> list[CacheEntry] | None:
@@ -153,14 +167,13 @@ class PacmPolicy(EvictionPolicy):
         if capacity < 0:
             return None
         frequency_of = lambda app_id: self.tracker.frequency(app_id)  # noqa: E731
-        kept = select_keep_set(
-            store.entries(), capacity, frequency_of, now,
-            fairness_threshold=self.fairness_threshold,
-            granularity=self.granularity)
+        entries = store.entries()
+        kept, rounds = _keep_set(entries, capacity, frequency_of, now,
+                                 self.fairness_threshold, self.granularity)
         kept_ids = {id(entry) for entry in kept}
-        victims = [entry for entry in store.entries()
-                   if id(entry) not in kept_ids]
+        victims = [entry for entry in entries if id(entry) not in kept_ids]
         self._t_victims.observe(float(len(victims)))
+        self._t_repair_rounds.observe(float(rounds))
         return victims
 
     def fairness(self, store: CacheStore) -> float:

@@ -1,9 +1,11 @@
 """PACM, fairness, frequency, and knapsack tests (with hypothesis)."""
 
 import math
+import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import (
@@ -20,9 +22,11 @@ from repro.cache import (
     storage_efficiencies,
     utility_of,
 )
-from repro.cache.knapsack import total_size, total_value
+from repro.cache.fairness import MIN_FREQUENCY
+from repro.cache.knapsack import DEFAULT_GRANULARITY, total_size, total_value
 from repro.errors import CacheError, ConfigError
 from repro.httplib import DataObject
+from repro.telemetry import Telemetry
 
 
 def make_entry(url, size, app="app-1", priority=1, stored=0.0, ttl=600.0,
@@ -201,6 +205,91 @@ def test_knapsack_quantized_is_feasible(items, capacity):
     assert total_size(sizes, selection) <= capacity
 
 
+def reference_solve_knapsack(utilities, sizes, capacity,
+                             granularity=DEFAULT_GRANULARITY):
+    """The keep-side DP over every capacity unit, in numpy: the oracle
+    `solve_knapsack` must match index for index."""
+    free_items = [index for index, size in enumerate(sizes) if size == 0]
+    candidates = [(index, utilities[index],
+                   math.ceil(sizes[index] / granularity))
+                  for index, size in enumerate(sizes) if size > 0]
+    units = capacity // granularity
+    if units == 0 or not candidates:
+        return sorted(free_items)
+    feasible = [(index, value, weight) for index, value, weight in candidates
+                if weight <= units and value > 0]
+    if not feasible:
+        return sorted(free_items)
+    dp = np.zeros(units + 1, dtype=np.float64)
+    keep = np.zeros((len(feasible), units + 1), dtype=np.bool_)
+    for row, (_index, value, weight) in enumerate(feasible):
+        shifted = np.empty_like(dp)
+        shifted[:weight] = -np.inf
+        shifted[weight:] = dp[:units + 1 - weight] + value
+        take = shifted > dp
+        keep[row] = take
+        dp = np.where(take, shifted, dp)
+    chosen = []
+    remaining = units
+    for row in range(len(feasible) - 1, -1, -1):
+        if keep[row, remaining]:
+            index, _value, weight = feasible[row]
+            chosen.append(index)
+            remaining -= weight
+    return sorted(free_items + chosen)
+
+
+#: Utilities that tie, vanish, or are too small to change a float sum
+#: next to 1e16: the cases where a reformulated DP could choose a
+#: different set of equal (rounded) value.
+_TIED_UTILITIES = (0.0, 0.1, 0.2, 0.3, 1.0, 3.0, 1e-300, 1e16)
+_UTILITIES = st.one_of(
+    st.sampled_from(_TIED_UTILITIES),
+    st.floats(min_value=-1.0, max_value=1e6, allow_nan=False))
+_AP_CAPACITY = 5 * 1024 * 1024
+
+
+def _knapsack_case(items, capacity, granularity):
+    utilities = [value for value, _size in items]
+    sizes = [size for _value, size in items]
+    assert solve_knapsack(utilities, sizes, capacity, granularity) == \
+        reference_solve_knapsack(utilities, sizes, capacity, granularity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_UTILITIES, st.one_of(
+    st.just(0),
+    st.integers(min_value=1, max_value=256 * 1024),
+    st.integers(min_value=_AP_CAPACITY, max_value=2 * _AP_CAPACITY))),
+    max_size=200),
+    st.one_of(st.just(_AP_CAPACITY),
+              st.integers(min_value=0, max_value=2 * DEFAULT_GRANULARITY),
+              st.integers(min_value=0, max_value=4 * _AP_CAPACITY)))
+# Tied utilities: four 3-unit items, room for two.
+@example([(1.0, 3 * 4096)] * 4, 7 * 4096)
+# Zero sizes, zero utilities and an item larger than the capacity.
+@example([(0.0, 0), (2.0, 0), (0.0, 4096), (5.0, 9 * 4096), (1.0, 4096)],
+         4 * 4096)
+# Demand <= 0, with a utility too small to change the float sum.
+@example([(1e16, 4096), (1.0, 4096), (0.3, 4096)], _AP_CAPACITY)
+# Capacity below one granularity unit.
+@example([(1.0, 1), (2.0, 0)], DEFAULT_GRANULARITY - 1)
+def test_knapsack_matches_numpy_reference_at_ap_granularity(items, capacity):
+    _knapsack_case(items, capacity, DEFAULT_GRANULARITY)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_UTILITIES, st.integers(min_value=0,
+                                                   max_value=60)),
+                max_size=200),
+       st.integers(min_value=0, max_value=3_000))
+@example([(0.1, 1), (0.2, 1), (0.3, 2)], 2)
+@example([(1.0, 5), (1.0, 0), (0.0, 1)], 0)
+def test_knapsack_matches_numpy_reference_at_unit_granularity(items,
+                                                              capacity):
+    _knapsack_case(items, capacity, 1)
+
+
 # ----------------------------------------------------------------------
 # PACM selection
 # ----------------------------------------------------------------------
@@ -318,6 +407,155 @@ def test_select_keep_set_always_fits_property(items, capacity):
                            frequency_of=lambda a: frequencies[a], now=0.0)
     assert sum(entry.size_bytes for entry in kept) <= capacity
     assert len(set(id(entry) for entry in kept)) == len(kept)
+
+
+def reference_select_keep_set(entries, capacity_bytes, frequency_of, now,
+                              fairness_threshold=0.4,
+                              granularity=DEFAULT_GRANULARITY):
+    """The repair loop written over entries (``list.remove``, value
+    equality) on the numpy DP: the oracle `select_keep_set` must match
+    entry for entry."""
+    if capacity_bytes < 0:
+        return []
+    live = [entry for entry in entries if not entry.is_expired(now)]
+    if not live:
+        return []
+    utilities = [utility_of(entry, frequency_of(entry.app_id), now)
+                 for entry in live]
+    sizes = [entry.size_bytes for entry in live]
+    effective_granularity = max(1, min(granularity, capacity_bytes // 512))
+    kept_indices = reference_solve_knapsack(utilities, sizes, capacity_bytes,
+                                            effective_granularity)
+    kept = [live[index] for index in kept_indices]
+    rejected = [live[index] for index in range(len(live))
+                if index not in set(kept_indices)]
+    utility_by_id = {id(entry): utility
+                     for entry, utility in zip(live, utilities)}
+
+    def efficiencies_of(held):
+        usage = {}
+        for entry in held:
+            usage[entry.app_id] = usage.get(entry.app_id, 0) + \
+                entry.size_bytes
+        return {app: size / max(frequency_of(app), MIN_FREQUENCY)
+                for app, size in usage.items()}
+
+    for _ in range(len(live)):
+        efficiencies = efficiencies_of(kept)
+        if len(efficiencies) <= 1 or \
+                gini(list(efficiencies.values())) <= fairness_threshold:
+            break
+        over_served = max(sorted(efficiencies), key=efficiencies.get)
+        victim = min(
+            [entry for entry in kept if entry.app_id == over_served],
+            key=lambda entry:
+                utility_by_id[id(entry)] / max(entry.size_bytes, 1))
+        kept.remove(victim)
+        rejected.append(victim)
+        spare = capacity_bytes - sum(entry.size_bytes for entry in kept)
+        backfill = sorted(
+            (entry for entry in rejected
+             if entry.app_id != over_served and
+             entry.size_bytes <= spare),
+            key=lambda entry: utility_by_id[id(entry)], reverse=True)
+        for entry in backfill:
+            if entry.size_bytes <= spare:
+                kept.append(entry)
+                rejected.remove(entry)
+                spare -= entry.size_bytes
+    return kept
+
+
+_APP_FREQUENCIES = (0.0, 0.1, 1.0, 10.0, 50.0)
+
+
+def skewed_catalog(rng, count, apps=4):
+    """``count`` distinct entries over ``apps`` apps whose request rates
+    differ by orders of magnitude, so the Gini repair runs; about half
+    of such catalogs reach the round cap."""
+    frequencies = {f"app{app}": rng.choice(_APP_FREQUENCIES)
+                   for app in range(apps)}
+    entries = [make_entry(f"http://app{app}/{index}",
+                          rng.randint(0, 200_000), app=f"app{app}",
+                          priority=rng.randint(1, 2),
+                          ttl=rng.uniform(1.0, 600.0),
+                          latency=rng.uniform(0.001, 0.1))
+               for index, app in enumerate(rng.randrange(apps)
+                                           for _ in range(count))]
+    return entries, frequencies
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32),
+       st.integers(min_value=0, max_value=60),
+       st.integers(min_value=2, max_value=6),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.sampled_from((0.0, 0.1, 0.4, 1.0)),
+       st.sampled_from((0.0, 30.0)))
+def test_select_keep_set_matches_entry_based_reference(
+        seed, count, apps, fill, threshold, now):
+    rng = random.Random(seed)
+    entries, frequencies = skewed_catalog(rng, count, apps)
+    capacity = int(fill * sum(entry.size_bytes for entry in entries))
+    kept = select_keep_set(entries, capacity, frequencies.get, now,
+                           fairness_threshold=threshold)
+    expected = reference_select_keep_set(entries, capacity, frequencies.get,
+                                         now, fairness_threshold=threshold)
+    assert [id(entry) for entry in kept] == \
+        [id(entry) for entry in expected]
+
+
+def full_store_at_round_cap():
+    """A full store of 40 entries from seed 1, whose PACM selection
+    runs the Gini repair to its cap; an incoming entry; the tracker."""
+    entries, frequencies = skewed_catalog(random.Random(1), 40)
+    tracker = RequestFrequencyTracker()
+    tracker._estimates.update(frequencies)
+    store = CacheStore(sum(entry.size_bytes for entry in entries))
+    for entry in entries:
+        store.admit(entry, LruPolicy(), now=0.0)
+    return store, make_entry("http://app0/incoming", 150_000, app="app0"), \
+        tracker
+
+
+def reference_victims(store, incoming, tracker):
+    kept_ids = {id(entry) for entry in reference_select_keep_set(
+        store.entries(), store.capacity_bytes - incoming.size_bytes,
+        tracker.frequency, 0.0)}
+    return [id(entry) for entry in store.entries()
+            if id(entry) not in kept_ids]
+
+
+def test_repair_rounds_histogram_records_the_cap():
+    store, incoming, tracker = full_store_at_round_cap()
+    telemetry = Telemetry()
+    policy = PacmPolicy(tracker, telemetry=telemetry)
+    victims = policy.select_victims(store, incoming, now=0.0)
+    assert [id(entry) for entry in victims] == \
+        reference_victims(store, incoming, tracker)
+    rounds = telemetry.get("pacm.repair_rounds")
+    assert rounds.count() == 1
+    # Nothing has expired, so every stored entry is live, and the
+    # repair ran its cap of one round per live entry.
+    assert rounds.samples() == [float(len(store))]
+
+
+def test_pacm_never_compares_entries(monkeypatch):
+    """The repair works on indices: comparing entries field by field on
+    every shed and back-fill was most of PACM's cost."""
+    store, incoming, tracker = full_store_at_round_cap()
+    expected = reference_victims(store, incoming, tracker)
+
+    def no_comparisons(self, other):
+        raise AssertionError("CacheEntry compared by value")
+
+    monkeypatch.setattr(CacheEntry, "__eq__", no_comparisons)
+    kept = select_keep_set(store.entries(),
+                           store.capacity_bytes - incoming.size_bytes,
+                           tracker.frequency, now=0.0)
+    assert len(kept) < len(store)
+    victims = PacmPolicy(tracker).select_victims(store, incoming, now=0.0)
+    assert [id(entry) for entry in victims] == expected
 
 
 def test_pacm_vs_lru_priority_hit_scenario():

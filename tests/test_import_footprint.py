@@ -5,6 +5,10 @@
 ``repro.experiments/__init__.py``.  That package must stay a list of
 strings: an eager import there would drag the sweep engine, baselines
 and measurement studies into every live start-up.
+
+The AP runs on a router, so the request path imports no third-party
+package either: numpy alone is 84 modules and about 12 MiB of RSS.
+Only ``repro.analysis`` (off the request path) uses scipy.
 """
 
 import json
@@ -13,24 +17,40 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 _PROBE = """
 import json, sys
-import repro.engine.live
-print(json.dumps(sorted(name for name in sys.modules
-                        if name.startswith("repro."))))
+import {module}
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_live_engine_imports_no_experiment_runner_or_analysis():
+def loaded_after_import(module):
+    """Every module name in ``sys.modules`` after a fresh ``import``."""
     result = subprocess.run(
-        [sys.executable, "-c", _PROBE], capture_output=True, text=True,
+        [sys.executable, "-c", _PROBE.format(module=module)],
+        capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
-    loaded = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_live_engine_imports_no_experiment_runner_or_analysis():
+    loaded = [name for name in loaded_after_import("repro.engine.live")
+              if name.startswith("repro.")]
     assert "repro.engine.live" in loaded
     experiments = [name for name in loaded
                    if name.startswith("repro.experiments.")]
     assert experiments in ([], ["repro.experiments.common"])
     assert not [name for name in loaded
                 if name.split(".")[1] in ("runner", "analysis")]
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.engine.live"])
+def test_request_path_imports_no_numpy_or_scipy(module):
+    loaded = loaded_after_import(module)
+    assert module in loaded
+    assert [name for name in loaded
+            if name.split(".")[0] in ("numpy", "scipy")] == []
