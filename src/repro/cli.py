@@ -149,30 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="stop --follow after N polls "
                           "(default 0 = until the endpoint goes away)")
 
-    sentry = subparsers.add_parser(
-        "sentry", parents=[common],
-        help="regression sentry: evaluate [tool.repro-sentry] latency/"
-             "throughput budgets over one instrumented run; exits "
-             "non-zero on violations")
-    sentry.add_argument("--budget", action="append", default=[],
-                        metavar="EXPR",
-                        help="extra budget expression, e.g. "
-                             "'stage:ap-hit/total/p95 <= 20' "
-                             "(repeatable, applied after pyproject)")
-    sentry.add_argument("--pyproject", type=str,
-                        default="pyproject.toml",
-                        help="pyproject.toml holding "
-                             "[tool.repro-sentry] (default ./)")
-    sentry.add_argument("--report", type=str, default=None,
-                        metavar="FILE",
-                        help="also write the verdicts and attribution "
-                             "to FILE as JSON (default: write nothing)")
-    sentry.add_argument("--live-metrics", type=str, default=None,
-                        metavar="FILE",
-                        help="evaluate [tool.repro-sentry].live-budgets "
-                             "against an exported live metric JSONL "
-                             "instead of running the sim")
-
     live = subparsers.add_parser(
         "live",
         help="serve the live stack on loopback sockets (real asyncio "
@@ -182,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default 6; 0 = none)")
     live.add_argument("--serve", action="store_true",
                       help="stay up after the demo until SIGINT/"
-                           "SIGTERM, then drain and exit 0")
+                           "SIGTERM, then drain and exit (0, or 1 "
+                           "if a live-health bound broke)")
     live.add_argument("--spans", type=str, default="", metavar="FILE",
                       help="flush the span log to FILE as JSONL on "
                            "shutdown")
@@ -211,21 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="debug: block the event loop for MS after "
                            "the demo to exercise the stall watchdog")
 
-    parity = subparsers.add_parser(
+    subparsers.add_parser(
         "parity", parents=[common],
-        help="replay one workload through the sim and live engines "
-             "and diff the stage attributions (docs/live.md)")
-    parity.add_argument("--quick", action="store_true",
-                        help="short replay (the default; --full for "
-                             "the longer sequence)")
-    parity.add_argument("--tolerance-ms", type=float,
-                        default=None, metavar="MS",
-                        help="per-stat wall-jitter tolerance in ms "
-                             "(default 250)")
-    parity.add_argument("--pyproject", type=str,
-                        default="pyproject.toml",
-                        help="pyproject.toml holding [tool.repro-"
-                             "sentry].live-budgets (default ./)")
+        help="replay one workload through the sim and live engines, "
+             "diff the stage attributions and check the live run's "
+             "health (docs/live.md)")
 
     diff = subparsers.add_parser(
         "diff", parents=[common],
@@ -368,8 +335,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         print(f"  {'all'.ljust(width)}  run everything")
         print(f"  {'obs'.ljust(width)}  telemetry panel: per-stage "
               f"latency, attribution, hit ratios, exports")
-        print(f"  {'sentry'.ljust(width)}  regression sentry: budget "
-              f"gates over one instrumented run")
         print(f"  {'diff'.ljust(width)}  diff two exported runs or two "
               f"systems across a seed fleet")
         print(f"  {'sweep'.ljust(width)}  ad-hoc declarative scenario "
@@ -443,41 +408,8 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                     tail_threshold_ms=args.tail_threshold_ms,
                     tail_sample_every=args.tail_sample_every,
                     fleet=args.fleet, top=args.top), args.format)
-    elif args.command == "sentry" and args.live_metrics:
-        from repro.errors import ConfigError
-        from repro.telemetry.sentry import run_live_sentry
-
-        print("--- sentry: live-metrics budget gate ---",
-              file=sys.stderr, flush=True)
-        try:
-            tables, code = run_live_sentry(
-                args.live_metrics, pyproject=args.pyproject,
-                extra_budgets=args.budget)
-        except (ConfigError, OSError) as error:
-            print(f"sentry: {error}", file=sys.stderr)
-            return 2
-        _emit(_render_tables(tables, args.format), args.output)
-        print(f"done in {elapsed():.0f}s", file=sys.stderr)
-        return code
-    elif args.command == "sentry":
-        from repro.errors import ConfigError
-        from repro.telemetry.sentry import run_sentry
-
-        print("--- sentry: telemetry regression gate ---",
-              file=sys.stderr, flush=True)
-        try:
-            tables, code = run_sentry(
-                quick=quick, seed=args.seed, output=args.report,
-                pyproject=args.pyproject, extra_budgets=args.budget)
-        except (ConfigError, OSError) as error:
-            print(f"sentry: {error}", file=sys.stderr)
-            return 2
-        _emit(_render_tables(tables, args.format), args.output)
-        print(f"done in {elapsed():.0f}s", file=sys.stderr)
-        return code
     elif args.command == "parity":
-        from repro.engine.parity import DEFAULT_TOLERANCE_MS, \
-            run_parity
+        from repro.engine.parity import run_parity
         from repro.errors import ReproError
 
         print("--- parity: sim vs live engine replay ---",
@@ -485,10 +417,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         try:
             tables, code = run_parity(
                 quick=quick, seed=args.seed,
-                tolerance_ms=(args.tolerance_ms
-                              if args.tolerance_ms is not None
-                              else DEFAULT_TOLERANCE_MS),
-                pyproject=args.pyproject,
                 emit=lambda line: print(line, file=sys.stderr,
                                         flush=True))
         except (ReproError, OSError) as error:

@@ -20,10 +20,13 @@ Shutdown contract: :meth:`LiveStack.stop` (wired to SIGINT/SIGTERM by
 503 while the admin plane keeps answering), closes the listening
 sockets, drains in-flight requests, closes the idle kept-alive
 connections and pooled sockets on both sides, flushes telemetry JSONL
-exports, and the process exits 0.  The flush also runs on the **failure** path:
-``_run_stack`` stops the stack in a ``finally``, and :meth:`stop`
-itself flushes even when a drain raises, so a crash mid-serve still
-leaves spans/metrics/log exports behind.
+exports, and the process exits 0 — or 1 when the run broke a
+live-health bound (:func:`repro.telemetry.obs.live_health_violations`:
+a socket error, a loop stall, loop-lag p99 over 200 ms).  The flush
+also runs on the **failure** path: ``_run_stack`` stops the stack in
+a ``finally``, and :meth:`stop` itself flushes even when a drain
+raises, so a crash mid-serve still leaves spans/metrics/log exports
+behind.
 
 With ``metrics_port`` set, an :class:`AdminServer` rides alongside the
 cache tiers serving ``/metrics`` (Prometheus text exposition,
@@ -649,7 +652,12 @@ async def _run_stack(config: LiveStackConfig, demo_requests: int,
     engine.raise_unwaited()
     emit(f"live: drained, {stack.transport.udp_exchanges} udp / "
          f"{stack.transport.tcp_exchanges} tcp exchanges")
-    return 0
+    from repro.telemetry.obs import live_health_violations
+
+    violations = live_health_violations(stack.telemetry)
+    for line in violations:
+        emit(f"live: health bound broken: {line}")
+    return 1 if violations else 0
 
 
 def run_live(demo_requests: int = 6, serve: bool = False,
@@ -662,7 +670,8 @@ def run_live(demo_requests: int = 6, serve: bool = False,
     """Serve the live stack; the ``repro.cli live`` implementation.
 
     Runs the demo request driver, then (with ``serve=True``) stays up
-    until SIGINT/SIGTERM, drains, flushes telemetry, and returns 0.
+    until SIGINT/SIGTERM, drains, flushes telemetry, and returns 0 —
+    or 1 when the run broke a live-health bound.
     ``metrics_port`` binds the admin plane (0 = ephemeral; the bound
     port is printed as ``live: admin/http on host:port``).
     """

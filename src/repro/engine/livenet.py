@@ -25,8 +25,9 @@ whose exchange timed out is closed rather than returned, so a late
 reply can never reach a later exchange.
 
 All live-health instruments are pre-registered by
-:func:`register_live_instruments` so the ``metric:live.socket_errors``
-sentry budget resolves to an honest zero on a clean run.
+:func:`register_live_instruments` so the live-health verdict
+(:func:`repro.telemetry.obs.live_health_violations`) reads an honest
+zero socket-error count on a clean run.
 """
 
 from __future__ import annotations
@@ -67,10 +68,9 @@ _Connection = tuple[asyncio.StreamReader, asyncio.StreamWriter]
 def register_live_instruments(telemetry: Telemetry) -> None:
     """Pre-register the ``live.*`` health instruments.
 
-    Called at stack construction — before any traffic — so sentry
-    budgets (``metric:live.socket_errors/value <= 0``) and the obs
-    panel's live-health table resolve to honest zeros rather than
-    "unresolved" on runs that never erred.
+    Called at stack construction — before any traffic — so the
+    live-health verdict and the obs panel's live-health table read
+    honest zeros rather than "missing" on runs that never erred.
     """
     telemetry.counter("live.socket_errors",
                       help="socket-level failures in the live stack, "

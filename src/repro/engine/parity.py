@@ -14,15 +14,15 @@ The parity contract (docs/live.md) has two tiers:
    identical.  The components are shared, so any divergence here is an
    engine-seam bug, not jitter.
 2. **Toleranced**: latency statistics (mean/p50/p95/p99/max, in ms)
-   may differ by up to ``tolerance_ms`` per field.  Virtual time is
-   noiseless; wall time pays scheduler jitter, socket syscalls, and
-   loopback copies.  The default of 250 ms is deliberately loose — it
-   catches pathologies (a lost retry burning a 1 s UDP timeout, an
+   may differ by up to :data:`DEFAULT_TOLERANCE_MS` per field.
+   Virtual time is noiseless; wall time pays scheduler jitter, socket
+   syscalls, and loopback copies.  The 250 ms tolerance is deliberately
+   loose — it catches pathologies (a lost retry burning a 1 s UDP timeout, an
    accidental real sleep) while never flaking on a loaded CI host.
 
-Live-only sentry gates from ``[tool.repro-sentry].live-budgets``
-(e.g. zero socket errors) are evaluated against the live run's
-telemetry on top of the diff.
+On top of the diff, the live run must hold the live-health bounds of
+:func:`repro.telemetry.obs.live_health_violations` (no socket error,
+no loop stall, loop-lag p99 at most 200 ms).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ if _t.TYPE_CHECKING:
 
 __all__ = ["ParityReport", "run_parity", "parity_workload"]
 
-#: Default per-field latency-statistic tolerance (milliseconds); the
+#: Per-field latency-statistic tolerance (milliseconds); the
 #: wall-jitter contract documented in docs/live.md.
 DEFAULT_TOLERANCE_MS = 250.0
 
@@ -181,23 +181,21 @@ class ParityReport:
 
     sim: _EngineRun
     live: _EngineRun
-    tolerance_ms: float
     #: Taxonomy divergences (exact tier): human-readable lines.
     mismatches: list[str]
     #: Latency-stat divergences beyond tolerance (toleranced tier).
     stat_entries: list[str]
-    #: Live sentry-budget verdicts ([tool.repro-sentry].live-budgets).
-    budget_results: list[object]
 
     @property
     def ok(self) -> bool:
+        from repro.telemetry.obs import live_health_violations
+
         return (not self.mismatches and not self.stat_entries
-                and all(getattr(result, "ok", False)
-                        for result in self.budget_results))
+                and not live_health_violations(
+                    _t.cast("_t.Any", self.live.telemetry)))
 
     def tables(self) -> list["ExperimentTable"]:
         from repro.experiments.common import ExperimentTable
-        from repro.telemetry.sentry import budget_table
 
         sim_counts = _count_map(self.sim.report())
         live_counts = _count_map(self.live.report())
@@ -216,7 +214,7 @@ class ParityReport:
                 verdict="ok" if left == right else "MISMATCH")
         table.notes.append(
             f"latency stats compared with |delta| <= "
-            f"{self.tolerance_ms:g} ms wall-jitter tolerance "
+            f"{DEFAULT_TOLERANCE_MS:g} ms wall-jitter tolerance "
             f"(docs/live.md); sim run {self.sim.duration_s * 1e3:.1f} "
             f"virtual ms, live run {self.live.duration_s * 1e3:.1f} "
             f"wall ms")
@@ -225,9 +223,6 @@ class ParityReport:
         for line in self.stat_entries:
             table.notes.append(f"BEYOND TOLERANCE: {line}")
         tables: list[ExperimentTable] = [table]
-        budgets = budget_table(self.budget_results)
-        budgets.title = "parity: live sentry budgets"
-        tables.append(budgets)
         from repro.telemetry.obs import live_health_table
 
         health = live_health_table(
@@ -266,18 +261,12 @@ def _compare(sim: _EngineRun, live: _EngineRun,
 
 
 def run_parity(quick: bool = True, seed: int = 0,
-               tolerance_ms: float = DEFAULT_TOLERANCE_MS,
-               pyproject: str = "pyproject.toml",
                emit: _t.Callable[[str], None] = print,
                ) -> tuple[list["ExperimentTable"], int]:
     """The ``repro.cli parity`` implementation.
 
     Returns the rendered tables and the exit code (0 = parity holds).
     """
-    from repro.telemetry.obs import ObsRun
-    from repro.telemetry.sentry import evaluate_budgets, \
-        load_live_budgets
-
     rounds = 3 if quick else 6
     emit(f"parity: replaying {len(parity_workload(rounds))} requests "
          f"through the sim engine")
@@ -286,16 +275,7 @@ def run_parity(quick: bool = True, seed: int = 0,
          "(loopback sockets)")
     live = _live_run(seed, rounds)
 
-    mismatches, stat_entries = _compare(sim, live, tolerance_ms)
-    live_obs = ObsRun(
-        telemetry=_t.cast("_t.Any", live.telemetry),
-        duration_s=live.duration_s, seed=seed)
-    budget_results = evaluate_budgets(load_live_budgets(pyproject),
-                                      live_obs, live.report())
-
-    report = ParityReport(sim=sim, live=live,
-                          tolerance_ms=tolerance_ms,
-                          mismatches=mismatches,
-                          stat_entries=stat_entries,
-                          budget_results=list(budget_results))
+    mismatches, stat_entries = _compare(sim, live, DEFAULT_TOLERANCE_MS)
+    report = ParityReport(sim=sim, live=live, mismatches=mismatches,
+                          stat_entries=stat_entries)
     return report.tables(), 0 if report.ok else 1

@@ -63,9 +63,9 @@ class LoopLagWatchdog:
     it — the canonical "is something blocking the loop" signal.  Lags
     land in a histogram (``live.loop_lag_ms``); any probe later than
     ``stall_threshold_ms`` additionally bumps a stall counter
-    (``live.loop_stalls``, sentry-gated via the ``live-budgets`` in
-    pyproject.toml) and invokes ``on_stall`` so the structured log can
-    record the incident.
+    (``live.loop_stalls``, a live-health bound in
+    :func:`repro.telemetry.obs.live_health_violations`) and invokes
+    ``on_stall`` so the structured log can record the incident.
 
     The instruments are duck-typed (same pattern as
     :class:`OwnedTaskSet`): this module stays free of telemetry

@@ -16,8 +16,9 @@ taxonomy.
 
 The analysis layer turns recordings into decisions: :mod:`.analysis`
 (span trees, critical-path attribution, run diffing), :mod:`.tracefmt`
-(Perfetto-viewable Chrome traces), and :mod:`.sentry` (declarative
-latency/throughput budgets behind ``python -m repro.cli sentry``).
+(Perfetto-viewable Chrome traces), and :mod:`.obs` (the panels, plus
+the live-health verdict behind ``repro.cli live``/``parity`` exit
+codes).
 """
 
 from repro.telemetry.analysis import (

@@ -51,7 +51,7 @@ __all__ = [
     "compare_systems",
 ]
 
-#: Attribution/summary statistics exposed by reports and the sentry.
+#: Attribution/summary statistics exposed by reports.
 STATS = ("count", "mean", "p50", "p95", "p99", "max")
 
 
@@ -484,22 +484,6 @@ class AttributionReport:
                 f"in for {weighted:.0f} requests (stats weighted by "
                 f"sample.weight)")
         return table
-
-    def to_json_dict(self) -> dict[str, object]:
-        """Deterministic JSON shape for ``sentry --report``."""
-        summary = self.summary()
-        return {
-            "requests": len(self.requests),
-            "skipped": self.skipped,
-            "issues": list(self.issues),
-            "stages": {
-                source: {
-                    stage: {key: round(value, 6)
-                            for key, value in sorted(
-                                summary[source][stage].items())}
-                    for stage in sorted(summary[source])}
-                for source in sorted(summary)},
-        }
 
 
 def attribute(records: _t.Sequence[SpanRecord],

@@ -11,8 +11,10 @@ Chrome trace (:mod:`repro.telemetry.tracefmt`), and ``--profile`` adds
 the host-side events/sec view from :mod:`repro.telemetry.profiling`.
 
 :func:`instrumented_run` is the shared "one instrumented run" builder
-this panel and the regression sentry (:mod:`repro.telemetry.sentry`)
-both sit on.
+this panel and the paper-bound tests (``tests/telemetry/
+test_analysis.py``) both sit on.  :func:`live_health_violations` is
+the live engine's health verdict behind the exit codes of ``repro.cli
+live`` and ``repro.cli parity``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ObsRun", "follow_obs", "instrumented_run", "run_obs",
            "stage_table", "hit_ratio_table", "live_health_table",
+           "live_health_violations", "LIVE_HEALTH_BOUNDS",
            "fleet_tables", "fleet_table", "top_traces_table"]
 
 _MB = 1024 * 1024
@@ -124,6 +127,42 @@ def hit_ratio_table(telemetry: Telemetry) -> ExperimentTable:
     return table
 
 
+#: The live-health bounds (docs/live.md), in ``live_health_table``
+#: row names: a clean live run never hits a socket error or a loop
+#: stall, and scheduling delay stays well under the 250 ms stall
+#: threshold.
+LIVE_HEALTH_BOUNDS = (("live.socket_errors", 0.0),
+                      ("live.loop_stalls", 0.0),
+                      ("live.loop_lag_ms (p99)", 200.0))
+
+
+def _counter_total(telemetry: Telemetry, name: str) -> float | None:
+    instrument = telemetry.get(name)
+    return instrument.total() if isinstance(instrument, Counter) else None
+
+
+def _lag_p99(telemetry: Telemetry) -> float | None:
+    lag = _histogram(telemetry, "live.loop_lag_ms")
+    return lag.percentile(99.0) if lag is not None and lag.count() \
+        else None
+
+
+def live_health_violations(telemetry: Telemetry) -> list[str]:
+    """The :data:`LIVE_HEALTH_BOUNDS` a live run broke, one line each.
+
+    ``repro.cli live`` and ``repro.cli parity`` exit 1 on any.  A
+    missing instrument, or a lag histogram without a single probe, is
+    a violation rather than a pass.
+    """
+    observed = (_counter_total(telemetry, "live.socket_errors"),
+                _counter_total(telemetry, "live.loop_stalls"),
+                _lag_p99(telemetry))
+    return [f"{name} = {'(missing)' if value is None else f'{value:g}'}"
+            f" > {limit:g}"
+            for (name, limit), value in zip(LIVE_HEALTH_BOUNDS, observed)
+            if value is None or value > limit]
+
+
 def live_health_table(telemetry: Telemetry) -> ExperimentTable | None:
     """Health of a live-engine run (``live.*`` instruments).
 
@@ -132,16 +171,14 @@ def live_health_table(telemetry: Telemetry) -> ExperimentTable | None:
     a socket.  On live registries every row renders unconditionally
     (:mod:`repro.engine.livenet` pre-registers the instruments at stack
     construction), so a clean run — and the very first ``/metrics``
-    scrape — shows honest zeros instead of omitting rows.
+    scrape — shows honest zeros instead of omitting rows.  A note
+    names every broken :data:`LIVE_HEALTH_BOUNDS` entry.
     """
-    errors = telemetry.get("live.socket_errors")
-    if not isinstance(errors, Counter):
+    if _counter_total(telemetry, "live.socket_errors") is None:
         return None
 
     def counter_total(name: str) -> int:
-        instrument = telemetry.get(name)
-        return (int(instrument.total())
-                if isinstance(instrument, Counter) else 0)
+        return int(_counter_total(telemetry, name) or 0)
 
     def gauge_now(name: str) -> int:
         instrument = telemetry.get(name)
@@ -154,7 +191,7 @@ def live_health_table(telemetry: Telemetry) -> ExperimentTable | None:
         title="obs: live socket health",
         columns=["instrument", "value"])
     table.add_row(instrument="live.socket_errors",
-                  value=int(errors.total()))
+                  value=counter_total("live.socket_errors"))
     table.add_row(instrument="live.request_timeouts",
                   value=counter_total("live.request_timeouts"))
     table.add_row(instrument="live.in_flight (now)",
@@ -163,15 +200,15 @@ def live_health_table(telemetry: Telemetry) -> ExperimentTable | None:
                   value=gauge_now("live.tasks_active"))
     table.add_row(instrument="live.loop_stalls",
                   value=counter_total("live.loop_stalls"))
-    lag = _histogram(telemetry, "live.loop_lag_ms")
-    lag_p99 = lag.percentile(99.0) if lag is not None and lag.count() \
-        else 0.0
     table.add_row(instrument="live.loop_lag_ms (p99)",
-                  value=round(lag_p99, 3))
+                  value=round(_lag_p99(telemetry) or 0.0, 3))
     table.notes.append(
-        "live-engine health; a drained stack ends with in_flight 0 "
-        "and the live-budgets gate requires socket_errors 0 and "
-        "loop_stalls 0 (docs/live.md)")
+        "live-engine health; a drained stack ends with in_flight 0; "
+        "bounds: " + ", ".join(f"{name} <= {limit:g}"
+                               for name, limit in LIVE_HEALTH_BOUNDS)
+        + " (docs/live.md)")
+    for line in live_health_violations(telemetry):
+        table.notes.append(f"VIOLATION: {line}")
     return table
 
 
@@ -254,7 +291,7 @@ def instrumented_run(quick: bool = True, seed: int = 0,
                      backend: str = "exact",
                      tail_threshold_ms: float | None = None,
                      tail_sample_every: int = 0) -> ObsRun:
-    """Run the paper's workload with telemetry on; the obs/sentry core.
+    """Run the paper's workload with telemetry on; the obs core.
 
     ``backend`` selects histogram storage (``exact``/``sketch``);
     ``tail_threshold_ms``/``tail_sample_every`` attach a tail-based

@@ -257,7 +257,7 @@ def test_run_live_inject_stall_feeds_the_budget_metrics(tmp_path):
     code = run_live(demo_requests=0, metrics_path=str(metrics),
                     watchdog_interval_s=0.05, inject_stall_ms=300.0,
                     emit=lines.append)
-    assert code == 0
+    assert code == 1  # the stall broke a live-health bound
     records = [json.loads(line)
                for line in metrics.read_text().splitlines()]
     stall_counters = [record for record in records
@@ -267,6 +267,8 @@ def test_run_live_inject_stall_feeds_the_budget_metrics(tmp_path):
            if record["name"] == "live.loop_lag_ms"]
     assert lag and lag[0]["summary"]["max"] >= 250.0
     assert any("injected a 300 ms loop stall" in line
+               for line in lines)
+    assert any("health bound broken: live.loop_stalls" in line
                for line in lines)
 
 

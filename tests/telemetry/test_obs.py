@@ -134,3 +134,24 @@ def test_live_health_table_surfaces_task_gauge():
     assert rows["live.tasks_active (now)"] == 3
     assert rows["live.socket_errors"] == 0
     assert rows["live.in_flight (now)"] == 0
+
+
+def test_live_health_violations_count_missing_instruments_as_broken():
+    from repro.engine.livenet import register_live_instruments
+    from repro.telemetry.obs import live_health_violations
+
+    telemetry = Telemetry()
+    assert live_health_violations(telemetry) == [
+        "live.socket_errors = (missing) > 0",
+        "live.loop_stalls = (missing) > 0",
+        "live.loop_lag_ms (p99) = (missing) > 200",
+    ]
+    register_live_instruments(telemetry)
+    # Registered but never probed: the lag bound still has no reading.
+    assert live_health_violations(telemetry) == [
+        "live.loop_lag_ms (p99) = (missing) > 200"]
+    telemetry.histogram("live.loop_lag_ms").observe(200.0)
+    assert live_health_violations(telemetry) == []
+    telemetry.histogram("live.loop_lag_ms").observe(400.0)
+    assert live_health_violations(telemetry) == [
+        "live.loop_lag_ms (p99) = 398 > 200"]

@@ -1,7 +1,6 @@
 """CLI tests: parsing, listing, formats, and one cheap end-to-end run."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -98,7 +97,7 @@ def test_full_mode_reaches_the_experiment_as_quick_false(
 
 
 # ----------------------------------------------------------------------
-# obs / sentry / diff parsing and cheap end-to-end paths
+# obs / diff parsing and cheap end-to-end paths
 # ----------------------------------------------------------------------
 def test_obs_export_flags_parse():
     parser = build_parser()
@@ -110,16 +109,6 @@ def test_obs_export_flags_parse():
     assert args.export_trace == "t.json"
     assert args.profile
     assert parser.parse_args(["obs", "--spans", "x"]).spans == "x"
-
-
-def test_sentry_flags_parse():
-    parser = build_parser()
-    args = parser.parse_args(
-        ["sentry", "--budget", "issues <= 0", "--budget",
-         "stage:*/total/p95 <= 50", "--report", "r.json", "--seed", "3"])
-    assert args.budget == ["issues <= 0", "stage:*/total/p95 <= 50"]
-    assert args.report == "r.json"
-    assert args.seed == 3
 
 
 def test_diff_flags_parse():
@@ -134,22 +123,6 @@ def test_diff_flags_parse():
     assert fleet.runs == []
 
 
-def test_sentry_rejects_a_malformed_budget(capsys, tmp_path):
-    code = main(["sentry", "--budget", "nonsense",
-                 "--report", str(tmp_path / "r.json")])
-    assert code == 2
-    assert "sentry:" in capsys.readouterr().err
-
-
-def test_sentry_writes_nothing_unless_asked(tmp_path, monkeypatch,
-                                            capsys):
-    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    monkeypatch.chdir(tmp_path)
-    assert main(["sentry", "--pyproject", str(pyproject)]) == 0
-    assert list(tmp_path.iterdir()) == []
-    assert "report written" not in capsys.readouterr().out
-
-
 def test_diff_rejects_a_single_run(capsys):
     assert main(["diff", "only-one"]) == 2
     assert "diff:" in capsys.readouterr().err
@@ -161,6 +134,19 @@ def test_sweep_rejects_the_removed_memo_flags(flag, capsys):
         main(["sweep", flag])
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sentry"],
+    ["parity", "--pyproject", "pyproject.toml"],
+    ["parity", "--quick"],
+    ["parity", "--tolerance-ms", "100"],
+], ids=["sentry", "parity-pyproject", "parity-quick", "parity-tolerance-ms"])
+def test_removed_sentry_and_parity_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert argv[-1] in capsys.readouterr().err
 
 
 def test_sweep_rejects_the_removed_demo_runner(capsys):
@@ -187,8 +173,9 @@ def test_diff_same_exported_run_is_byte_empty(tmp_path, capsys):
 def test_list_mentions_the_observability_commands(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in ("obs", "sentry", "diff", "sweep"):
+    for name in ("obs", "diff", "sweep", "live", "parity"):
         assert name in out
+    assert "sentry" not in out
 
 
 # ----------------------------------------------------------------------
