@@ -1,9 +1,10 @@
-"""The engine seam: one clock/scheduler interface, two engines.
+"""The engine seam: one :class:`~repro.engine.api.Scheduler` base, two engines.
 
 Everything above the kernel — the network model, DNS and HTTP stacks,
-the AP/client runtimes, PACM — is written against the small
-:class:`~repro.engine.api.Scheduler` protocol defined here, never
-against a concrete engine.  Two implementations exist:
+the AP/client runtimes, PACM — is written against the base in
+:mod:`repro.engine.api` and reads only ``now``, ``event``, ``timeout``,
+``process`` and ``all_of`` off it, never a concrete engine.  Two
+subclasses exist:
 
 * :class:`repro.sim.kernel.Simulator` — virtual time, an event heap,
   fully deterministic; every experiment and test runs here.
@@ -13,46 +14,6 @@ against a concrete engine.  Two implementations exist:
 
 The event primitives (:mod:`repro.engine.events`) and resource models
 (:mod:`repro.engine.resources`) are engine-agnostic and shared by both.
+This package imports nothing itself, so the simulator never loads
+asyncio: import the submodule you need.
 """
-
-from repro.engine.api import (
-    HOUR,
-    MINUTE,
-    MS,
-    SECOND,
-    Clock,
-    Engine,
-    Scheduler,
-    build_engine,
-)
-from repro.engine.events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    Event,
-    Process,
-    Timeout,
-)
-from repro.engine.resources import Resource, ServiceQueue, Store
-from repro.engine.wallclock import WallClock
-
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Clock",
-    "Condition",
-    "Engine",
-    "Event",
-    "HOUR",
-    "MINUTE",
-    "MS",
-    "Process",
-    "Resource",
-    "SECOND",
-    "Scheduler",
-    "ServiceQueue",
-    "Store",
-    "Timeout",
-    "WallClock",
-    "build_engine",
-]

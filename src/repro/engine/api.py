@@ -1,65 +1,38 @@
-"""The clock/scheduler protocol both engines implement.
+"""The engine seam: the :class:`Scheduler` base both engines subclass.
 
 All simulated (or served) time in this library is expressed in
 **seconds** as floats; the helper constants :data:`MS` and
 :data:`MINUTE` keep call sites readable.  Components take a
-:class:`Scheduler` (the clock plus event factories) and never import a
-concrete engine — :func:`build_engine` is the one place an engine kind
-is turned into an instance.
+:class:`Scheduler` and read only ``now`` and the four event factories
+below — never a concrete engine.  A subclass supplies ``now``,
+``spends_modelled_time`` and ``_schedule``:
+
+* :class:`repro.sim.kernel.Simulator` — virtual time over an event heap;
+* :class:`repro.engine.wallclock.WallClock` — real time on an asyncio
+  loop.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from repro.errors import ConfigError
+from repro.engine.events import AllOf, Event, Process, Timeout
 
-if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.engine.events import AllOf, AnyOf, Event, Process, Timeout
-
-__all__ = [
-    "MS", "SECOND", "MINUTE", "HOUR",
-    "URGENT", "NORMAL",
-    "Clock", "Scheduler", "Engine",
-    "ENGINE_KINDS", "build_engine",
-]
+__all__ = ["MS", "SECOND", "MINUTE", "HOUR", "Scheduler"]
 
 MS: float = 1e-3
 SECOND: float = 1.0
 MINUTE: float = 60.0
 HOUR: float = 3600.0
 
-#: Scheduling priorities: urgent events (interrupts, run-until stops)
-#: preempt normal ones that fire at the same instant.
-URGENT: int = 0
-NORMAL: int = 1
 
+class Scheduler:
+    """A clock plus event scheduling — everything a component may use.
 
-@_t.runtime_checkable
-class Clock(_t.Protocol):
-    """Anything that can tell the current time in seconds."""
-
-    @property
-    def now(self) -> float:
-        """Current time in seconds (virtual or wall, engine-dependent)."""
-        ...
-
-
-@_t.runtime_checkable
-class Scheduler(Clock, _t.Protocol):
-    """The engine seam: a clock plus event scheduling.
-
-    :class:`repro.sim.kernel.Simulator` implements this over a virtual
-    clock and an event heap; :class:`repro.engine.wallclock.WallClock`
-    implements it over an asyncio loop and the host's monotonic clock.
-    The event primitives in :mod:`repro.engine.events` only ever touch
-    this surface (plus the ``_active_process`` bookkeeping attribute),
-    which is what makes every component engine-agnostic.
+    The event primitives in :mod:`repro.engine.events` only ever call
+    ``_schedule`` on it, which is what makes every component
+    engine-agnostic.
     """
-
-    #: Events executed so far — the denominator for the telemetry
-    #: layer's host-profiling hook (events/sec, wall-ms per sim-s).
-    events_processed: int
 
     #: Whether a *modelled* cost (a router's CPU service time) is spent
     #: on this engine's clock.  True under virtual time, where nothing
@@ -68,58 +41,33 @@ class Scheduler(Clock, _t.Protocol):
     #: accounted (:meth:`repro.engine.resources.ServiceQueue.use`).
     spends_modelled_time: bool
 
+    def __init__(self) -> None:
+        #: Events executed so far — the denominator for the telemetry
+        #: layer's host-profiling hook (events/sec, wall-ms per sim-s).
+        self.events_processed = 0
+
     @property
-    def active_process(self) -> "Process | None":
-        """The process currently being resumed, if any."""
-        ...
+    def now(self) -> float:
+        """Current time in seconds (virtual or wall, engine-dependent)."""
+        raise NotImplementedError
 
-    def event(self) -> "Event":
+    def event(self) -> Event:
         """Create a plain, untriggered event."""
-        ...
+        return Event(self)
 
-    def timeout(self, delay: float, value: object = None) -> "Timeout":
+    def timeout(self, delay: float, value: object = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
-        ...
+        return Timeout(self, delay, value)
 
-    def process(self, generator: _t.Generator["Event", object, object],
-                ) -> "Process":
+    def process(self, generator: _t.Generator[Event, object, object],
+                ) -> Process:
         """Register a generator as a process and start it."""
-        ...
+        return Process(self, generator)
 
-    def all_of(self, events: _t.Sequence["Event"]) -> "AllOf":
+    def all_of(self, events: _t.Sequence[Event]) -> AllOf:
         """An event triggering once all ``events`` have succeeded."""
-        ...
+        return AllOf(self, events)
 
-    def any_of(self, events: _t.Sequence["Event"]) -> "AnyOf":
-        """An event triggering once any one of ``events`` has succeeded."""
-        ...
-
-    def _schedule(self, event: "Event", delay: float = 0.0,
-                  priority: int = NORMAL) -> None:
-        """Schedule ``event`` to be processed ``delay`` seconds from now."""
-        ...
-
-
-#: Components annotate the seam as ``Scheduler``; ``Engine`` is the
-#: reading-aloud alias for call sites that hold a whole engine.
-Engine = Scheduler
-
-ENGINE_KINDS: tuple[str, ...] = ("sim", "wall")
-
-
-def build_engine(kind: str = "sim") -> Scheduler:
-    """Instantiate an engine by kind: ``"sim"`` or ``"wall"``.
-
-    The concrete engine modules are imported lazily so that importing
-    the seam never drags in the event heap or asyncio.
-    """
-    if kind == "sim":
-        from repro.sim.kernel import Simulator
-
-        return Simulator()
-    if kind in ("wall", "wallclock"):
-        from repro.engine.wallclock import WallClock
-
-        return WallClock()
-    raise ConfigError(
-        f"unknown engine kind {kind!r}; expected one of {ENGINE_KINDS}")
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+        """Process ``event`` ``delay`` seconds from now."""
+        raise NotImplementedError

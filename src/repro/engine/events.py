@@ -10,29 +10,23 @@ moves through three states:
 * *processed* — callbacks have run, ``value`` (or an exception) is final.
 
 Only an engine schedules events; user code creates them through the
-factory methods of a :class:`~repro.engine.api.Scheduler` — the
-virtual-time :class:`repro.sim.Simulator` or the real-time
-:class:`repro.engine.WallClock`.  Nothing here reads a clock or touches
-an event heap, which is what lets the same primitives drive both.
+factory methods of the :class:`~repro.engine.api.Scheduler` base — the
+virtual-time :class:`repro.sim.kernel.Simulator` or the real-time
+:class:`repro.engine.wallclock.WallClock`.  Nothing here reads a clock
+or touches an event heap (an event only calls its engine's
+``_schedule``), which is what lets the same primitives drive both.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from repro.errors import ProcessInterrupt, SimulationError
+from repro.errors import SimulationError
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.engine.api import Scheduler
 
-__all__ = [
-    "Event",
-    "Timeout",
-    "Process",
-    "Condition",
-    "AllOf",
-    "AnyOf",
-]
+__all__ = ["Event", "Timeout", "Process", "AllOf"]
 
 _PENDING = object()
 
@@ -129,7 +123,6 @@ class Process(Event):
                 f"{generator!r} is not a generator; did you forget a yield?")
         super().__init__(sim)
         self._generator = generator
-        self._target: Event | None = None
         # Kick the process off via an immediately-scheduled init event.
         init = Event(sim)
         init.callbacks.append(self._resume)
@@ -141,83 +134,55 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return self._value is _PENDING
 
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`ProcessInterrupt` into the process.
-
-        The process may catch the interrupt and continue; the event it was
-        waiting on is detached so a later trigger does not resume it twice.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has already terminated")
-        if self._target is self:
-            raise SimulationError("a process cannot interrupt itself")
-        interrupt_event = Event(self.sim)
-        interrupt_event._ok = False
-        interrupt_event._value = ProcessInterrupt(cause)
-        interrupt_event.callbacks.append(self._resume)
-        self.sim._schedule(interrupt_event, priority=0)
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with the triggering event's outcome."""
-        self.sim._active_process = self
-        try:
-            while True:
-                try:
-                    if event._ok:
-                        target = self._generator.send(event._value)
-                    else:
-                        target = self._generator.throw(
-                            _t.cast(BaseException, event._value))
-                except StopIteration as stop:
-                    self._value = stop.value
-                    self.sim._schedule(self)
-                    break
-                except BaseException as exc:
-                    self._ok = False
-                    self._value = exc
-                    self.sim._schedule(self)
-                    break
-                if not isinstance(target, Event):
-                    exc = SimulationError(
-                        f"process yielded {target!r}, expected an Event")
-                    event = Event(self.sim)
-                    event._ok = False
-                    event._value = exc
-                    continue
-                if target.sim is not self.sim:
-                    exc = SimulationError(
-                        "yielded an event belonging to another simulator")
-                    event = Event(self.sim)
-                    event._ok = False
-                    event._value = exc
-                    continue
-                if target.callbacks is not None:
-                    # Event still outstanding: park until it triggers.
-                    target.callbacks.append(self._resume)
-                    self._target = target
-                    break
-                # Already processed: feed its outcome straight back in.
-                event = target
-        finally:
-            self.sim._active_process = None
+        while True:
+            try:
+                if event._ok:
+                    target = self._generator.send(event._value)
+                else:
+                    target = self._generator.throw(
+                        _t.cast(BaseException, event._value))
+            except StopIteration as stop:
+                self._value = stop.value
+                self.sim._schedule(self)
+                break
+            except BaseException as exc:
+                self._ok = False
+                self._value = exc
+                self.sim._schedule(self)
+                break
+            if not isinstance(target, Event):
+                exc = SimulationError(
+                    f"process yielded {target!r}, expected an Event")
+                event = Event(self.sim)
+                event._ok = False
+                event._value = exc
+                continue
+            if target.sim is not self.sim:
+                exc = SimulationError(
+                    "yielded an event belonging to another simulator")
+                event = Event(self.sim)
+                event._ok = False
+                event._value = exc
+                continue
+            if target.callbacks is not None:
+                # Event still outstanding: park until it triggers.
+                target.callbacks.append(self._resume)
+                break
+            # Already processed: feed its outcome straight back in.
+            event = target
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", "process")
         return f"<Process {name} alive={self.is_alive}>"
 
 
-class Condition(Event):
-    """Triggers based on the outcome of a set of component events.
+class AllOf(Event):
+    """Triggers when every component event has triggered successfully.
 
-    Subclasses define :meth:`_satisfied`.  The condition's value is a dict
-    mapping each *triggered* component event to its value, which lets
-    callers retrieve partial results from :class:`AnyOf`.
+    Its value is a dict mapping each component event to its value; the
+    first component to fail fails it with the same exception.
     """
 
     def __init__(self, sim: "Scheduler",
@@ -242,9 +207,6 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._observe)
 
-    def _satisfied(self, done: int, total: int) -> bool:
-        raise NotImplementedError
-
     def _observe(self, event: Event) -> None:
         if self.triggered:
             return
@@ -252,20 +214,5 @@ class Condition(Event):
             self.fail(_t.cast(BaseException, event._value))
             return
         self._done += 1
-        if self._satisfied(self._done, len(self._events)):
-            self.succeed({ev: ev._value for ev in self._events
-                          if ev.processed and ev._ok})
-
-
-class AllOf(Condition):
-    """Triggers when every component event has triggered successfully."""
-
-    def _satisfied(self, done: int, total: int) -> bool:
-        return done == total
-
-
-class AnyOf(Condition):
-    """Triggers when at least one component event triggers successfully."""
-
-    def _satisfied(self, done: int, total: int) -> bool:
-        return done >= 1
+        if self._done == len(self._events):
+            self.succeed({ev: ev._value for ev in self._events})

@@ -79,9 +79,6 @@ from repro.telemetry.spans import Span
 
 __all__ = ["AdminServer", "LiveStackConfig", "LiveStack", "run_live"]
 
-#: Lifecycle states a :class:`LiveStack` moves through, in order.
-LIFECYCLE_STATES = ("starting", "serving", "draining", "stopped")
-
 #: Default trace count ``/debug/traces`` returns.
 DEFAULT_TRACE_LIMIT = 10
 
@@ -103,8 +100,6 @@ class LiveStackConfig:
 
     #: Loopback host every tier binds.
     host: str = LIVE_HOST
-    #: Seconds to wait for in-flight requests during shutdown.
-    drain_timeout_s: float = 5.0
     #: Seconds to stay in the *draining* state (admin plane answering
     #: 503 on ``/healthz``) before the tier sockets close — gives load
     #: balancers/probes an observable drain window.
@@ -120,8 +115,6 @@ class LiveStackConfig:
     metrics_port: int | None = None
     #: Event-loop lag watchdog probe period (seconds).
     watchdog_interval_s: float = 0.25
-    #: Probe delay past which a probe counts as a loop stall (ms).
-    watchdog_stall_threshold_ms: float = 250.0
 
 
 class LiveStack:
@@ -188,10 +181,9 @@ class LiveStack:
         ]
         self._domains: set[str] = set()
         self._clients = 0
-        #: Serializes start/stop; both write the lifecycle flag and an
+        #: Serializes start/stop; both write the lifecycle state and an
         #: interleaved stop could observe a half-started stack.
         self._lifecycle_lock = asyncio.Lock()
-        self._started = False
         self._state = "starting"
         #: Trace-correlated JSONL event log, clocked off the engine so
         #: its records line up with span timestamps.
@@ -204,7 +196,6 @@ class LiveStack:
             self.telemetry.histogram("live.loop_lag_ms"),
             self.telemetry.counter("live.loop_stalls"),
             interval_s=cfg.watchdog_interval_s,
-            stall_threshold_ms=cfg.watchdog_stall_threshold_ms,
             on_stall=self._record_stall)
         self.admin = AdminServer(self)
 
@@ -223,7 +214,7 @@ class LiveStack:
     def _record_stall(self, lag_ms: float) -> None:
         self.log.log("loop_stall", level="warning",
                      lag_ms=round(lag_ms, 3),
-                     threshold_ms=self.config.watchdog_stall_threshold_ms)
+                     threshold_ms=self.watchdog.stall_threshold_ms)
 
     async def start(self) -> dict[str, tuple[str, int]]:
         """Bind every tier; returns ``role -> (host, port)``.
@@ -261,7 +252,6 @@ class LiveStack:
                 for server in reversed(started):
                     await server.stop(0.0)
                 raise
-            self._started = True
             self.endpoints = dict(endpoints)
             self.watchdog.start()
             self._set_state("serving")
@@ -285,13 +275,12 @@ class LiveStack:
                 if self.config.drain_grace_s > 0.0:
                     await asyncio.sleep(self.config.drain_grace_s)
                 for server in self._servers:
-                    await server.stop(self.config.drain_timeout_s)
+                    await server.stop()
             finally:
                 # The servers closed their side of every kept-alive
                 # connection; the transport closes the client side.
                 await self.transport.close()
                 await self.admin.stop()
-                self._started = False
                 self._set_state("stopped")
                 self._flush_telemetry()
 

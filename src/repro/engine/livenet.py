@@ -389,10 +389,8 @@ class LiveUdpServer(_ServerBase):
     role = "udp"
 
     def __init__(self, engine: WallClock, node: Node,
-                 port_label: int = UDP_DNS_PORT,
                  telemetry: Telemetry = NULL) -> None:
         super().__init__(engine, node, telemetry)
-        self.port_label = port_label
         self._transport: asyncio.DatagramTransport | None = None
 
     async def start(self, host: str = LIVE_HOST,
@@ -415,7 +413,7 @@ class LiveUdpServer(_ServerBase):
 
     def _dispatch(self, data: bytes, addr: Endpoint) -> None:
         source = IPv4Address(addr[0])
-        handler = self.node.handle_udp(self.port_label, data, source)
+        handler = self.node.handle_udp(UDP_DNS_PORT, data, source)
         self._enter()
         process = self.engine.process(self._respond(handler, addr))
         _t.cast("list[_t.Any]", process.callbacks).append(self._finished)
@@ -467,10 +465,8 @@ class LiveHttpServer(_ServerBase):
     role = "http"
 
     def __init__(self, engine: WallClock, node: Node,
-                 port_label: int = TCP_HTTP_PORT,
                  telemetry: Telemetry = NULL) -> None:
         super().__init__(engine, node, telemetry)
-        self.port_label = port_label
         self._server: asyncio.AbstractServer | None = None
         #: Every open connection's serving task and writer, so that
         #: :meth:`stop` can close the idle ones and wait them out.
@@ -550,7 +546,7 @@ class LiveHttpServer(_ServerBase):
         except HttpError:
             return self._refusal(400), False
         try:
-            handler = self.node.handle_tcp(self.port_label, request, source)
+            handler = self.node.handle_tcp(TCP_HTTP_PORT, request, source)
             response = await self.engine.wait(
                 self.engine.process(_t.cast("_t.Any", handler)))
             return encode_response(_t.cast("_t.Any", response)), True

@@ -22,7 +22,7 @@ from repro.errors import SimulationError
 from repro.engine.api import Scheduler
 from repro.engine.events import Event
 
-__all__ = ["Resource", "ServiceQueue", "Store"]
+__all__ = ["Resource", "ServiceQueue"]
 
 
 class Resource:
@@ -136,35 +136,3 @@ class ServiceQueue:
         if elapsed <= 0:
             return 0.0
         return min(1.0, self.busy_time / (elapsed * self._resource.capacity))
-
-
-class Store:
-    """An unbounded FIFO buffer of items with blocking ``get``.
-
-    Used for mailbox-style communication between processes (e.g. a
-    server's inbound request queue).
-    """
-
-    def __init__(self, sim: Scheduler) -> None:
-        self.sim = sim
-        self._items: deque[object] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: object) -> None:
-        """Deposit ``item``, waking the oldest waiting getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that triggers with the next available item."""
-        event = self.sim.event()
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event

@@ -1,6 +1,6 @@
-"""The real-time engine: the Scheduler protocol on an asyncio loop.
+"""The real-time engine: the :class:`Scheduler` base on an asyncio loop.
 
-:class:`WallClock` implements the same seam as
+:class:`WallClock` subclasses the same base as
 :class:`repro.sim.kernel.Simulator`, but ``now`` is the host's monotonic
 clock (seconds since the engine was created) and ``_schedule`` maps onto
 ``loop.call_soon`` / ``loop.call_later``.  The event primitives in
@@ -20,9 +20,9 @@ Two bridges connect the generator world to asyncio:
 
 Scheduling-order contract (documented divergence from the simulator):
 the simulator breaks same-instant ties by priority then insertion
-order; asyncio's callback queue is FIFO only, so *urgent* events
-(process interrupts) do not preempt normal events scheduled for the
-same instant.  Nothing in the served stack relies on that preemption.
+order, so its ``run(until=horizon)`` stop preempts the events due at
+the horizon; asyncio's callback queue is FIFO only and has no such
+lane.  Nothing in the served stack relies on the preemption.
 
 This is the **only** module in the library blessed to read the host
 clock for simulated-looking time (``[tool.repro-lint]
@@ -37,8 +37,8 @@ import typing as _t
 from time import monotonic
 
 from repro.errors import SimulationError
-from repro.engine.api import NORMAL
-from repro.engine.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.engine.api import Scheduler
+from repro.engine.events import Event
 
 __all__ = ["LoopLagWatchdog", "OwnedTaskSet", "WallClock"]
 
@@ -179,7 +179,7 @@ class OwnedTaskSet:
         return task in self._tasks
 
 
-class WallClock:
+class WallClock(Scheduler):
     """Drives the engine seam with real time on an asyncio event loop.
 
     Must be created while an asyncio loop is running (or be handed one
@@ -200,11 +200,9 @@ class WallClock:
                 raise SimulationError(
                     "WallClock needs a running asyncio event loop; create "
                     "it inside asyncio.run(...) or pass loop= explicitly")
+        super().__init__()
         self._loop = loop
         self._epoch = monotonic()
-        self._active_process: Process | None = None
-        #: Events executed so far (same contract as Simulator).
-        self.events_processed = 0
         #: Exceptions from failed events nobody waited for.  The
         #: simulator raises these out of ``run``; an asyncio callback
         #: has no caller to raise into, so they are collected here and
@@ -224,44 +222,14 @@ class WallClock:
         return monotonic() - self._epoch
 
     @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
-    @property
     def loop(self) -> asyncio.AbstractEventLoop:
         """The asyncio loop this engine schedules on."""
         return self._loop
 
     # ------------------------------------------------------------------
-    # Event factories (same surface as Simulator)
-    # ------------------------------------------------------------------
-    def event(self) -> Event:
-        """Create a plain, untriggered event."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: object = None) -> Timeout:
-        """Create an event that fires ``delay`` wall seconds from now."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator: _t.Generator[Event, object, object],
-                ) -> Process:
-        """Register a generator as a process and start it."""
-        return Process(self, generator)
-
-    def all_of(self, events: _t.Sequence[Event]) -> AllOf:
-        """An event triggering once all ``events`` have succeeded."""
-        return AllOf(self, events)
-
-    def any_of(self, events: _t.Sequence[Event]) -> AnyOf:
-        """An event triggering once any one of ``events`` has succeeded."""
-        return AnyOf(self, events)
-
-    # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0,
-                  priority: int = NORMAL) -> None:
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay <= 0.0:
             self._loop.call_soon(self._dispatch, event)
         else:
@@ -290,7 +258,8 @@ class WallClock:
     # ------------------------------------------------------------------
     # asyncio bridges
     # ------------------------------------------------------------------
-    def from_awaitable(self, awaitable: _t.Awaitable[object]) -> Event:
+    def from_awaitable(self, awaitable:
+                       _t.Coroutine[object, object, object]) -> Event:
         """Wrap a coroutine as an event a process can ``yield``.
 
         The coroutine runs as an asyncio task; its result succeeds the
@@ -301,8 +270,7 @@ class WallClock:
         # The loop holds only weak references to tasks; the owned set
         # anchors this one until it completes or the GC may destroy it
         # mid-flight.
-        task = self.tasks.hold(
-            self._loop.create_task(_ensure_coroutine(awaitable)))
+        task = self.tasks.hold(self._loop.create_task(awaitable))
 
         def _finish(done: "asyncio.Task[object]") -> None:
             if done.cancelled():
@@ -342,27 +310,6 @@ class WallClock:
             event.callbacks.append(_done)
         return await future
 
-    async def run(self, until: Event | float | None = None) -> object:
-        """Async analogue of ``Simulator.run``.
-
-        ``until`` may be an event (await it, return its value) or a
-        time in engine seconds (sleep until then).  Unlike the
-        simulator there is no "run until quiescent" mode — real time
-        does not drain.
-        """
-        if isinstance(until, Event):
-            return await self.wait(until)
-        if until is not None:
-            horizon = float(until)
-            if horizon < self.now:
-                raise SimulationError(
-                    f"until={horizon!r} lies in the past (now={self.now!r})")
-            await asyncio.sleep(horizon - self.now)
-            return None
-        raise SimulationError(
-            "WallClock.run needs an event or a horizon; wall time has "
-            "no quiescence to run until")
-
     async def run_process(self, generator:
                           _t.Generator[Event, object, object]) -> object:
         """Convenience: start ``generator`` and await its completion."""
@@ -370,15 +317,3 @@ class WallClock:
 
     def __repr__(self) -> str:
         return f"<WallClock t={self.now:.6f}s>"
-
-
-def _ensure_coroutine(awaitable: _t.Awaitable[object],
-                      ) -> _t.Coroutine[object, object, object]:
-    """Adapt any awaitable to what ``loop.create_task`` accepts."""
-    if asyncio.iscoroutine(awaitable):
-        return awaitable
-
-    async def _shim() -> object:
-        return await awaitable
-
-    return _shim()

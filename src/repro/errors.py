@@ -16,18 +16,6 @@ class SimulationError(ReproError):
     """The discrete-event kernel was used incorrectly."""
 
 
-class ProcessInterrupt(SimulationError):
-    """A simulated process was interrupted by another process.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.engine.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(f"process interrupted: {cause!r}")
-        self.cause = cause
-
-
 class NetworkError(ReproError):
     """Base class for network substrate failures."""
 

@@ -18,19 +18,20 @@ from repro.lint.asthelpers import ImportMap, iter_own_body
 from repro.lint.findings import Finding
 from repro.lint.registry import Checker, ModuleUnderLint, register
 
-__all__ = ["BLOCKING_BUILTINS", "BLOCKING_CALLS", "BlockingCallInProcess",
+__all__ = ["BLOCKING_BUILTINS", "BLOCKING_CALLS", "EVENT_CLASSES",
+           "EVENT_FACTORIES", "SIM_NAMES", "BlockingCallInProcess",
            "SimTimeEquality", "blocking_kind"]
 
-#: Method names of the kernel's event factories — a generator yielding a
+#: The engine vocabulary, shared with the whole-program pass.  Method
+#: names of the ``Scheduler`` event factories — a generator yielding a
 #: call to one of these is a simulation process.
-_EVENT_FACTORIES = {"timeout", "event", "process", "all_of", "any_of"}
+EVENT_FACTORIES = {"timeout", "event", "process", "all_of"}
 
-#: Event classes yielded directly.
-_EVENT_CLASSES = {"Event", "Timeout", "Process", "AllOf", "AnyOf",
-                  "Condition"}
+#: Event classes yielded or instantiated directly.
+EVENT_CLASSES = {"Event", "Timeout", "Process", "AllOf"}
 
-#: Names that indicate the function holds a simulator handle.
-_SIM_NAMES = {"sim", "_sim", "env", "_env"}
+#: Parameter/attribute names that indicate a simulator handle.
+SIM_NAMES = {"sim", "_sim", "env", "_env"}
 
 #: Call targets that block the hosting thread, shared by SIM001 and the
 #: whole-program ASYNC101: canonical paths, or families when ending
@@ -78,10 +79,10 @@ def _is_process_generator(func: ast.FunctionDef | ast.AsyncFunctionDef,
             if isinstance(value, ast.Call):
                 target = value.func
                 if isinstance(target, ast.Attribute) \
-                        and target.attr in _EVENT_FACTORIES:
+                        and target.attr in EVENT_FACTORIES:
                     yields_event = True
                 elif isinstance(target, ast.Name) \
-                        and target.id in _EVENT_CLASSES:
+                        and target.id in EVENT_CLASSES:
                     yields_event = True
     if not has_yield:
         return False
@@ -90,12 +91,12 @@ def _is_process_generator(func: ast.FunctionDef | ast.AsyncFunctionDef,
     parameters = {arg.arg for arg in (*func.args.args,
                                       *func.args.posonlyargs,
                                       *func.args.kwonlyargs)}
-    if parameters & _SIM_NAMES:
+    if parameters & SIM_NAMES:
         return True
     for node in iter_own_body(func):
-        if isinstance(node, ast.Attribute) and node.attr in _SIM_NAMES:
+        if isinstance(node, ast.Attribute) and node.attr in SIM_NAMES:
             return True
-        if isinstance(node, ast.Name) and node.id in _SIM_NAMES:
+        if isinstance(node, ast.Name) and node.id in SIM_NAMES:
             return True
     return False
 

@@ -24,7 +24,9 @@ import typing as _t
 
 from repro.lint.asthelpers import ImportMap
 from repro.lint.checkers.determinism import WALLCLOCK_CALLS
-from repro.lint.checkers.simsafety import BLOCKING_BUILTINS, blocking_kind
+from repro.lint.checkers.simsafety import (BLOCKING_BUILTINS,
+                                           EVENT_CLASSES, EVENT_FACTORIES,
+                                           SIM_NAMES, blocking_kind)
 from repro.lint.program.model import (MODULE_BODY, AllocRec, BlockRec,
                                       CallRec, Dest, Flow,
                                       FunctionSummary, LoadRec, LockRec,
@@ -34,19 +36,8 @@ from repro.lint.program.model import (MODULE_BODY, AllocRec, BlockRec,
 
 __all__ = ["extract_module", "module_name_for"]
 
-#: Parameter/attribute names that indicate a simulator handle.
-_SIM_NAMES = {"sim", "_sim", "env", "_env"}
-
-#: Kernel event-factory method names (a generator yielding one of these
-#: is a simulation process).
-_EVENT_FACTORIES = {"timeout", "event", "process", "all_of", "any_of"}
-
-#: Event classes yielded/instantiated directly.
-_EVENT_CLASSES = {"Event", "Timeout", "Process", "AllOf", "AnyOf",
-                  "Condition"}
-
 #: Scheduling methods on a simulator handle — sim-visible sinks.
-_SIM_SINK_METHODS = {"timeout", "all_of", "any_of", "succeed", "fail",
+_SIM_SINK_METHODS = {"timeout", "all_of", "succeed", "fail",
                      "schedule", "_schedule"}
 
 #: Telemetry instrument methods, gated on a telemetry-ish receiver name.
@@ -176,7 +167,7 @@ def _attr_chain_tail(node: ast.expr) -> str | None:
 
 def _is_sim_receiver(node: ast.expr) -> bool:
     """Does this expression look like a simulator handle?"""
-    return _attr_chain_tail(node) in _SIM_NAMES
+    return _attr_chain_tail(node) in SIM_NAMES
 
 
 def _loop_assigned(node: ast.stmt) -> set[str]:
@@ -280,7 +271,7 @@ class _FunctionExtractor:
             self.params = tuple(arg.arg for arg in arguments)
             for index, parameter in enumerate(self.params):
                 self.env[parameter] = {("param", index)}
-            if set(self.params) & _SIM_NAMES:
+            if set(self.params) & SIM_NAMES:
                 self.has_sim_handle = True
             for argument in arguments:
                 if argument.annotation is None:
@@ -555,7 +546,7 @@ class _FunctionExtractor:
     # -- expression evaluation -------------------------------------------
     def _expr(self, node: ast.expr) -> set[Origin]:
         if isinstance(node, ast.Name):
-            if node.id in _SIM_NAMES:
+            if node.id in SIM_NAMES:
                 self.has_sim_handle = True
             return set(self.env.get(node.id, ()))
         if isinstance(node, ast.Constant):
@@ -566,12 +557,12 @@ class _FunctionExtractor:
         if isinstance(node, ast.Call):
             return self._call(node)
         if isinstance(node, ast.Attribute):
-            if node.attr in _SIM_NAMES:
+            if node.attr in SIM_NAMES:
                 self.has_sim_handle = True
             self._record_chain_load(node)
             receiver_tail = _attr_chain_tail(node.value)
             if node.attr == "now" \
-                    and receiver_tail in (_SIM_NAMES | _ENGINE_NAMES):
+                    and receiver_tail in (SIM_NAMES | _ENGINE_NAMES):
                 # Engine-domain timestamp (the ENG101 time lattice):
                 # the receiver taint still propagates underneath.
                 self._attr_depth += 1
@@ -677,10 +668,10 @@ class _FunctionExtractor:
         if isinstance(value, ast.Call):
             target = value.func
             if isinstance(target, ast.Attribute) \
-                    and target.attr in _EVENT_FACTORIES:
+                    and target.attr in EVENT_FACTORIES:
                 self.yields_event = True
             elif isinstance(target, ast.Name) \
-                    and target.id in _EVENT_CLASSES:
+                    and target.id in EVENT_CLASSES:
                 self.yields_event = True
 
     # -- calls: sources, sinks, edges ------------------------------------
@@ -693,7 +684,7 @@ class _FunctionExtractor:
     def _call(self, node: ast.Call) -> set[Origin]:
         func = node.func
         if isinstance(func, (ast.Attribute, ast.Name)) \
-                and _attr_chain_tail(func) in _SIM_NAMES:
+                and _attr_chain_tail(func) in SIM_NAMES:
             self.has_sim_handle = True
         if isinstance(func, ast.Attribute):
             # The bound-method lookup itself is a per-iteration

@@ -1,8 +1,7 @@
 """The discrete-event scheduler.
 
-:class:`Simulator` owns the virtual clock and the event heap.  It is the
-virtual-time implementation of the :class:`repro.engine.api.Scheduler`
-protocol (the real-time one is
+:class:`Simulator` owns the virtual clock and the event heap: it is the
+virtual-time :class:`repro.engine.api.Scheduler` (the real-time one is
 :class:`repro.engine.wallclock.WallClock`).  All simulated time in this
 library is expressed in **seconds** as floats; helper constants
 :data:`MS` and :data:`MINUTE` keep call sites readable::
@@ -19,16 +18,15 @@ import itertools
 import typing as _t
 
 from repro.errors import SimulationError
-from repro.engine.api import HOUR, MINUTE, MS, NORMAL, SECOND, URGENT
-from repro.engine.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.engine.api import HOUR, MINUTE, MS, SECOND, Scheduler
+from repro.engine.events import Event
 
 __all__ = ["Simulator", "MS", "SECOND", "MINUTE", "HOUR"]
 
-#: Scheduling priorities: urgent events (interrupts) preempt normal ones
-#: that fire at the same instant.  Canonical values live on the engine
-#: seam (repro.engine.api) so both engines agree.
-_URGENT = URGENT
-_NORMAL = NORMAL
+#: Same-instant tie-break: a ``run(until=horizon)`` stop preempts the
+#: normal events that fire at the horizon.
+_URGENT = 0
+_NORMAL = 1
 
 #: Bound once at import: the scheduler touches these per event, and the
 #: module-attribute lookup is measurable in `sim.events_per_s` (bench/).
@@ -36,61 +34,22 @@ _heappush = heapq.heappush
 _heappop = heapq.heappop
 
 
-class Simulator:
-    """Drives a single simulation: clock, event heap, process bookkeeping."""
+class Simulator(Scheduler):
+    """Drives a single simulation: virtual clock and event heap."""
 
     #: Modelled service times advance the virtual clock (engine seam).
     spends_modelled_time = True
 
     def __init__(self) -> None:
+        super().__init__()
         self._now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
-        self._active_process: Process | None = None
-        #: Events executed so far — the denominator for the telemetry
-        #: layer's host-profiling hook (events/sec, wall-ms per sim-s).
-        self.events_processed = 0
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the heap is empty."""
-        return self._heap[0][0] if self._heap else float("inf")
-
-    # ------------------------------------------------------------------
-    # Event factories
-    # ------------------------------------------------------------------
-    def event(self) -> Event:
-        """Create a plain, untriggered event."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: object = None) -> Timeout:
-        """Create an event that fires ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator: _t.Generator[Event, object, object],
-                ) -> Process:
-        """Register a generator as a simulated process and start it."""
-        return Process(self, generator)
-
-    def all_of(self, events: _t.Sequence[Event]) -> AllOf:
-        """An event triggering once all ``events`` have succeeded."""
-        return AllOf(self, events)
-
-    def any_of(self, events: _t.Sequence[Event]) -> AnyOf:
-        """An event triggering once any one of ``events`` has succeeded."""
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling and execution
@@ -123,8 +82,9 @@ class Simulator:
         """Run the simulation.
 
         ``until`` may be ``None`` (run until the heap drains), a time in
-        seconds, or an :class:`Event` (run until it triggers, returning its
-        value).
+        seconds, or an :class:`Event` (run until it is processed — at
+        once if it already was — returning its value or raising its
+        failure).
         """
         stop_event: Event | None = None
         if isinstance(until, Event):
@@ -150,7 +110,10 @@ class Simulator:
                 step()
             return None
 
-        stop_event.callbacks.append(lambda _ev: None)
+        if stop_event.callbacks is not None:
+            # A waiter marks the failure as consumed, so ``step`` does
+            # not raise it; it is re-raised below instead.
+            stop_event.callbacks.append(lambda _ev: None)
         while not stop_event.processed:
             if not heap:
                 raise SimulationError(

@@ -38,7 +38,8 @@ from repro.net.link import ETHERNET, WAN, WIFI
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.transport import Transport
-from repro.engine.api import MS, Scheduler, build_engine
+from repro.engine.api import MS
+from repro.sim.kernel import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.telemetry.registry import NULL, Telemetry
 
@@ -127,12 +128,10 @@ class Testbed:
 
     __test__ = False  # not a pytest test class despite the name
 
-    def __init__(self, config: TestbedConfig | None = None,
-                 engine: Scheduler | None = None) -> None:
+    def __init__(self, config: TestbedConfig | None = None) -> None:
         self.config = config or TestbedConfig()
-        #: The engine everything clocks and schedules off.  Defaults to
-        #: the virtual-time simulator; the live stack passes a WallClock.
-        self.sim = engine if engine is not None else build_engine("sim")
+        #: The virtual-time engine everything clocks and schedules off.
+        self.sim = Simulator()
         self.streams = RandomStreams(self.config.seed)
         #: One registry for every tier, clocked on this testbed's
         #: simulator, so cross-tier traces share one id space.

@@ -122,21 +122,6 @@ def test_processes_interleave_through_shared_events():
     assert wall_trace == expected
 
 
-def test_any_of_yields_the_first_completion_on_both_engines():
-    def build(engine, scale):
-        def root():
-            slow = engine.timeout(6 * scale, value="slow")
-            fast = engine.timeout(1 * scale, value="fast")
-            winners = yield engine.any_of([slow, fast])
-            return list(winners.values())
-
-        return root()
-
-    sim_result, wall_result = run_on_both(build)
-    assert sim_result == ["fast"]
-    assert wall_result == ["fast"]
-
-
 def test_all_of_collects_every_value_in_declaration_order():
     def build(engine, scale):
         def root():
@@ -174,6 +159,46 @@ def test_process_failures_propagate_to_the_waiter_on_both_engines():
 
     with pytest.raises(ValueError, match="deliberate"):
         asyncio.run(_wall())
+
+
+def _consumed_events(engine):
+    """A succeeded and a failed event, both awaited by one process."""
+    done, failed = engine.event(), engine.event()
+
+    def consume():
+        yield done
+        try:
+            yield failed
+        except ValueError:
+            pass
+
+    consumer = engine.process(consume())
+    done.succeed("value")
+    failed.fail(ValueError("deliberate"))
+    return consumer, done, failed
+
+
+def test_waiting_on_an_already_processed_event_returns_its_outcome():
+    """`Simulator.run(until=)` and `WallClock.wait` on a processed event
+    return its value, or re-raise its failure, without waiting."""
+    sim = Simulator()
+    consumer, done, failed = _consumed_events(sim)
+    sim.run(until=consumer)
+    assert done.processed and failed.processed
+    assert sim.run(until=done) == "value"
+    with pytest.raises(ValueError, match="deliberate"):
+        sim.run(until=failed)
+
+    async def _wall():
+        engine = WallClock()
+        consumer, done, failed = _consumed_events(engine)
+        await engine.wait(consumer)
+        assert done.processed and failed.processed
+        assert await engine.wait(done) == "value"
+        with pytest.raises(ValueError, match="deliberate"):
+            await engine.wait(failed)
+
+    asyncio.run(_wall())
 
 
 def test_clock_advances_monotonically_across_yields():
@@ -290,7 +315,8 @@ def test_wallclock_parks_unwaited_failures_for_later_raise():
 
 
 # ----------------------------------------------------------------------
-# The seam itself: what sits above it never names the simulator
+# The seam itself: what sits above it never names the simulator and
+# reads nothing off an engine that the Scheduler base lacks
 # ----------------------------------------------------------------------
 def _modules_above_the_seam():
     package = _SRC / "repro"
@@ -315,6 +341,37 @@ def test_no_module_above_the_seam_imports_the_simulator():
                           if name == "repro.sim"
                           or name.startswith("repro.sim.")]
     assert not offenders, offenders
+
+
+def _engine_reads(tree):
+    """Attribute names read off an engine handle: ``sim.X``,
+    ``engine.X`` or ``<anything>.sim.X``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        handle = node.value
+        if (isinstance(handle, ast.Name) and handle.id in ("sim", "engine")
+                or isinstance(handle, ast.Attribute)
+                and handle.attr == "sim"):
+            yield node.lineno, node.attr
+
+
+def test_components_read_only_the_scheduler_surface_off_an_engine():
+    """A component reaching a simulator-only method would run in every
+    experiment and crash on the live engine."""
+    surface = (set(dir(Scheduler)) | set(Scheduler.__annotations__)
+               | set(vars(Scheduler())))
+    package = _SRC / "repro"
+    read, offenders = set(), []
+    for layer in ("core", "cache", "dnslib", "httplib", "net"):
+        for path in sorted((package / layer).glob("*.py")):
+            for lineno, name in _engine_reads(ast.parse(path.read_text())):
+                read.add(name)
+                if name not in surface:
+                    offenders.append(
+                        f"{path.relative_to(_SRC)}:{lineno} {name}")
+    assert not offenders, offenders
+    assert {"now", "process", "timeout"} <= read
 
 
 def test_importing_the_live_stack_loads_no_graph_library():

@@ -173,7 +173,7 @@ def test_stack_start_failure_stops_earlier_tiers(monkeypatch):
         monkeypatch.setattr(failing, "start", _boom)
         with pytest.raises(OSError):
             await stack.start()
-        assert not stack._started
+        assert stack.state == "starting"
         for server in stack._servers[:-1]:
             if isinstance(server, LiveUdpServer):
                 assert server._transport is None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProcessInterrupt, SimulationError
+from repro.errors import SimulationError
 from repro.sim import MS, Simulator
 
 
@@ -115,19 +115,6 @@ def test_all_of_waits_for_every_event():
     assert values == [1.0, 2.0, 3.0]
 
 
-def test_any_of_returns_at_first_event():
-    sim = Simulator()
-
-    def proc():
-        timeouts = [sim.timeout(d, value=d) for d in (5.0, 1.0, 3.0)]
-        results = yield sim.any_of(timeouts)
-        return (sim.now, list(results.values()))
-
-    now, values = sim.run_process(proc())
-    assert now == pytest.approx(1.0)
-    assert values == [1.0]
-
-
 def test_all_of_empty_triggers_immediately():
     sim = Simulator()
 
@@ -139,7 +126,7 @@ def test_all_of_empty_triggers_immediately():
 
 
 def test_wide_all_of_observes_components_linearly():
-    # Regression: Condition._observe used to recount every component on
+    # Regression: AllOf._observe used to recount every component on
     # every trigger, making a wide AllOf quadratic in its event count.
     # The component list must now be scanned only to build the final
     # payload, not once per component trigger.
@@ -195,40 +182,6 @@ def test_unhandled_process_exception_surfaces_from_run():
         sim.run()
 
 
-def test_interrupt_raises_inside_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except ProcessInterrupt as interrupt:
-            log.append(interrupt.cause)
-        yield sim.timeout(1.0)
-        return sim.now
-
-    def interrupter(target):
-        yield sim.timeout(2.0)
-        target.interrupt(cause="wake up")
-
-    target = sim.process(sleeper())
-    sim.process(interrupter(target))
-    assert sim.run(until=target) == pytest.approx(3.0)
-    assert log == ["wake up"]
-
-
-def test_interrupting_dead_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(0.1)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
 def test_yielding_non_event_fails_the_process():
     sim = Simulator()
 
@@ -269,12 +222,6 @@ def test_manual_event_wakes_waiter():
 
     sim.process(opener())
     assert sim.run_process(waiter()) == (4.0, "open")
-
-
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    sim.timeout(7.0)
-    assert sim.peek() == pytest.approx(7.0)
 
 
 def test_run_with_no_events_and_time_horizon():

@@ -1,9 +1,9 @@
-"""Tests for Resource, ServiceQueue, and Store."""
+"""Tests for Resource and ServiceQueue."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.engine import Resource, ServiceQueue, Store
+from repro.engine.resources import Resource, ServiceQueue
 from repro.sim import Simulator
 
 
@@ -120,67 +120,3 @@ def test_service_queue_utilization():
     sim.run_process(submit())
     assert queue.utilization(elapsed=4.0) == pytest.approx(0.5)
     assert queue.utilization(elapsed=0.0) == 0.0
-
-
-# ----------------------------------------------------------------------
-# Store
-# ----------------------------------------------------------------------
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("item")
-
-    def getter():
-        value = yield store.get()
-        return value
-
-    assert sim.run_process(getter()) == "item"
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-
-    def getter():
-        value = yield store.get()
-        return (sim.now, value)
-
-    def putter():
-        yield sim.timeout(5.0)
-        store.put("late")
-
-    sim.process(putter())
-    assert sim.run_process(getter()) == (5.0, "late")
-
-
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-    for item in ("a", "b", "c"):
-        store.put(item)
-    assert len(store) == 3
-
-    def getter():
-        out = []
-        for _ in range(3):
-            out.append((yield store.get()))
-        return out
-
-    assert sim.run_process(getter()) == ["a", "b", "c"]
-
-
-def test_store_multiple_getters_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    received = []
-
-    def getter(tag):
-        value = yield store.get()
-        received.append((tag, value))
-
-    sim.process(getter("first"))
-    sim.process(getter("second"))
-    store.put(1)
-    store.put(2)
-    sim.run()
-    assert received == [("first", 1), ("second", 2)]

@@ -54,3 +54,14 @@ def test_request_path_imports_no_numpy_or_scipy(module):
     assert module in loaded
     assert [name for name in loaded
             if name.split(".")[0] in ("numpy", "scipy")] == []
+
+
+def test_simulator_testbed_loads_no_asyncio():
+    """The virtual-time stack never pays for the real-time engine: the
+    engine package imports nothing, so only the live stack loads
+    asyncio and the wall clock."""
+    loaded = loaded_after_import("repro.testbed")
+    assert "repro.testbed" in loaded
+    assert [name for name in loaded
+            if name.split(".")[0] == "asyncio"
+            or name == "repro.engine.wallclock"] == []
