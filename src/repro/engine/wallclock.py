@@ -2,8 +2,10 @@
 
 :class:`WallClock` subclasses the same base as
 :class:`repro.sim.kernel.Simulator`, but ``now`` is the host's monotonic
-clock (seconds since the engine was created) and ``_schedule`` maps onto
-``loop.call_soon`` / ``loop.call_later``.  The event primitives in
+clock (seconds since the engine was created) and ``_schedule`` puts
+each event on the loop: a timed one through ``loop.call_later``, a
+zero-delay one on the engine's own FIFO, which a single ``call_soon``
+per burst drains (below).  The event primitives in
 :mod:`repro.engine.events` are reused unchanged, so any generator-based
 component — the AP runtime, the DNS services, the HTTP tiers — runs on
 real time without modification.  The one thing real time does *not*
@@ -13,16 +15,24 @@ spend is modelled service time (``spends_modelled_time = False``): a
 Two bridges connect the generator world to asyncio:
 
 * :meth:`WallClock.from_awaitable` wraps a coroutine as an
-  :class:`~repro.engine.events.Event` a process can ``yield`` — this is
-  how the live transport does socket IO from inside a protocol handler.
+  :class:`~repro.engine.events.Event` a process can ``yield`` — the
+  live transport uses it only to open a socket; an exchange on an open
+  one is an event its protocol triggers directly.
 * :meth:`WallClock.wait` awaits an event from a coroutine — this is how
-  a live server awaits a handler process before writing the response.
+  a driver awaits a scenario or a fetch.
 
 Scheduling-order contract (documented divergence from the simulator):
 the simulator breaks same-instant ties by priority then insertion
 order, so its ``run(until=horizon)`` stop preempts the events due at
-the horizon; asyncio's callback queue is FIFO only and has no such
-lane.  Nothing in the served stack relies on the preemption.
+the horizon; the wall clock has no such lane.  Its zero-delay events
+form **bursts**: the first one posts a single ``call_soon``, and that
+loop turn dispatches every event queued until the queue is empty —
+those scheduled meanwhile included, in FIFO order — ahead of any
+asyncio callback queued in between.  A burst is never dispatched
+inline, so a process still takes callbacks after ``process()`` returns,
+and a callback that raises reaches the loop's exception handler without
+stranding the events behind it.  Nothing in the served stack relies on
+the preemption.
 
 This is the **only** module in the library blessed to read the host
 clock for simulated-looking time (``[tool.repro-lint]
@@ -33,6 +43,7 @@ engine-wallclock-allow``); everything downstream takes time from
 from __future__ import annotations
 
 import asyncio
+import collections
 import typing as _t
 from time import monotonic
 
@@ -212,6 +223,10 @@ class WallClock(Scheduler):
         #: Strong references to bridged tasks (the loop keeps only weak
         #: ones, so an in-flight task could otherwise be GC'd).
         self.tasks = OwnedTaskSet()
+        #: The current burst: zero-delay events awaiting dispatch, FIFO.
+        self._ready: collections.deque[Event] = collections.deque()
+        #: Whether a ``call_soon(self._drain)`` is pending or running.
+        self._burst_posted = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -230,10 +245,27 @@ class WallClock(Scheduler):
     # Scheduling
     # ------------------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay <= 0.0:
-            self._loop.call_soon(self._dispatch, event)
-        else:
+        if delay > 0.0:
             self._loop.call_later(delay, self._dispatch, event)
+            return
+        self._ready.append(event)
+        if not self._burst_posted:
+            self._burst_posted = True
+            self._loop.call_soon(self._drain)
+
+    def _drain(self) -> None:
+        """Dispatch the burst, events queued while it runs included."""
+        ready, dispatch = self._ready, self._dispatch
+        try:
+            while ready:
+                dispatch(ready.popleft())
+        finally:
+            # Empty unless a callback raised: its exception goes on to
+            # the loop's handler, the rest of the burst to a new turn.
+            if ready:
+                self._loop.call_soon(self._drain)
+            else:
+                self._burst_posted = False
 
     def _dispatch(self, event: Event) -> None:
         """Process one triggered event (the loop-callback half of step)."""
@@ -288,9 +320,8 @@ class WallClock(Scheduler):
     async def wait(self, event: Event) -> object:
         """Await an event from coroutine land, returning its value.
 
-        The inverse bridge of :meth:`from_awaitable`: used by the live
-        servers to await a protocol-handler process, and by drivers to
-        await a whole scenario.
+        The inverse bridge of :meth:`from_awaitable`: used by drivers
+        to await a fetch or a whole scenario.
         """
         future: "asyncio.Future[object]" = self._loop.create_future()
 

@@ -8,11 +8,15 @@ is delimited by its header block and ``content-length``, so any number of
 request/response exchanges can follow each other on one connection (one
 at a time, no pipelining), each matching one simulated ``tcp_exchange``.
 
-Reading a message is two steps, so that a kept-alive connection never
-idles inside the parser: :func:`read_head` *waits* for the next header
-block (``None`` = the peer closed between messages, the normal end of a
-connection), then :func:`read_request` / :func:`read_response` parse it
-and consume the body.
+Reading is sans-IO.  :func:`parse_request` / :func:`parse_response`
+turn one header block into a message plus the length of the body that
+follows it, and a :class:`Framer` cuts a byte stream — however the
+socket happens to chunk it — into those messages, counting body octets
+away as they arrive instead of buffering them.  The live transport's
+protocols feed their received bytes to a framer; :func:`read_head`,
+:func:`read_request` and :func:`read_response` are thin
+``asyncio.StreamReader`` drivers over the same parsers, used only by the
+admin plane.
 
 Bodies in this library are *size-only* :class:`DataObject` metadata, so
 the payload on the wire is ``size_bytes`` filler octets (the real bytes
@@ -27,7 +31,7 @@ metadata rides in ``x-repro-*`` headers:
 ``x-repro-body-bytes``     request body size (requests carry no data)
 =========================  =========================================
 
-Round-tripping a message through ``encode_* -> read_*`` reproduces it
+Round-tripping a message through ``encode_* -> parse_*`` reproduces it
 field for field, which is what keeps the interceptor chain and the AP
 runtime byte-path-agnostic.
 """
@@ -35,6 +39,7 @@ runtime byte-path-agnostic.
 from __future__ import annotations
 
 import asyncio
+import typing as _t
 
 from repro.errors import HttpError
 from repro.httplib.content import DataObject
@@ -43,6 +48,7 @@ from repro.httplib.url import Url
 
 __all__ = [
     "encode_request", "encode_response", "encode_payload_response",
+    "parse_request", "parse_response", "Framer",
     "read_head", "read_request", "read_response",
     "MAX_HEADER_BYTES",
 ]
@@ -59,6 +65,7 @@ _RESERVED = frozenset({
 })
 
 _CRLF = b"\r\n"
+_BLANK_LINE = 2 * _CRLF
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             500: "Internal Server Error",
@@ -119,27 +126,8 @@ def encode_payload_response(status: int, payload: bytes,
     return head + payload
 
 
-async def read_head(reader: asyncio.StreamReader) -> bytes | None:
-    """Wait for the next message's header block, blank line included.
-
-    ``None`` means the peer closed before the first byte: how every
-    kept-alive connection ends, and what a client sees when the server
-    closed a connection it was about to reuse.  A close *inside* the
-    block is an :class:`HttpError`.
-    """
-    try:
-        return await reader.readuntil(2 * _CRLF)
-    except asyncio.IncompleteReadError as err:
-        if not err.partial:
-            return None
-        raise HttpError("connection closed mid-message") from err
-    except asyncio.LimitOverrunError as err:
-        raise HttpError(f"header block exceeds reader limit: {err}")
-
-
-async def read_request(reader: asyncio.StreamReader,
-                       head: bytes) -> HttpRequest:
-    """Parse the request whose header block is ``head``; consume its body."""
+def parse_request(head: bytes) -> tuple[HttpRequest, int]:
+    """The request whose header block is ``head``, and its body length."""
     start_line, headers = _parse_head(head)
     parts = start_line.split(" ")
     if len(parts) != 3:
@@ -152,24 +140,22 @@ async def read_request(reader: asyncio.StreamReader,
         host = headers.get("host", "localhost")
         full_url = f"http://{host}{parts[1]}"
     body_bytes = _int_header(headers, "x-repro-body-bytes", 0)
-    await _drain_body(reader, _int_header(headers, "content-length", 0))
+    size = _int_header(headers, "content-length", 0)
     return HttpRequest(
         Url.parse(full_url), method,
         {name: value for name, value in headers.items()
          if name not in _RESERVED and name != "host"},
-        body_bytes)
+        body_bytes), size
 
 
-async def read_response(reader: asyncio.StreamReader,
-                        head: bytes) -> HttpResponse:
-    """Parse the response whose header block is ``head``; consume its body."""
+def parse_response(head: bytes) -> tuple[HttpResponse, int]:
+    """The response whose header block is ``head``, and its body length."""
     start_line, headers = _parse_head(head)
     parts = start_line.split(" ", 2)
     if len(parts) < 2 or not parts[1].isdigit():
         raise HttpError(f"malformed status line {start_line!r}")
     status = int(parts[1])
     size = _int_header(headers, "content-length", 0)
-    await _drain_body(reader, size)
     body: DataObject | None = None
     object_url = headers.get("x-repro-object-url")
     if object_url is not None:
@@ -181,7 +167,104 @@ async def read_response(reader: asyncio.StreamReader,
         status,
         {name: value for name, value in headers.items()
          if name not in _RESERVED},
-        body)
+        body), size
+
+
+_Parsed = _t.TypeVar("_Parsed")
+
+
+class Framer(_t.Generic[_Parsed]):
+    """Cuts a byte stream into messages: sans-IO, one message at a time.
+
+    :meth:`feed` takes bytes as they arrive; :meth:`next` returns the
+    next message — what ``parse`` (:func:`parse_request` or
+    :func:`parse_response`) returned for its head — once its body has
+    arrived too, else ``None``.  Body octets are counted away, never
+    buffered: what the framer holds (:attr:`buffered`) is the start of
+    a head, or bytes fed past a message nobody has taken yet.  A head
+    that outgrows :data:`MAX_HEADER_BYTES` raises :class:`HttpError`.
+    """
+
+    def __init__(self,
+                 parse: _t.Callable[[bytes], tuple[_Parsed, int]]) -> None:
+        self._parse = parse
+        self._buffer = bytearray()
+        #: The parsed head whose body is still arriving (or untaken).
+        self._message: tuple[_Parsed, int] | None = None
+        self._body_left = 0
+
+    @property
+    def buffered(self) -> int:
+        """Bytes held: never a body's, at most one head's plus one feed."""
+        return len(self._buffer)
+
+    @property
+    def at_boundary(self) -> bool:
+        """True between messages: the stream may end here cleanly."""
+        return not self._buffer and self._message is None
+
+    def feed(self, data: bytes) -> None:
+        """Take bytes from the stream; the current body's are counted."""
+        if self._body_left:
+            taken = min(self._body_left, len(data))
+            self._body_left -= taken
+            if taken == len(data):
+                return
+            data = data[taken:]
+        self._buffer += data
+
+    def next(self) -> tuple[_Parsed, int] | None:
+        """The next whole message, or ``None`` until more bytes arrive."""
+        if self._message is None:
+            buffer = self._buffer
+            end = buffer.find(_BLANK_LINE)
+            if end < 0:
+                if len(buffer) > MAX_HEADER_BYTES:
+                    raise HttpError(f"no end of header block within "
+                                    f"{MAX_HEADER_BYTES} bytes")
+                return None
+            end += len(_BLANK_LINE)
+            message = self._parse(bytes(buffer[:end]))
+            taken = min(message[1], len(buffer) - end)
+            del buffer[:end + taken]
+            self._message, self._body_left = message, message[1] - taken
+        if self._body_left:
+            return None
+        message, self._message = self._message, None
+        return message
+
+
+async def read_head(reader: asyncio.StreamReader) -> bytes | None:
+    """Wait for the next message's header block, blank line included.
+
+    ``None`` means the peer closed before the first byte: how every
+    connection ends between messages.  A close *inside* the block is
+    an :class:`HttpError`.
+    """
+    try:
+        return await reader.readuntil(_BLANK_LINE)
+    except asyncio.IncompleteReadError as err:
+        if not err.partial:
+            return None
+        raise HttpError("connection closed mid-message") from err
+    except asyncio.LimitOverrunError as err:
+        raise HttpError(f"header block exceeds reader limit: {err}")
+
+
+async def read_request(reader: asyncio.StreamReader,
+                       head: bytes) -> HttpRequest:
+    """Parse the request whose header block is ``head``; consume its body."""
+    request, size = parse_request(head)
+    await _drain_body(reader, size)
+    return request
+
+
+async def read_response(reader: asyncio.StreamReader,
+                        head: bytes) -> HttpResponse:
+    """Parse the response whose header block is ``head``; consume its body."""
+    response, size = parse_response(head)
+    await _drain_body(reader, size)
+    return response
 
 
 def _parse_head(block: bytes) -> tuple[str, dict[str, str]]:

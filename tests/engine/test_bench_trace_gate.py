@@ -8,7 +8,9 @@ inside a wrapped function (the inter-request gap is then charged to a
 span) breaks the traced run only — which nothing else in tier-1
 executes.  This runs it, briefly, on the two hit workloads: the closed
 loop (one TCP exchange per fetch) and the open loop (plus one DNS-Cache
-UDP exchange).
+UDP exchange).  It also pins what a fetch asks of the event loop —
+counts, not timings: no task and no coroutine bridge, and a handful of
+loop callbacks.
 """
 
 import json
@@ -19,6 +21,10 @@ import sys
 import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+#: Most loop callbacks a fetch may cost, per workload.
+LOOP_CALLBACKS_PER_REQ = {"live_hit_closed": 5, "live_hit_open": 8}
 
 
 @pytest.mark.parametrize("workload", ["live_hit_closed", "live_hit_open"])
@@ -38,3 +44,8 @@ def test_traced_bench_run_is_correct(workload, tmp_path):
         f"failed checks: {failed_checks}\n{finished.stderr}"
     assert verdict["failed"] == 0
     assert finished.stderr == ""
+    metrics = verdict["metrics"]
+    assert metrics["engine.tasks_per_req"]["value"] == 0
+    assert metrics["engine.bridges_per_req"]["value"] == 0
+    assert metrics["engine.loop_callbacks_per_req"]["value"] \
+        <= LOOP_CALLBACKS_PER_REQ[workload]

@@ -273,6 +273,103 @@ def test_modelled_cpu_is_spent_on_the_simulator_and_charged_on_the_wall():
     asyncio.run(_wall())
 
 
+def test_a_chain_of_zero_delay_events_runs_in_the_same_order_on_both():
+    """Processes that wake each other with no delay: the order of
+    every step is the same on both engines."""
+
+    def build(engine, _scale):
+        trace = []
+
+        def link(label, hear, say):
+            value = yield hear
+            trace.append((label, value))
+            say.succeed(label)
+
+        def root():
+            events = [engine.event() for _ in range(6)]
+            links = [engine.process(link(f"p{n}", events[n], events[n + 1]))
+                     for n in range(5)]
+            side = engine.process(link("side", engine.event().succeed(0),
+                                       engine.event()))
+            events[0].succeed("go")
+            last = yield events[5]
+            yield engine.all_of(links + [side])
+            return trace + [("last", last)]
+
+        return root()
+
+    sim_trace, wall_trace = run_on_both(build)
+    assert sim_trace == wall_trace
+    assert sim_trace[-1] == ("last", "p4")
+
+
+def test_wallclock_posts_one_loop_callback_per_burst():
+    """However many zero-delay events a burst dispatches — those it
+    schedules itself included — it costs the loop one ``call_soon``."""
+
+    async def _wall():
+        engine = WallClock()
+        loop = asyncio.get_running_loop()
+        posted = []
+        call_soon = loop.call_soon
+        loop.call_soon = lambda *args, **kw: (posted.append(args[0]),
+                                              call_soon(*args, **kw))[1]
+        try:
+            def chain(depth):
+                for _ in range(depth):
+                    yield engine.event().succeed()
+                return depth
+
+            processes = [engine.process(chain(20)) for _ in range(5)]
+            # Not dispatched inline: a callback added now still runs.
+            seen = []
+            processes[0].callbacks.append(seen.append)
+            await asyncio.sleep(0)
+            assert all(process.processed for process in processes)
+            assert seen == [processes[0]]
+            bursts = [fn for fn in posted
+                      if getattr(fn, "__self__", None) is engine]
+            assert len(bursts) == 1
+        finally:
+            del loop.call_soon
+
+    asyncio.run(_wall())
+
+
+def test_a_raising_callback_does_not_strand_the_rest_of_its_burst():
+    async def _wall():
+        engine = WallClock()
+        loop = asyncio.get_running_loop()
+        handled = []
+        loop.set_exception_handler(
+            lambda _loop, context: handled.append(context["exception"]))
+
+        def boom(_event):
+            raise RuntimeError("callback failed")
+
+        ran = []
+        first = engine.event()
+        first.callbacks.append(boom)
+        first.succeed()
+        behind = [engine.event() for _ in range(3)]
+        for index, event in enumerate(behind):
+            event.callbacks.append(lambda _event, index=index:
+                                   ran.append(index))
+            event.succeed()
+        for _turn in range(3):
+            await asyncio.sleep(0)
+        assert ran == [0, 1, 2]
+        assert [str(err) for err in handled] == ["callback failed"]
+        # The queue is usable again: a new event gets its own burst.
+        late = engine.event()
+        late.callbacks.append(lambda _event: ran.append("late"))
+        late.succeed()
+        await asyncio.sleep(0)
+        assert ran[-1] == "late"
+
+    asyncio.run(_wall())
+
+
 def test_wallclock_requires_a_running_loop():
     with pytest.raises(SimulationError):
         WallClock()

@@ -12,7 +12,10 @@ SIGINT, flush its telemetry export, and exit 0.
 
 The ``test_http_listener_*`` tests pin the HTTP listeners' error
 contract (``LiveHttpServer``): whatever a peer or a handler does, the
-event loop never sees an unhandled exception and stderr stays empty.
+event loop never sees an unhandled exception and stderr stays empty —
+and a peer that writes without reading costs the server a bounded
+buffer, never the listener.  The last test pins that the live stack's
+histograms keep no sample per request.
 """
 
 import asyncio
@@ -27,8 +30,19 @@ import pytest
 
 from repro.core.annotations import CacheableSpec
 from repro.engine.live import LiveStack
+from repro.engine.livenet import LiveHttpServer
 from repro.engine.wallclock import WallClock
+from repro.httplib.messages import HttpRequest
+from repro.httplib.wire import (
+    MAX_HEADER_BYTES,
+    Framer,
+    encode_request,
+    parse_response,
+)
 from repro.telemetry.analysis import records_from_telemetry
+from repro.telemetry.instruments import Histogram
+
+KB = 1024
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -226,3 +240,149 @@ def test_http_listener_answers_500_when_the_handler_raises(capfd):
     assert b"connection: close\r\n" in raw
     assert _http_errors(stack) == 1
     assert stack.telemetry.get("live.in_flight").value(role="http") == 0
+
+
+# ----------------------------------------------------------------------
+# Peers that push: back-to-back requests, no reading, no end of head
+# ----------------------------------------------------------------------
+def _fetch_request(url: str) -> bytes:
+    return encode_request(HttpRequest(
+        url, "GET", {"x-ape-cache": "fetch", "x-ape-app": "raw"}))
+
+
+def _ap_http(stack) -> LiveHttpServer:
+    return next(server for server in stack._servers
+                if isinstance(server, LiveHttpServer)
+                and server.node is stack.ap)
+
+
+def test_http_listener_answers_back_to_back_requests_in_order(capfd):
+    second = "http://contract.example/second.bin"
+
+    async def _back_to_back(stack, endpoint):
+        stack.host_object(second, 6 * KB)
+        reader, writer = await asyncio.open_connection(*endpoint)
+        writer.write(_fetch_request(_CONTRACT_URL) + _fetch_request(second))
+        framer = Framer(parse_response)
+        responses = []
+        try:
+            while len(responses) < 2:
+                data = await asyncio.wait_for(reader.read(64 * KB), 2.0)
+                assert data, "closed before both responses"
+                framer.feed(data)
+                while (message := framer.next()) is not None:
+                    responses.append(message[0])
+        finally:
+            writer.close()
+            await writer.wait_closed()
+        return responses
+
+    stack, responses = _against_the_ap_listener(_back_to_back, capfd)
+    assert [response.status for response in responses] == [200, 200]
+    assert [(response.body.url, response.body.size_bytes)
+            for response in responses] == [(_CONTRACT_URL, 4 * KB),
+                                           (second, 6 * KB)]
+    assert _http_errors(stack) == 0
+
+
+def test_http_listener_pauses_a_peer_that_writes_without_reading(
+        capfd, monkeypatch):
+    big = "http://contract.example/big.bin"
+    peak = [0]
+    feed = Framer.feed
+
+    def _feed_and_measure(framer, data):
+        feed(framer, data)
+        peak[0] = max(peak[0], framer.buffered)
+
+    monkeypatch.setattr(Framer, "feed", _feed_and_measure)
+
+    async def _hostile(stack, endpoint):
+        stack.host_object(big, 256 * KB)
+        loop = asyncio.get_running_loop()
+        hostile, _protocol = await loop.create_connection(
+            asyncio.Protocol, *endpoint)
+        hostile.pause_reading()
+        request = _fetch_request(big)
+        hostile.write(request * (1024 * KB // len(request) + 1))
+        server = _ap_http(stack)
+        deadline = time.monotonic() + 10.0
+        while not any(connection._read_paused
+                      for connection in server._connections):
+            assert time.monotonic() < deadline, "the server never paused"
+            await asyncio.sleep(0.005)
+        (connection,) = server._connections
+        one_read = connection.transport.max_size
+        # The listener serves another connection meanwhile.
+        client = stack.add_client("bystander")
+        client.register_spec(CacheableSpec(url=big, priority=2,
+                                           ttl_s=120.0))
+        fetched = await stack.fetch(client, big)
+        assert fetched.data_object.size_bytes == 256 * KB
+        assert connection._read_paused
+        hostile.abort()
+        return one_read
+
+    _stack, one_read = _against_the_ap_listener(_hostile, capfd)
+    assert 0 < peak[0] <= MAX_HEADER_BYTES + one_read
+
+
+async def _read_until_closed(endpoint, payload: bytes) -> bytes:
+    """Write ``payload``; what the server sends before it closes (a
+    reset after the close keeps what had arrived)."""
+    reader, writer = await asyncio.open_connection(*endpoint)
+    writer.write(payload)
+    received = b""
+    try:
+        while chunk := await asyncio.wait_for(reader.read(64 * KB), 2.0):
+            received += chunk
+    except ConnectionResetError:
+        pass
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except ConnectionResetError:
+            pass
+    return received
+
+
+def test_http_listener_refuses_a_head_that_never_ends(capfd):
+    async def _endless(_stack, endpoint):
+        return await _read_until_closed(
+            endpoint, b"GET /x HTTP/1.1\r\nx-pad: " + b"a" * 70 * KB)
+
+    stack, raw = _against_the_ap_listener(_endless, capfd)
+    assert raw.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+    assert b"connection: close\r\n" in raw
+    assert _http_errors(stack) == 1
+
+
+# ----------------------------------------------------------------------
+# Serving telemetry in fixed memory
+# ----------------------------------------------------------------------
+def test_live_histograms_keep_no_sample_per_request():
+    async def _main():
+        engine = WallClock()
+        stack = LiveStack(engine)
+        stack.host_object(_CONTRACT_URL, 4 * KB)
+        await stack.start()
+        try:
+            client = stack.add_client("sketch")
+            client.register_spec(CacheableSpec(url=_CONTRACT_URL,
+                                               priority=2, ttl_s=120.0))
+            for _fetch in range(200):
+                await stack.fetch(client, _CONTRACT_URL)
+        finally:
+            await stack.stop()
+        engine.raise_unwaited()
+        return stack
+
+    stack = asyncio.run(_main())
+    histograms = [instrument for instrument in stack.telemetry.instruments()
+                  if isinstance(instrument, Histogram)]
+    assert histograms
+    assert {histogram.backend for histogram in histograms} == {"sketch"}
+    assert all(histogram.samples() == [] for histogram in histograms)
+    total = stack.telemetry.get("client.total_ms")
+    assert total.count() == 200
