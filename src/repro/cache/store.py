@@ -93,7 +93,7 @@ class CacheStore:
         # and PACM's min/max tie-breaks rely on it intentionally;
         # sorting here would reorder re-stored entries and change
         # eviction behaviour.
-        return list(self._entries.values())  # lint: disable=DET102
+        return list(self._entries.values())
 
     def in_domain(self, domain: "DomainName | str",
                   ) -> _t.Mapping[str, CacheEntry]:

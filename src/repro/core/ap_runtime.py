@@ -223,7 +223,7 @@ class ApRuntime(ForwardingDnsService):
         Both serving paths (fetch and delegation) count hits through
         this synchronous helper; keeping the write out of the process
         generators themselves means no scheduler interleaving can sit
-        between the read and the increment (SIM101).
+        between the read and the increment.
         """
         self.hits_served += 1
 

@@ -576,9 +576,10 @@ def _block_loop(seconds: float) -> None:
     The watchdog's demo/test hook (``repro.cli live
     --inject-stall-ms``): a synchronous sleep inside the serving
     coroutine delays every pending callback — including the watchdog
-    probe — exactly like an accidental blocking call would.  Blessed in
-    ``[tool.repro-lint] async-blocking-allow``; production code must
-    never call it.
+    probe — exactly like an accidental blocking call would.  It is a
+    synchronous helper, so ASYNC101 (blocking calls written inside an
+    ``async def``) leaves it alone; production code must never call
+    it.
     """
     time.sleep(seconds)
 

@@ -34,9 +34,9 @@ and a callback that raises reaches the loop's exception handler without
 stranding the events behind it.  Nothing in the served stack relies on
 the preemption.
 
-This is the **only** module in the library blessed to read the host
-clock for simulated-looking time (``[tool.repro-lint]
-engine-wallclock-allow``); everything downstream takes time from
+This is the **only** module in the library that reads the host clock
+for simulated-looking time, which is why ``[tool.repro-lint]
+wallclock-allow`` lists it; everything downstream takes time from
 ``engine.now`` and stays engine-agnostic.
 """
 
@@ -80,8 +80,8 @@ class LoopLagWatchdog:
 
     The instruments are duck-typed (same pattern as
     :class:`OwnedTaskSet`): this module stays free of telemetry
-    imports, and the host-clock reads below are exactly why it is the
-    one ``engine-wallclock-allow`` module.
+    imports, and the host-clock reads below are exactly why this module
+    is on ``wallclock-allow``.
 
     The first probe fires via ``call_soon`` with a deadline of "now",
     so every started stack records at least one (near-zero) lag sample

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 import typing as _t
 
-__all__ = ["ImportMap", "dotted_path", "literal_number",
+__all__ = ["ImportMap", "literal_number",
            "iter_own_body", "call_keyword", "call_positional"]
 
 
@@ -53,19 +53,6 @@ class ImportMap:
         return ".".join(parts)
 
 
-def dotted_path(node: ast.expr) -> str | None:
-    """Literal dotted path of a Name/Attribute chain, no alias resolution."""
-    parts: list[str] = []
-    cursor: ast.expr = node
-    while isinstance(cursor, ast.Attribute):
-        parts.append(cursor.attr)
-        cursor = cursor.value
-    if not isinstance(cursor, ast.Name):
-        return None
-    parts.append(cursor.id)
-    return ".".join(reversed(parts))
-
-
 def literal_number(node: ast.expr) -> int | float | None:
     """The numeric value of a literal, handling unary minus; else ``None``."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
@@ -88,12 +75,11 @@ def iter_own_body(func: ast.FunctionDef | ast.AsyncFunctionDef,
     stack: list[ast.AST] = list(func.body)
     while stack:
         node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
         yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                continue
-            stack.append(child)
+        stack.extend(ast.iter_child_nodes(node))
 
 
 def call_keyword(call: ast.Call, name: str) -> ast.expr | None:

@@ -8,10 +8,11 @@ one of these modules (or a new one), decorate it with
 from __future__ import annotations
 
 from repro.lint.checkers import (
+    asyncsafety,
     cachespec,
     determinism,
     perf,
     simsafety,
 )
 
-__all__ = ["determinism", "simsafety", "cachespec", "perf"]
+__all__ = ["determinism", "simsafety", "asyncsafety", "cachespec", "perf"]

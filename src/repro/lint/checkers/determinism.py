@@ -28,8 +28,15 @@ _NUMPY_CONSTRUCTORS = {
     "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64",
 }
 
-#: Canonical wall-clock entry points (DET002); the whole-program taint
-#: pass (DET101) treats the same set as "clock" taint sources.
+#: OS-entropy calls (DET001): random by design, never reproducible.
+_ENTROPY_CALLS = {
+    "os.urandom", "os.getrandom",
+    "uuid.uuid1", "uuid.uuid4",
+    "secrets.token_bytes", "secrets.token_hex", "secrets.token_urlsafe",
+    "secrets.randbelow", "secrets.choice", "secrets.randbits",
+}
+
+#: Canonical wall-clock entry points (DET002).
 WALLCLOCK_CALLS = {
     "time.time", "time.time_ns",
     "time.monotonic", "time.monotonic_ns",
@@ -73,9 +80,10 @@ class UnseededRandom(Checker):
 
     Flags ``random.Random()`` with no arguments, every call through the
     module-level ``random.*`` API (its hidden global ``Random`` is
-    process-wide mutable state), ``random.SystemRandom`` (OS entropy by
-    design), and the legacy ``numpy.random.*`` global API or unseeded
-    Generator constructors.
+    process-wide mutable state), ``random.SystemRandom`` and the other
+    OS-entropy calls (``os.urandom``, ``uuid.uuid4``, ``secrets.*``, ...),
+    and the legacy ``numpy.random.*`` global API or unseeded Generator
+    constructors.
     """
 
     code = "DET001"
@@ -92,7 +100,13 @@ class UnseededRandom(Checker):
             if path is None:
                 continue
             seeded = bool(node.args or node.keywords)
-            if path == "random.Random":
+            if path in _ENTROPY_CALLS:
+                yield module.finding(
+                    self.code, node,
+                    f"{path}() draws OS entropy and can never be "
+                    f"reproduced; derive the value from a seeded "
+                    f"random.Random")
+            elif path == "random.Random":
                 if not seeded:
                     yield dataclasses.replace(
                         module.finding(
@@ -142,7 +156,8 @@ class WallClock(Checker):
     includes the telemetry layer, whose spans and histograms clock off
     ``Simulator.now``; its profiling hook takes host time only through
     ``repro.perf.perf_timer``.  Operator tooling (``tools/``, the
-    ``repro.perf`` helper) is allowlisted via
+    ``repro.perf`` helper) and the real-time engine
+    (``repro.engine.wallclock``) are allowlisted via
     ``[tool.repro-lint] wallclock-allow``.
     """
 
@@ -153,8 +168,6 @@ class WallClock(Checker):
     def check(self, module: ModuleUnderLint) -> _t.Iterator[Finding]:
         if module.config.allows_wallclock(module.path):
             return
-        if module.config.allows_engine_wallclock(module.path):
-            return  # the real-time engine (docs/live.md)
         imports = module.imports
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):

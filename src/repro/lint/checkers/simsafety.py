@@ -20,11 +20,11 @@ from repro.lint.registry import Checker, ModuleUnderLint, register
 
 __all__ = ["BLOCKING_BUILTINS", "BLOCKING_CALLS", "EVENT_CLASSES",
            "EVENT_FACTORIES", "SIM_NAMES", "BlockingCallInProcess",
-           "SimTimeEquality", "blocking_kind"]
+           "SimTimeEquality", "blocking_call"]
 
-#: The engine vocabulary, shared with the whole-program pass.  Method
-#: names of the ``Scheduler`` event factories — a generator yielding a
-#: call to one of these is a simulation process.
+#: The engine vocabulary.  Method names of the ``Scheduler`` event
+#: factories — a generator yielding a call to one of these is a
+#: simulation process.
 EVENT_FACTORIES = {"timeout", "event", "process", "all_of"}
 
 #: Event classes yielded or instantiated directly.
@@ -33,9 +33,9 @@ EVENT_CLASSES = {"Event", "Timeout", "Process", "AllOf"}
 #: Parameter/attribute names that indicate a simulator handle.
 SIM_NAMES = {"sim", "_sim", "env", "_env"}
 
-#: Call targets that block the hosting thread, shared by SIM001 and the
-#: whole-program ASYNC101: canonical paths, or families when ending
-#: with a dot, each mapped to the blocking kind ASYNC101 reports.
+#: Call targets that block the hosting thread, shared by SIM001 and
+#: ASYNC101: canonical paths, or families when ending with a dot, each
+#: mapped to the blocking kind the findings name.
 BLOCKING_CALLS = {
     "time.sleep": "sleep",
     "os.system": "subprocess",
@@ -49,16 +49,24 @@ BLOCKING_CALLS = {
     "http.client.": "http",
 }
 
-#: Builtins that block on the filesystem or console → what they do.
-BLOCKING_BUILTINS = {"open": "file I/O", "input": "console I/O"}
+#: Builtins that block on the filesystem or console → their kind.
+BLOCKING_BUILTINS = {"open": "file-io", "input": "console-io"}
 
 
-def blocking_kind(path: str) -> str | None:
-    """The :data:`BLOCKING_CALLS` kind of a canonical call path."""
+def blocking_call(imports: ImportMap, call: ast.Call) -> str | None:
+    """``"blocking <kind> call <target>()"`` if ``call`` blocks the
+    hosting thread (:data:`BLOCKING_CALLS`, :data:`BLOCKING_BUILTINS`),
+    else ``None``."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id in BLOCKING_BUILTINS:
+        return f"blocking {BLOCKING_BUILTINS[func.id]} call {func.id}()"
+    path = imports.resolve(func)
+    if path is None:
+        return None
     for target, kind in BLOCKING_CALLS.items():
         if path == target or (target.endswith(".")
                               and path.startswith(target)):
-            return kind
+            return f"blocking {kind} call {path}()"
     return None
 
 
@@ -126,24 +134,13 @@ class BlockingCallInProcess(Checker):
             for inner in iter_own_body(node):
                 if not isinstance(inner, ast.Call):
                     continue
-                blocked = self._blocking_target(imports, inner)
+                blocked = blocking_call(imports, inner)
                 if blocked is not None:
                     yield module.finding(
                         self.code, inner,
                         f"{blocked} inside simulation process "
                         f"{node.name!r}; use `yield sim.timeout(...)` for "
                         f"delay and do real I/O outside the event loop")
-
-    @staticmethod
-    def _blocking_target(imports: ImportMap, call: ast.Call) -> str | None:
-        if isinstance(call.func, ast.Name) \
-                and call.func.id in BLOCKING_BUILTINS:
-            return (f"{BLOCKING_BUILTINS[call.func.id]} via "
-                    f"{call.func.id}()")
-        path = imports.resolve(call.func)
-        if path is None or blocking_kind(path) is None:
-            return None
-        return f"blocking call {path}()"
 
 
 @register

@@ -3,16 +3,10 @@
 Exit codes: 0 — clean (baselined findings allowed); 1 — fresh findings;
 2 — usage or configuration error.
 
-Beyond plain linting the CLI exposes the whole-program layer:
-
-* ``--fix`` applies every machine-applicable repair carried by the
-  findings (seed injection, ``list.pop(0)`` → ``deque``, ``sorted()``
-  wrappers), then re-lints so the report reflects the repaired tree —
-  fixes are idempotent, so a second ``--fix`` run is a no-op;
-* ``--stats`` prints deterministic JSON describing the run: per-checker
-  finding counts, call-graph size, taint-fixpoint rounds (add
-  ``--timings`` for wall-clock seconds, which are by nature not
-  deterministic).
+``--fix`` applies every machine-applicable repair carried by the
+findings (seed injection, ``list.pop(0)`` → ``deque``, ``sorted()``
+wrappers), then re-lints so the report reflects the repaired tree —
+fixes are idempotent, so a second ``--fix`` run is a no-op.
 
 A lint run writes no file; only ``--fix`` and ``--write-baseline`` do.
 """
@@ -29,11 +23,10 @@ from repro.errors import ConfigError
 from repro.lint.baseline import (load_baseline, split_by_baseline,
                                  write_baseline)
 from repro.lint.config import LintConfig, load_config
-from repro.lint.engine import LintRun, lint_paths
+from repro.lint.engine import lint_paths
 from repro.lint.findings import Finding
 from repro.lint.fixes import fix_source
-from repro.lint.registry import all_checkers, all_program_checkers
-from repro.perf import perf_timer
+from repro.lint.registry import all_checkers
 
 __all__ = ["main", "build_parser"]
 
@@ -58,11 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fix", action="store_true",
                         help="apply machine-applicable fixes, then "
                              "re-lint and report what remains")
-    parser.add_argument("--stats", action="store_true",
-                        help="print run statistics as JSON and exit 0")
-    parser.add_argument("--timings", action="store_true",
-                        help="include wall-clock timings in --stats "
-                             "output (not deterministic)")
     parser.add_argument("--list-checkers", action="store_true",
                         help="list registered checkers and exit")
     return parser
@@ -121,36 +109,6 @@ def _apply_fixes(findings: _t.Sequence[Finding],
     return applied, touched
 
 
-def _stats_document(run: LintRun, timings: dict[str, float] | None,
-                    ) -> dict[str, _t.Any]:
-    from repro.lint.program.asyncsafety import async_stats
-    from repro.lint.program.taint import taint_result
-
-    program = run.program
-    counts: dict[str, int] = {}
-    for finding in run.findings:
-        counts[finding.code] = counts.get(finding.code, 0) + 1
-    taint = taint_result(program)
-    document: dict[str, _t.Any] = {
-        "files": run.files,
-        "program": {
-            "functions": program.function_count(),
-            "call_edges": program.edge_count(),
-            "process_generators": len(program.process_generators()),
-        },
-        "taint": {
-            "tokens": taint.tokens,
-            "sink_hits": len(taint.hits),
-            "fixpoint_rounds": taint.rounds,
-        },
-        "async": async_stats(program),
-        "findings": {code: counts[code] for code in sorted(counts)},
-    }
-    if timings is not None:
-        document["timings"] = timings
-    return document
-
-
 def main(argv: _t.Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -158,15 +116,12 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     if args.list_checkers:
         for checker_class in all_checkers():
             print(f"{checker_class.code}  {checker_class.description}")
-        for program_class in all_program_checkers():
-            print(f"{program_class.code}  {program_class.description}")
         return 0
 
     try:
         config = load_config(pathlib.Path.cwd())
         paths = [pathlib.Path(p) for p in args.paths] \
             or [config.root / p for p in config.paths]
-        stopwatch = perf_timer()
         run = lint_paths(paths, config)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"repro.lint: error: {exc}", file=sys.stderr)
@@ -198,13 +153,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
             # repaired tree; fixes are idempotent so this converges.
             run = lint_paths(paths, config)
             fresh, baselined = split_by_baseline(run.findings, baseline)
-
-    if args.stats:
-        timings = {"lint_s": round(stopwatch(), 3)} \
-            if args.timings else None
-        json.dump(_stats_document(run, timings), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return 0
 
     if args.format == "json":
         _print_json(fresh, baselined, sys.stdout)

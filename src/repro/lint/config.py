@@ -19,11 +19,14 @@ from repro.errors import ConfigError
 __all__ = ["LintConfig", "load_config", "find_project_root"]
 
 #: Modules allowed to read the wall clock (DET002).  Real time is only
-#: meaningful at the outermost shell: operator tooling and the one
-#: blessed helper (`repro.perf`) the CLI uses for progress lines.
+#: meaningful at the outermost shell — operator tooling and the one
+#: blessed helper (`repro.perf`) the CLI uses for progress lines — and
+#: in the real-time engine, whose whole purpose is turning the host
+#: clock into ``engine.now`` (docs/live.md).
 _DEFAULT_WALLCLOCK_ALLOW = (
     "tools/",
     "src/repro/perf.py",
+    "src/repro/engine/wallclock.py",
 )
 
 #: Directories never scanned.
@@ -32,23 +35,6 @@ _DEFAULT_EXCLUDE = (
     ".git",
     "build",
     "dist",
-)
-
-#: The real-time engine: the one module whose whole purpose is turning
-#: the host clock into ``engine.now``.  Unlike ``wallclock-allow``
-#: (operator tooling, where clock values must still never reach sim
-#: sinks), this blessing also covers the DET101 clock-taint sinks —
-#: feeding host time into event scheduling *is* its job.
-_DEFAULT_ENGINE_WALLCLOCK_ALLOW = (
-    "src/repro/engine/wallclock.py",
-)
-
-#: Receiver-name substrings marking a ``.span(...)`` call as a telemetry
-#: span scope (TEL002) rather than, say, ``re.Match.span``.
-_DEFAULT_SPAN_RECEIVER_HINTS = (
-    "telemetry",
-    "tel",
-    "spans",
 )
 
 
@@ -72,25 +58,6 @@ class LintConfig:
     #: "values of 1 or 2, which stand for low and high priority".
     cacheable_priority_min: int = 1
     cacheable_priority_max: int = 2
-    #: The blessed wall-clock *engine* module(s): exempt from DET002
-    #: and the clock branch of DET101 (docs/live.md).
-    engine_wallclock_allow: tuple[str, ...] = (
-        _DEFAULT_ENGINE_WALLCLOCK_ALLOW)
-    #: Receiver substrings identifying telemetry span scopes (TEL002).
-    span_receiver_hints: tuple[str, ...] = _DEFAULT_SPAN_RECEIVER_HINTS
-    #: Qualified-name prefixes exempt from the per-iteration-span rule
-    #: (TEL003) — drivers that genuinely must open a span per loop turn.
-    span_loop_allow: tuple[str, ...] = ()
-    #: Qualified-name prefixes whose functions the PERF1xx passes treat
-    #: as hot paths, in addition to detected simulation processes.
-    perf_hot_paths: tuple[str, ...] = (
-        "repro.sim.kernel.Simulator.",)
-    #: Qualified-name prefixes blessed to make blocking calls even when
-    #: reachable from a coroutine (ASYNC101) — sanctioned shutdown
-    #: flushes, ``run_in_executor`` shims, loopback-bind helpers.  A
-    #: blessed function neither reports its own blocking sites nor
-    #: forwards its callees' up to coroutines.
-    async_blocking_allow: tuple[str, ...] = ()
 
     def baseline_path(self) -> pathlib.Path:
         return self.root / self.baseline
@@ -98,15 +65,6 @@ class LintConfig:
     def allows_wallclock(self, relpath: str) -> bool:
         """True if ``relpath`` may read the wall clock (DET002)."""
         return path_matches(relpath, self.wallclock_allow)
-
-    def allows_engine_wallclock(self, relpath: str) -> bool:
-        """True if ``relpath`` is a blessed wall-clock engine module."""
-        return path_matches(relpath, self.engine_wallclock_allow)
-
-    def allows_async_blocking(self, qualname: str) -> bool:
-        """True if the function may block despite coroutine reach."""
-        return any(qualname == prefix or qualname.startswith(prefix)
-                   for prefix in self.async_blocking_allow)
 
 
 def path_matches(relpath: str, patterns: _t.Iterable[str]) -> bool:
@@ -147,9 +105,7 @@ def load_config(start: pathlib.Path | str = ".") -> LintConfig:
             table = tomllib.load(handle).get("tool", {}).get("repro-lint", {})
 
     known = {"baseline", "paths", "wallclock-allow", "ignore", "exclude",
-             "cacheable-priority-range", "engine-wallclock-allow",
-             "span-receiver-hints", "span-loop-allow",
-             "perf-hot-paths", "async-blocking-allow"}
+             "cacheable-priority-range"}
     unknown = set(table) - known
     if unknown:
         raise ConfigError(
@@ -180,12 +136,4 @@ def load_config(start: pathlib.Path | str = ".") -> LintConfig:
         exclude=_strings("exclude", _DEFAULT_EXCLUDE),
         cacheable_priority_min=int(priority_range[0]),
         cacheable_priority_max=int(priority_range[1]),
-        engine_wallclock_allow=_strings("engine-wallclock-allow",
-                                        _DEFAULT_ENGINE_WALLCLOCK_ALLOW),
-        span_receiver_hints=_strings("span-receiver-hints",
-                                     _DEFAULT_SPAN_RECEIVER_HINTS),
-        span_loop_allow=_strings("span-loop-allow", ()),
-        perf_hot_paths=_strings(
-            "perf-hot-paths", ("repro.sim.kernel.Simulator.",)),
-        async_blocking_allow=_strings("async-blocking-allow", ()),
     )

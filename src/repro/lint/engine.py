@@ -7,12 +7,8 @@ gate in ``tests/test_lint_clean.py``) call it as a library:
     findings = lint_paths([repo_root / "src"], config).findings
 
 ``lint_paths`` is the one run loop.  Each file is read, parsed and
-tokenized exactly once; that single tree feeds the per-file checkers
-and :func:`~repro.lint.program.extract.extract_module`, and the same
-suppression map filters both layers' findings.  The whole-program
-passes (DET101/DET102/SIM101, ...) then run over the linked
-:class:`~repro.lint.program.model.Program`, which the run returns so
-``--stats`` and ``--fix`` work from the same pass.
+tokenized exactly once; that single tree feeds every checker, and the
+file's suppression map filters their findings.
 """
 
 from __future__ import annotations
@@ -23,10 +19,7 @@ import typing as _t
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
-from repro.lint.program.extract import extract_module
-from repro.lint.program.model import Program
-from repro.lint.registry import (ModuleUnderLint, all_checkers,
-                                 all_program_checkers)
+from repro.lint.registry import ModuleUnderLint, all_checkers
 
 __all__ = ["LintRun", "lint_file", "lint_paths", "iter_python_files"]
 
@@ -34,11 +27,9 @@ __all__ = ["LintRun", "lint_file", "lint_paths", "iter_python_files"]
 class LintRun(_t.NamedTuple):
     """Everything one :func:`lint_paths` run produced."""
 
-    #: Both layers' findings, suppression-filtered, sorted, deduplicated.
+    #: Every checker's findings, suppression-filtered, sorted,
+    #: deduplicated.
     findings: list[Finding]
-    #: The linked whole-program view (files that failed to parse are
-    #: reported as LINT999 and left out).
-    program: Program
     #: Number of files scanned, including LINT999 ones.
     files: int
 
@@ -112,11 +103,7 @@ def _check(module: ModuleUnderLint) -> list[Finding]:
 
 
 def lint_file(path: pathlib.Path, config: LintConfig) -> list[Finding]:
-    """Per-file findings for one file, sorted by location.
-
-    Whole-program findings require the full file set and therefore only
-    come out of :func:`lint_paths`.
-    """
+    """The findings for one file, sorted by location."""
     parsed = _parse(path, config)
     if isinstance(parsed, Finding):
         return [parsed]
@@ -125,27 +112,14 @@ def lint_file(path: pathlib.Path, config: LintConfig) -> list[Finding]:
 
 def lint_paths(paths: _t.Iterable[pathlib.Path | str],
                config: LintConfig) -> LintRun:
-    """Lint every Python file under ``paths`` with both layers."""
+    """Lint every Python file under ``paths``."""
     files = list(iter_python_files(
         (pathlib.Path(p) for p in paths), config))
     findings: list[Finding] = []
-    modules: list[ModuleUnderLint] = []
     for file_path in files:
         parsed = _parse(file_path, config)
         if isinstance(parsed, Finding):
             findings.append(parsed)
-            continue
-        modules.append(parsed)
-        findings.extend(_check(parsed))
-    program = Program([extract_module(module.path, module.tree)
-                       for module in modules])
-    by_path = {module.path: module for module in modules}
-    for checker_class in all_program_checkers():
-        if checker_class.code in config.ignore:
-            continue
-        findings.extend(
-            finding
-            for finding in checker_class().check_program(program, config)
-            if not by_path[finding.path].suppressions.is_suppressed(
-                finding.code, finding.line))
-    return LintRun(sorted(set(findings)), program, len(files))
+        else:
+            findings.extend(_check(parsed))
+    return LintRun(sorted(set(findings)), len(files))

@@ -6,13 +6,6 @@ of checker execution order) and reduce to a *baseline key* — the
 ``(path, code, line)`` triple used to match grandfathered findings in
 the committed baseline file.
 
-Whole-program findings (DET101/DET102/SIM101) additionally carry a
-``trace``: the ordered source→sink (or write→write) path the analysis
-followed, each step a ``(path, line, note)`` triple.  Traces are
-evidence, not identity — they are rendered and exported but excluded
-from the baseline key, so a refactor that re-routes a flow without
-fixing it still matches its baseline entry.
-
 Findings may also carry a :class:`~repro.lint.fixes.Fix` — a set of
 precise span rewrites ``python -m repro.lint --fix`` can apply.  The
 fix is excluded from equality/ordering so two findings describing the
@@ -27,22 +20,7 @@ import typing as _t
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.fixes import Fix
 
-__all__ = ["Finding", "TraceStep"]
-
-
-@dataclasses.dataclass(frozen=True, order=True)
-class TraceStep:
-    """One hop of a whole-program source→sink trace."""
-
-    path: str
-    line: int
-    note: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: {self.note}"
-
-    def to_dict(self) -> dict[str, _t.Any]:
-        return {"path": self.path, "line": self.line, "note": self.note}
+__all__ = ["Finding"]
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -58,9 +36,6 @@ class Finding:
     col: int
     code: str
     message: str
-    #: Source→sink evidence for inter-procedural findings; empty for
-    #: single-site findings.
-    trace: tuple[TraceStep, ...] = ()
     #: Machine-applicable repair, if the checker can offer one.
     fix: "Fix | None" = dataclasses.field(
         default=None, compare=False, hash=False)
@@ -70,16 +45,9 @@ class Finding:
         return (self.path, self.code, self.line)
 
     def render(self) -> str:
-        """``path:line:col: CODE message`` — the human/grep-able form.
-
-        Traced findings append one indented line per hop.
-        """
-        head = f"{self.path}:{self.line}:{self.col}: " \
+        """``path:line:col: CODE message`` — the human/grep-able form."""
+        return f"{self.path}:{self.line}:{self.col}: " \
                f"{self.code} {self.message}"
-        if not self.trace:
-            return head
-        steps = "\n".join(f"    {step.render()}" for step in self.trace)
-        return f"{head}\n{steps}"
 
     def to_dict(self) -> dict[str, _t.Any]:
         """JSON-ready representation (``--format json``)."""
@@ -89,5 +57,4 @@ class Finding:
             "col": self.col,
             "code": self.code,
             "message": self.message,
-            "trace": [step.to_dict() for step in self.trace],
         }

@@ -20,11 +20,8 @@ from repro.lint.suppressions import Suppressions, parse_suppressions
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.config import LintConfig
-    from repro.lint.program.model import Program
 
-__all__ = ["Checker", "ModuleUnderLint", "ProgramChecker", "register",
-           "register_program", "all_checkers", "all_program_checkers",
-           "checker_for"]
+__all__ = ["Checker", "ModuleUnderLint", "register", "all_checkers"]
 
 
 class ModuleUnderLint:
@@ -44,8 +41,7 @@ class ModuleUnderLint:
 
     @functools.cached_property
     def suppressions(self) -> Suppressions:
-        """The file's ``# lint: disable=`` map; one tokenize, shared by
-        the per-file and whole-program layers."""
+        """The file's ``# lint: disable=`` map; one tokenize per file."""
         return parse_suppressions(self.source)
 
     def finding(self, code: str, node: ast.AST, message: str) -> Finding:
@@ -71,32 +67,7 @@ class Checker:
         return f"<{type(self).__name__} {self.code}>"
 
 
-class ProgramChecker:
-    """Base class for whole-program checkers.
-
-    Where :class:`Checker` sees one file at a time, a program checker
-    receives the fully built :class:`~repro.lint.program.model.Program`
-    — symbol table, call graph, per-function summaries — and may emit
-    findings in any file of the program.  Suppressions and the
-    ``ignore`` config are applied by the engine exactly as for per-file
-    checkers.
-    """
-
-    #: Unique rule identifier, e.g. ``"DET101"``.
-    code: str = ""
-    #: One-line summary shown by ``--list-checkers`` and the docs.
-    description: str = ""
-
-    def check_program(self, program: "Program",
-                      config: "LintConfig") -> _t.Iterator[Finding]:
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.code}>"
-
-
 _REGISTRY: dict[str, type[Checker]] = {}
-_PROGRAM_REGISTRY: dict[str, type[ProgramChecker]] = {}
 
 
 def register(cls: type[Checker]) -> type[Checker]:
@@ -109,37 +80,8 @@ def register(cls: type[Checker]) -> type[Checker]:
     return cls
 
 
-def register_program(cls: type[ProgramChecker]) -> type[ProgramChecker]:
-    """Class decorator adding ``cls`` to the program-checker registry."""
-    if not cls.code:
-        raise ValueError(f"program checker {cls.__name__} has no code")
-    if cls.code in _PROGRAM_REGISTRY \
-            and _PROGRAM_REGISTRY[cls.code] is not cls:
-        raise ValueError(f"duplicate program checker code {cls.code!r}")
-    _PROGRAM_REGISTRY[cls.code] = cls
-    return cls
-
-
 def all_checkers() -> list[type[Checker]]:
     """Every registered checker class, sorted by code."""
     import repro.lint.checkers  # noqa: F401 - triggers registration
 
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
-
-
-def all_program_checkers() -> list[type[ProgramChecker]]:
-    """Every registered whole-program checker class, sorted by code."""
-    import repro.lint.program.passes  # noqa: F401 - triggers registration
-
-    return [_PROGRAM_REGISTRY[code] for code in sorted(_PROGRAM_REGISTRY)]
-
-
-def checker_for(code: str) -> type[Checker]:
-    """Look up one checker class by its code."""
-    import repro.lint.checkers  # noqa: F401 - triggers registration
-
-    try:
-        return _REGISTRY[code]
-    except KeyError:
-        raise KeyError(f"unknown checker code {code!r}; known: "
-                       f"{sorted(_REGISTRY)}") from None

@@ -1,5 +1,6 @@
 """PACM, fairness, frequency, and knapsack tests (with hypothesis)."""
 
+import itertools
 import math
 import random
 
@@ -326,6 +327,24 @@ def test_select_keep_set_negative_capacity():
     entry = make_entry("http://a/x", 100)
     assert select_keep_set([entry], capacity_bytes=-1,
                            frequency_of=lambda _a: 1.0, now=0.0) == []
+
+
+def test_fairness_repair_breaks_ties_the_same_way_in_any_entry_order():
+    # Three apps with equal frequencies and two 100-byte entries each:
+    # 500 bytes keep five, the app left with one entry is under-served
+    # and the other two tie on storage efficiency.  The repair must
+    # shed from the same app whatever order the entries arrive in.
+    latencies = iter((0.09, 0.08, 0.07, 0.06, 0.05, 0.04))
+    entries = [make_entry(f"http://{app}/{i}", 100, app=app,
+                          latency=next(latencies))
+               for app in "abc" for i in range(2)]
+    keep_sets = {
+        frozenset(entry.url for entry in select_keep_set(
+            list(order), capacity_bytes=500,
+            frequency_of=lambda _app: 1.0, now=0.0,
+            fairness_threshold=0.1))
+        for order in itertools.permutations(entries)}
+    assert len(keep_sets) == 1
 
 
 def test_fairness_repair_rebalances_apps():

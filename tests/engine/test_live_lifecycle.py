@@ -1,4 +1,5 @@
-"""Lifecycle hardening of the live stack: task ownership and bind failures.
+"""Lifecycle hardening of the live stack: task ownership, bind failures
+and concurrent start/stop.
 
 The asyncio event loop keeps only *weak* references to tasks, so a
 bridged socket exchange whose handle is dropped can be garbage-collected
@@ -179,5 +180,54 @@ def test_stack_start_failure_stops_earlier_tiers(monkeypatch):
                 assert server._transport is None
             else:
                 assert server._server is None
+
+    asyncio.run(_scenario())
+
+
+# ----------------------------------------------------------------------
+# Concurrent start/stop must not leak the listening socket
+# ----------------------------------------------------------------------
+def _listening(server):
+    """The server's listening-socket slot (``None`` when closed)."""
+    if isinstance(server, LiveUdpServer):
+        return server._transport
+    return server._server
+
+
+@pytest.mark.parametrize("server_class", [LiveUdpServer, LiveHttpServer])
+def test_concurrent_start_and_stop_leave_no_listening_socket(server_class):
+    """``stop`` racing a ``start`` still in its bind must close what the
+    bind opens: the lifecycle lock runs them one after the other."""
+
+    async def _scenario():
+        engine = WallClock()
+        node = Node(engine, "ap", IPv4Address("10.0.0.1"))
+        server = server_class(engine, node)
+        try:
+            await asyncio.gather(server.start(), server.stop(0.0))
+            assert _listening(server) is None
+        finally:
+            await server.stop(0.0)
+
+    asyncio.run(_scenario())
+
+
+def test_concurrent_stack_start_and_stop_leave_nothing_running():
+    """The same race one level up: the stack's own lifecycle lock keeps
+    ``stop`` from running between the binds, where it would close the
+    servers but leave the lag watchdog that ``start`` arms last."""
+
+    async def _scenario():
+        stack = LiveStack(WallClock())
+        try:
+            await asyncio.gather(stack.start(), stack.stop())
+            assert stack.state == "stopped"
+            assert not stack.watchdog.running
+            assert [_listening(server) for server in stack._servers] == \
+                [None] * len(stack._servers)
+        finally:
+            stack.watchdog.stop()
+            for server in stack._servers:
+                await server.stop(0.0)
 
     asyncio.run(_scenario())

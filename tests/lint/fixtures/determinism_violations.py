@@ -55,3 +55,24 @@ def ordering_hazards(table, heap):
     for key in sorted(table):
         heapq.heappush(heap, key)
     return worst, first, joined, blob
+
+
+def os_entropy():
+    # Imported here so the line numbers above stay put.
+    import os
+    import secrets
+    import uuid
+
+    key = os.urandom(16)                           # expect: DET001
+    more = os.getrandom(16)                        # expect: DET001
+    host_id = uuid.uuid1()                         # expect: DET001
+    request_id = uuid.uuid4()                      # expect: DET001
+    raw = secrets.token_bytes(8)                   # expect: DET001
+    hexed = secrets.token_hex(8)                   # expect: DET001
+    url_safe = secrets.token_urlsafe(8)            # expect: DET001
+    below = secrets.randbelow(10)                  # expect: DET001
+    chosen = secrets.choice([1, 2, 3])             # expect: DET001
+    bits = secrets.randbits(8)                     # expect: DET001
+    named_ok = uuid.uuid5(uuid.NAMESPACE_URL, "h")
+    return (key, more, host_id, request_id, raw, hexed, url_safe, below,
+            chosen, bits, named_ok)

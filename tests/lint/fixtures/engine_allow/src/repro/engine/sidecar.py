@@ -1,7 +1,7 @@
 """Fixture: a sibling engine module with an *unsanctioned* clock read.
 
 Lives next to the blessed wallclock module but is not on the
-``engine-wallclock-allow`` list — the allowance is per-file, not
+``wallclock-allow`` list — the allowance is per-file, not
 per-package, so this read must still be flagged.
 """
 

@@ -2,7 +2,7 @@
 
 Mirrors the real :mod:`repro.engine.wallclock` layout — the one module
 whose job is turning the host clock into ``engine.now``.  Its path
-matches the default ``engine-wallclock-allow`` entry, so the host-clock
+matches the default ``wallclock-allow`` entry, so the host-clock
 reads below are sanctioned (no DET002 expected anywhere here).
 """
 

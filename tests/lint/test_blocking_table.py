@@ -17,7 +17,7 @@ from repro.lint.checkers.simsafety import (BLOCKING_BUILTINS,
 def _call_site(target):
     """``(import line, call expression, ASYNC101 kind)`` for an entry."""
     if target in BLOCKING_BUILTINS:
-        return "", f"{target}('x')", "file-io"
+        return "", f"{target}('x')", BLOCKING_BUILTINS[target]
     path = f"{target}blocking_op" if target.endswith(".") else target
     module = path.rpartition(".")[0]
     return f"import {module}", f"{path}()", BLOCKING_CALLS[target]

@@ -36,6 +36,7 @@ def lint_fixture(name: str) -> list:
 @pytest.mark.parametrize("fixture", [
     "determinism_violations.py",
     "simsafety_violations.py",
+    "async_violations.py",
     "cachespec_violations.py",
     "suppressed.py",
     "det004/src/repro/telemetry/profiling.py",
@@ -113,3 +114,28 @@ def test_ignore_list_drops_whole_checkers(tmp_path):
     target.write_text("import random\nx = random.random()\n")
     config = LintConfig(root=tmp_path, ignore=("DET001",))
     assert lint_file(target, config) == []
+
+
+PERF103_SOURCE = '''\
+def record(value, **labels):
+    key = labelset(labels)
+    return key
+
+
+def guarded(value, **labels):
+    key = () if not labels else labelset(labels)
+    return key
+
+
+def positional(labels):
+    return labelset(labels)
+'''
+
+
+def test_perf103_flags_only_the_unguarded_kwargs_labelset(tmp_path):
+    target = tmp_path / "instrumented.py"
+    target.write_text(PERF103_SOURCE)
+    findings = lint_file(target, LintConfig(root=tmp_path))
+    perf103 = [(finding.code, finding.line) for finding in findings
+               if finding.code == "PERF103"]
+    assert perf103 == [("PERF103", 2)]

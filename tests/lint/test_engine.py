@@ -159,6 +159,12 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     "program-cache",  # the whole-program summary cache, deleted
     "telemetry-paths",  # scoped DET004, folded into DET002
     "telemetry-profiling-allow",  # DET004's exemption, same
+    "engine-wallclock-allow",  # folded into wallclock-allow
+    # The whole-program layer's keys, deleted with it.
+    "span-receiver-hints",
+    "span-loop-allow",
+    "perf-hot-paths",
+    "async-blocking-allow",
 ])
 def test_load_config_rejects_retired_keys(tmp_path, key):
     (tmp_path / "pyproject.toml").write_text(
@@ -194,7 +200,7 @@ def test_lint_paths_reads_parses_and_tokenizes_each_file_once(
         monkeypatch):
     import repro.lint.registry
 
-    fixture = pathlib.Path(__file__).parent / "fixtures" / "program"
+    fixture = pathlib.Path(__file__).parent / "fixtures"
     config = LintConfig(root=fixture)
     files = list(iter_python_files([fixture], config))
     calls = {"read_text": 0, "parse": 0, "tokenize": 0}

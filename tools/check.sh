@@ -18,16 +18,15 @@ export PYTHONPATH
 echo "==> repro.lint"
 python -m repro.lint
 
-echo "==> repro.lint program-pass determinism"
-# The whole-program passes must be deterministic run to run:
-# byte-identical JSON from two runs.
+echo "==> repro.lint determinism"
+# Two lint runs must print byte-identical JSON.
 lint_a=$(mktemp) lint_b=$(mktemp)
 spans_a=$(mktemp) spans_b=$(mktemp) trace_a=$(mktemp)
 sweep_serial=$(mktemp) sweep_parallel=$(mktemp)
 merged_serial=$(mktemp) merged_parallel=$(mktemp)
-diff_out=$(mktemp) lint_stats=$(mktemp) async_proj=$(mktemp -d)
+diff_out=$(mktemp) async_proj=$(mktemp -d)
 admin_follow=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$lint_stats" \
+trap 'rm -f "$lint_a" "$lint_b" \
     "$spans_a" "$spans_b" "$trace_a" \
     "$sweep_serial" "$sweep_parallel" \
     "$merged_serial" "$merged_parallel" \
@@ -40,17 +39,10 @@ if ! cmp -s "$lint_a" "$lint_b"; then
     exit 1
 fi
 
-echo "==> repro.lint async/engine-seam passes"
-# The --stats document carries the async fact counts the ASYNC/ENG
-# whole-program passes run on; extraction must have seen coroutines.
-python -m repro.lint --stats > "$lint_stats"
-python - "$lint_stats" <<'EOF'
-import json, sys
-stats = json.load(open(sys.argv[1]))
-assert stats["async"]["coroutines"] > 0, "async extraction saw nothing"
-EOF
-# And the passes must actually bite: a scratch project with a dropped
-# task handle (the ASYNC102 GC hazard) fails the lint with exit 1.
+echo "==> repro.lint async rules"
+# The event-loop rules must bite: a scratch file with a dropped task
+# handle (ASYNC102, the GC hazard) and one with a time.sleep written
+# inside a coroutine (ASYNC101) each fail the lint with exit 1.
 mkdir -p "$async_proj/src/scratch"
 cat > "$async_proj/src/scratch/leak.py" <<'EOF'
 import asyncio
@@ -63,10 +55,24 @@ async def work() -> None:
 async def leak() -> None:
     asyncio.create_task(work())
 EOF
-if python -m repro.lint "$async_proj/src" >/dev/null 2>&1; then
-    echo "FAIL: lint passed a project with a dropped task handle" >&2
-    exit 1
-fi
+cat > "$async_proj/src/scratch/stall.py" <<'EOF'
+import asyncio
+import time
+
+
+async def stall() -> None:
+    time.sleep(0.1)
+    await asyncio.sleep(0)
+EOF
+for scratch in leak stall; do
+    status=0
+    python -m repro.lint "$async_proj/src/scratch/$scratch.py" \
+        >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "FAIL: lint exited $status, not 1, on $scratch.py" >&2
+        exit 1
+    fi
+done
 
 echo "==> repro.cli obs (telemetry determinism smoke)"
 python -m repro.cli obs --spans "$spans_a" \
