@@ -4,7 +4,7 @@
 Builds an instrumented testbed, installs APE-CACHE, fetches two
 objects twice, and then reads everything the unified observability
 layer captured: the per-request span trees (cold delegation vs warm
-hit), the labelled instrument snapshot, and the deterministic JSONL
+hit), the per-stage latency histograms, and the deterministic JSONL
 export the regression tests hash.
 
 Run:  python examples/telemetry_demo.py
@@ -13,7 +13,8 @@ Run:  python examples/telemetry_demo.py
 from repro.baselines import ApeCacheSystem
 from repro.core.annotations import CacheableSpec
 from repro.sim import HOUR
-from repro.telemetry import snapshot_table, spans_to_jsonl
+from repro.telemetry import spans_to_jsonl
+from repro.telemetry.obs import stage_table
 from repro.testbed import Testbed, TestbedConfig
 
 URLS = ("http://demo.example/manifest", "http://demo.example/poster")
@@ -57,9 +58,9 @@ def main() -> None:
     print(f"\nwarm request trace (#{warm.trace_id}):")
     print(telemetry.spans.render_trace(warm.trace_id))
 
-    # 2. Instruments: labelled counters/gauges/histograms, one snapshot.
-    print("\ninstrument snapshot:")
-    print(snapshot_table(telemetry))
+    # 2. Instruments: labelled histograms, read through the obs panel.
+    print("\ninstrument snapshot (per-stage latency histograms):")
+    print(stage_table(telemetry).render())
 
     # 3. Exports: deterministic JSONL — same seed, same bytes.
     dump = spans_to_jsonl(telemetry)

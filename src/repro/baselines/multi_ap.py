@@ -14,8 +14,7 @@ object.  This module restores that form on top of the single-AP pieces:
 
 When the testbed is instrumented, every AP additionally carries its own
 *telemetry shard* — a private :class:`~repro.telemetry.Telemetry`
-registry (sketch-backed histograms, so shards stay fixed-memory and
-mergeable) recording ``fleet.*`` instruments.  :meth:`fleet_rollup`
+registry recording ``fleet.*`` instruments.  :meth:`fleet_rollup`
 folds the shards into one controller-side registry; the fold is
 order-independent, so the merged view is byte-identical however the
 fleet reports in.  ``repro.cli obs --fleet N`` renders it.
@@ -70,10 +69,8 @@ class WiCacheDistributedSystem(CachingSystem):
         self.shards = []
         for ap_name in self._ap_names:
             # One private shard registry per AP (only when the run is
-            # instrumented): sketch histograms keep each shard fixed-
-            # memory and make the cross-AP fold exact-count mergeable.
-            shard = (Telemetry(bed.sim, histogram_backend="sketch")
-                     if bed.telemetry.enabled else None)
+            # instrumented), folded across APs by the shard merge.
+            shard = Telemetry(bed.sim) if bed.telemetry.enabled else None
             agent = WiCacheAgent(bed, self.controller,
                                  self.cache_capacity_per_ap,
                                  node=bed.network.node(ap_name),

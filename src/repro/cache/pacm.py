@@ -149,14 +149,11 @@ class PacmPolicy(EvictionPolicy):
         self._t_selections = telemetry.counter(
             "pacm.selections", help="PACM victim-selection invocations")
         self._t_victims = telemetry.histogram(
-            "pacm.victims", help="victims evicted per PACM selection",
-            buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
+            "pacm.victims", help="victims evicted per PACM selection")
         self._t_repair_rounds = telemetry.histogram(
             "pacm.repair_rounds",
             help="fairness repair rounds per PACM selection "
-                 "(capped at the live entry count)",
-            buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
-                     256.0))
+                 "(capped at the live entry count)")
 
     def select_victims(self, store: CacheStore, incoming: CacheEntry,
                        now: float) -> list[CacheEntry] | None:

@@ -118,11 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--profile", action="store_true",
                      help="also report host events/sec and wall-ms "
                           "per sim-s")
-    obs.add_argument("--backend", type=str, default="exact",
-                     choices=("exact", "sketch"),
-                     help="histogram storage: exact raw samples or "
-                          "the fixed-memory mergeable quantile sketch "
-                          "(default exact)")
     obs.add_argument("--tail-threshold-ms", type=float, default=None,
                      metavar="MS",
                      help="tail-sample traces: keep every request "
@@ -404,7 +399,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                     profile=args.profile,
                     metrics_path=args.export_metrics,
                     trace_path=args.export_trace,
-                    backend=args.backend,
                     tail_threshold_ms=args.tail_threshold_ms,
                     tail_sample_every=args.tail_sample_every,
                     fleet=args.fleet, top=args.top), args.format)

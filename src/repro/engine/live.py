@@ -134,11 +134,9 @@ class LiveStack:
         self.config = config or LiveStackConfig()
         #: One registry for every tier, clocked off the wall engine, so
         #: cross-tier traces share one id space — same layout as the
-        #: simulated testbed's.  Its histograms are fixed-memory
-        #: sketches: a serving process keeps no sample per request.
+        #: simulated testbed's.
         self.telemetry = (telemetry if telemetry is not None
-                          else Telemetry(engine, max_spans=LIVE_SPAN_RING,
-                                         histogram_backend="sketch"))
+                          else Telemetry(engine, max_spans=LIVE_SPAN_RING))
         self.transport = LiveTransport(engine, telemetry=self.telemetry)
         # Surface the engine's owned-task count (the ASYNC102 pattern)
         # as a live-health gauge for the obs panel.

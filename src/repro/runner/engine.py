@@ -95,10 +95,10 @@ class SweepResult:
     def merged_telemetry(self) -> "Telemetry":
         """Every cell's registry shard folded into one fleet registry.
 
-        Counters/gauges sum, histograms merge (exact sample multisets
-        or sketch buckets), and the fold is order-independent — the
-        merged registry's exports are byte-identical whether the sweep
-        ran serial or pooled.  Cells that carried no shard (telemetry
+        Counters/gauges sum, histograms merge their sketch buckets,
+        and the fold is order-independent — the merged registry's
+        exports are byte-identical whether the sweep ran serial or
+        pooled.  Cells that carried no shard (telemetry
         off, bespoke runners) contribute nothing; raises when *no* cell
         carried one, since silently returning an empty registry would
         read as "the sweep recorded nothing".

@@ -33,15 +33,12 @@ from repro.telemetry.analysis import (
 from repro.telemetry.export import (
     metric_records,
     metrics_to_jsonl,
-    snapshot_table,
     span_records,
     spans_to_jsonl,
     write_metrics_jsonl,
     write_spans_jsonl,
 )
 from repro.telemetry.instruments import (
-    DEFAULT_LATENCY_BUCKETS_MS,
-    HISTOGRAM_BACKENDS,
     Counter,
     Gauge,
     Histogram,
@@ -65,10 +62,8 @@ from repro.telemetry.spans import (
 __all__ = [
     "AttributionReport",
     "Counter",
-    "DEFAULT_LATENCY_BUCKETS_MS",
     "DEFAULT_RELATIVE_ERROR",
     "Gauge",
-    "HISTOGRAM_BACKENDS",
     "Histogram",
     "HostProfile",
     "HostProfileReport",
@@ -94,7 +89,6 @@ __all__ = [
     "metric_records",
     "metrics_to_jsonl",
     "records_from_telemetry",
-    "snapshot_table",
     "span_records",
     "spans_to_jsonl",
     "write_metrics_jsonl",

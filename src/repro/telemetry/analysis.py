@@ -602,16 +602,7 @@ def _metric_key(record: _t.Mapping[str, object]) -> str:
     labels = _t.cast(_t.Mapping[str, object], record.get("labels", {}))
     rendered = ",".join(f"{key}={labels[key]}"
                         for key in sorted(labels))
-    key = f"{record.get('name')}{{{rendered}}}"
-    # Histogram series state their percentile backend in the key, so
-    # an exact-mode run never diffs "equal" against a sketch-mode run:
-    # same numbers from different estimators are different series.
-    summary = record.get("summary")
-    if isinstance(summary, _t.Mapping):
-        backend = summary.get("backend")
-        if backend:
-            key += f"#{backend}"
-    return key
+    return f"{record.get('name')}{{{rendered}}}"
 
 
 def _metric_values(record: _t.Mapping[str, object],

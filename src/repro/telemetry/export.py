@@ -1,4 +1,4 @@
-"""Exporters: JSONL span/metric dumps and a text snapshot table.
+"""Exporters: JSONL span and metric dumps.
 
 Every exporter is deterministic — records are sorted by stable keys
 (trace id, span id, instrument name, label set) and JSON is emitted with
@@ -10,14 +10,13 @@ catch nondeterminism regressions anywhere in the instrumented stack.
 from __future__ import annotations
 
 import json
-import typing as _t
 
 from repro.telemetry.instruments import Counter, Gauge, Histogram
 from repro.telemetry.registry import Telemetry
 
 __all__ = ["span_records", "spans_to_jsonl", "metric_records",
            "metrics_to_jsonl", "write_spans_jsonl",
-           "write_metrics_jsonl", "snapshot_table"]
+           "write_metrics_jsonl"]
 
 
 def _dumps(record: dict[str, object]) -> str:
@@ -53,11 +52,7 @@ def spans_to_jsonl(telemetry: Telemetry) -> str:
 
 def write_spans_jsonl(telemetry: Telemetry, path: str) -> int:
     """Dump the span log to ``path``; returns the span count."""
-    records = span_records(telemetry)
-    with open(path, "w") as handle:
-        for record in records:
-            handle.write(_dumps(record) + "\n")
-    return len(records)
+    return _write_lines(path, spans_to_jsonl(telemetry))
 
 
 # ----------------------------------------------------------------------
@@ -74,20 +69,10 @@ def metric_records(telemetry: Telemetry) -> list[dict[str, object]]:
                 "labels": dict(labels),
             }
             keyed = dict(labels)
-            if isinstance(instrument, Counter):
-                record["value"] = instrument.value(**keyed)
-            elif isinstance(instrument, Gauge):
+            if isinstance(instrument, (Counter, Gauge)):
                 record["value"] = instrument.value(**keyed)
             elif isinstance(instrument, Histogram):
-                # The summary's "backend" key states how percentiles
-                # were computed (exact/sketch); the top-level
-                # key mirrors the configured storage strategy so
-                # consumers can filter without parsing summaries.
-                record["backend"] = instrument.backend
                 record["summary"] = instrument.summary(**keyed)
-                record["buckets"] = list(instrument.buckets)
-                record["bucket_counts"] = \
-                    instrument.bucket_counts(**keyed)
             records.append(record)
     return records
 
@@ -100,51 +85,13 @@ def metrics_to_jsonl(telemetry: Telemetry) -> str:
 
 def write_metrics_jsonl(telemetry: Telemetry, path: str) -> int:
     """Dump every metric record to ``path``; returns the record count."""
-    records = metric_records(telemetry)
+    return _write_lines(path, metrics_to_jsonl(telemetry))
+
+
+def _write_lines(path: str, text: str) -> int:
+    """Write newline-joined records with a trailing newline; returns
+    the record count."""
     with open(path, "w") as handle:
-        for record in records:
-            handle.write(_dumps(record) + "\n")
-    return len(records)
-
-
-# ----------------------------------------------------------------------
-# Text snapshot
-# ----------------------------------------------------------------------
-def _format_labels(labels: _t.Mapping[str, object]) -> str:
-    if not labels:
-        return "-"
-    return ",".join(f"{key}={value}"
-                    for key, value in sorted(labels.items()))
-
-
-def snapshot_table(telemetry: Telemetry) -> str:
-    """A fixed-width table of every instrument's current state."""
-    rows: list[tuple[str, str, str, str]] = []
-    for record in metric_records(telemetry):
-        labels = _format_labels(_t.cast(dict, record["labels"]))
-        if record["kind"] == "histogram":
-            summary = _t.cast(dict, record["summary"])
-            if summary.get("count"):
-                value = (f"n={summary['count']:.0f} "
-                         f"mean={summary['mean']:.3f} "
-                         f"p50={summary['p50']:.3f} "
-                         f"p95={summary['p95']:.3f} "
-                         f"p99={summary['p99']:.3f}")
-            else:
-                value = "n=0"
-        else:
-            value = f"{_t.cast(float, record['value']):g}"
-        rows.append((_t.cast(str, record["name"]),
-                     _t.cast(str, record["kind"]), labels, value))
-    if not rows:
-        return "(no instruments recorded)"
-    headers = ("instrument", "kind", "labels", "value")
-    widths = [max(len(headers[index]), *(len(row[index]) for row in rows))
-              for index in range(4)]
-    lines = ["  ".join(header.ljust(width)
-                       for header, width in zip(headers, widths))]
-    lines.append("  ".join("-" * width for width in widths))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(width)
-                               for cell, width in zip(row, widths)))
-    return "\n".join(lines)
+        if text:
+            handle.write(text + "\n")
+    return text.count("\n") + 1 if text else 0

@@ -17,16 +17,13 @@ reads it back so ``repro.cli obs --follow`` can rebuild the registry
 under the original names).
 
 Histograms render as cumulative ``le`` buckets plus ``_sum`` and
-``_count``.  Exact series expose their configured bounds;
-sketch-backed series expose their **gamma log-buckets** (upper bound
-``gamma^i``) and carry ``backend="sketch"`` / ``alpha`` labels so a
-scrape never silently mixes fidelities.
+``_count``; the buckets are each series' quantile-sketch log-buckets
+(upper bound ``gamma^i``).
 
 :func:`telemetry_from_exposition` is the inverse used by ``obs
---follow``: it rebuilds counters and gauges exactly and refills each
-histogram series with bucket-bound synthetic samples (counts exact,
-percentiles at bucket resolution), which is enough for every obs panel
-and for ``diff_runs`` over exported snapshots.
+--follow``: it rebuilds counters and gauges exactly and each histogram
+series' sketch from its buckets (count, sum and bucket counts exact),
+in time proportional to the bucket count, not the observation count.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ import typing as _t
 from repro.errors import TelemetryError
 from repro.telemetry.instruments import Counter, Gauge, Histogram
 from repro.telemetry.registry import Telemetry
+from repro.telemetry.sketch import QuantileSketch
 
 __all__ = [
     "PROM_CONTENT_TYPE",
@@ -124,16 +122,10 @@ def render_prometheus(telemetry: Telemetry) -> str:
                 lines.append(f"{exposed}{_render_labels(list(key))} "
                              f"{_fnum(value)}")
         elif isinstance(instrument, Histogram):
-            for key in instrument.labelsets():
-                rows, total, folded, backend = \
-                    instrument.cumulative_rows(key)
-                extra = [("backend", backend)]
-                if backend == "sketch":
-                    extra.append(
-                        ("alpha",
-                         f"{instrument.sketch_relative_error:g}"))
-                series = _series_labels(key, extra)
-                for bound, cumulative in rows:
+            for key, sketch in instrument.series():
+                series = list(key)
+                total = sketch.count
+                for bound, cumulative in sketch.cumulative_buckets():
                     bucket = _series_labels(series,
                                             [("le", _fnum(bound))])
                     lines.append(
@@ -144,7 +136,7 @@ def render_prometheus(telemetry: Telemetry) -> str:
                     f"{exposed}_bucket{_render_labels(inf_bucket)} "
                     f"{total}")
                 lines.append(f"{exposed}_sum{_render_labels(series)} "
-                             f"{_fnum(folded)}")
+                             f"{_fnum(sketch.sum)}")
                 lines.append(f"{exposed}_count{_render_labels(series)} "
                              f"{total}")
     return "\n".join(lines) + "\n"
@@ -367,10 +359,8 @@ def _find_label_end(rest: str, line_no: int) -> int:
 def telemetry_from_exposition(text: str) -> Telemetry:
     """Rebuild a registry from a ``/metrics`` scrape.
 
-    Counters and gauges round-trip exactly.  Histogram series are
-    refilled with synthetic samples at their bucket upper bounds —
-    counts are exact, sums and percentiles carry bucket resolution —
-    which is all the obs panels and ``diff_runs`` need from a scrape.
+    Counters and gauges round-trip exactly, and so does each histogram
+    series' sketch (see :meth:`QuantileSketch.from_cumulative_buckets`).
     """
     telemetry = Telemetry()
     for family in parse_exposition(text):
@@ -391,42 +381,24 @@ def telemetry_from_exposition(text: str) -> Telemetry:
 def _rebuild_histogram(telemetry: Telemetry, name: str,
                        family: MetricFamily) -> None:
     SeriesKey = tuple[tuple[str, str], ...]
-    buckets: dict[SeriesKey, dict[float, float]] = {}
-    counts: dict[SeriesKey, float] = {}
-    bounds: set[float] = set()
-    # ``backend``/``alpha`` are exposition metadata stamped by the
-    # renderer, not user labels — keeping them would double up on the
-    # next render (the rebuilt series gets its own backend tag).
-    synthetic = ("le", "backend", "alpha")
+    rows: dict[SeriesKey, list[tuple[float, int]]] = {}
+    counts: dict[SeriesKey, int] = {}
+    sums: dict[SeriesKey, float] = {}
     for sample_name, labels, value in family.samples:
         series = tuple(sorted((key, val) for key, val in labels.items()
-                              if key not in synthetic))
+                              if key != "le"))
         if sample_name.endswith("_bucket"):
             bound = _parse_value(labels.get("le", "+Inf"), 0)
-            buckets.setdefault(series, {})[bound] = value
             if bound != float("inf"):
-                bounds.add(bound)
+                rows.setdefault(series, []).append((bound, int(value)))
         elif sample_name.endswith("_count"):
-            counts[series] = value
-        # _sum is informational; synthetic refill recomputes it.
-    if not bounds:
-        telemetry.histogram(name, help=family.help)
-        return
-    ordered = sorted(bounds)
-    histogram = telemetry.histogram(name, help=family.help,
-                                    buckets=ordered)
-    overflow = ordered[-1] * 2.0 + 1.0
-    for series in sorted(buckets):
-        labels = dict(series)
-        cumulative = 0.0
-        for bound in ordered:
-            reading = buckets[series].get(bound)
-            if reading is None:
-                continue
-            for _ in range(int(reading - cumulative)):
-                histogram.observe(bound, **labels)
-            cumulative = reading
-        total = counts.get(series,
-                           buckets[series].get(float("inf"), cumulative))
-        for _ in range(int(total - cumulative)):
-            histogram.observe(overflow, **labels)
+            counts[series] = int(value)
+        else:
+            sums[series] = value
+    histogram = telemetry.histogram(name, help=family.help)
+    for series in sorted(counts):
+        histogram.merge_sketch(
+            QuantileSketch.from_cumulative_buckets(
+                sorted(rows.get(series, [])), counts[series],
+                sums.get(series, 0.0)),
+            **dict(series))

@@ -1,4 +1,4 @@
-"""Metric instruments: counters, gauges, and fixed-bucket histograms.
+"""Metric instruments: counters, gauges, and sketch histograms.
 
 Every instrument supports **labels** — `counter.inc(app="maps",
 outcome="hit")` keeps one value per distinct label set — so the paper's
@@ -7,17 +7,12 @@ instead of a bag of ad-hoc name-mangled series.  Label sets are stored
 as sorted tuples, which makes aggregation and export order
 deterministic regardless of call order.
 
-Histograms record latency-style samples against fixed bucket upper
-bounds (sim-milliseconds by default) and come in two **backends**:
-
-* ``backend="exact"`` retains the raw samples, so percentiles are exact
-  (computed through :func:`percentile` below — the repository's one
-  percentile implementation).
-* ``backend="sketch"`` summarizes each label set in a fixed-memory
-  :class:`~repro.telemetry.sketch.QuantileSketch` instead: percentiles
-  carry a configurable relative-error bound while count/sum/min/max
-  stay exact and memory stops growing with the sample count — the
-  fleet-scale backend.
+Histograms summarize each label set in a fixed-memory
+:class:`~repro.telemetry.sketch.QuantileSketch`: count/sum/min/max are
+exact, percentiles are within the sketch's relative-error bound of
+:func:`percentile` below (the repository's one exact percentile
+implementation, used over raw sample lists), and memory stops growing
+with the sample count.
 
 Every instrument is **mergeable**: :meth:`Instrument.merge` folds a
 shard's state into this one, and :meth:`state_dict` /
@@ -37,24 +32,13 @@ import math
 import typing as _t
 
 from repro.errors import TelemetryError
-from repro.telemetry.sketch import DEFAULT_RELATIVE_ERROR, QuantileSketch
+from repro.telemetry.sketch import QuantileSketch
 
 __all__ = ["Counter", "Gauge", "Histogram", "Instrument", "LabelSet",
-           "DEFAULT_LATENCY_BUCKETS_MS", "HISTOGRAM_BACKENDS", "labelset",
-           "percentile"]
+           "labelset", "percentile"]
 
 #: One label set: ``(("app", "maps"), ("outcome", "hit"))``.
 LabelSet = tuple[tuple[str, str], ...]
-
-#: Default histogram bucket upper bounds, in simulated milliseconds.
-#: Spans the paper's operating range: ~1 ms WiFi hops, ~7 ms AP hits,
-#: ~30 ms edge retrievals, and multi-hundred-ms origin misses.
-DEFAULT_LATENCY_BUCKETS_MS: tuple[float, ...] = (
-    0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 20.0, 30.0, 50.0,
-    75.0, 100.0, 150.0, 250.0, 500.0, 1000.0)
-
-#: The selectable histogram storage strategies.
-HISTOGRAM_BACKENDS = ("exact", "sketch")
 
 
 def percentile(values: _t.Sequence[float], q: float,
@@ -306,287 +290,110 @@ class Gauge(Instrument):
                 float(term) for term in terms)
 
 
-class _HistogramState:
-    """Per-label-set histogram storage."""
-
-    __slots__ = ("bucket_counts", "samples", "sum", "sum_terms",
-                 "sketch")
-
-    def __init__(self, n_buckets: int,
-                 sketch_relative_error: float | None = None) -> None:
-        #: One count per configured bucket, plus a final +inf bucket.
-        self.bucket_counts = [0] * (n_buckets + 1)
-        self.samples: list[float] = []
-        self.sum = 0.0
-        #: Per-shard sum contributions from merges (fsum'd on read).
-        self.sum_terms: list[float] = []
-        #: The fixed-memory quantile summary (sketch backend only).
-        self.sketch = (None if sketch_relative_error is None
-                       else QuantileSketch(sketch_relative_error))
-
-    def folded_sum(self) -> float:
-        if self.sketch is not None:
-            return self.sketch.sum
-        if not self.sum_terms:
-            return self.sum
-        return math.fsum([self.sum, *self.sum_terms])
-
-    def observations(self) -> int:
-        if self.sketch is not None:
-            return self.sketch.count
-        return len(self.samples)
-
-
 class Histogram(Instrument):
-    """Fixed-bucket distribution with exact or sketched percentiles.
+    """A latency-style distribution: one quantile sketch per label set.
 
-    ``buckets`` are inclusive upper bounds in ascending order; one
-    implicit ``+inf`` bucket catches overflows.  With the default
-    ``backend="exact"`` the raw samples are retained, so
-    :meth:`percentile` is exact (linear interpolation over the sorted
-    samples), matching the paper's reported p50/p95/p99; with
-    ``backend="sketch"`` each label set keeps a fixed-memory
-    :class:`~repro.telemetry.sketch.QuantileSketch` whose quantiles are
-    within ``sketch_relative_error`` of exact.
+    Each label set keeps a fixed-memory
+    :class:`~repro.telemetry.sketch.QuantileSketch` at
+    :data:`~repro.telemetry.sketch.DEFAULT_RELATIVE_ERROR`: count, sum,
+    min and max are exact, p50/p95/p99 are within that relative error
+    of exact, and memory grows with the samples' dynamic range, never
+    with their number.
     """
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = "",
-                 buckets: _t.Sequence[float] | None = None,
-                 backend: str = "exact",
-                 sketch_relative_error: float = DEFAULT_RELATIVE_ERROR,
-                 ) -> None:
+    def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
-        bounds = tuple(buckets if buckets is not None
-                       else DEFAULT_LATENCY_BUCKETS_MS)
-        if not bounds:
-            raise TelemetryError(f"histogram {name}: no buckets")
-        if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise TelemetryError(
-                f"histogram {name}: buckets must be strictly increasing, "
-                f"got {bounds}")
-        if backend not in HISTOGRAM_BACKENDS:
-            raise TelemetryError(
-                f"histogram {name}: unknown backend {backend!r} "
-                f"(expected one of {'/'.join(HISTOGRAM_BACKENDS)})")
-        self.buckets = bounds
-        self.backend = backend
-        self.sketch_relative_error = sketch_relative_error
-        self._states: dict[LabelSet, _HistogramState] = {}
+        self._sketches: dict[LabelSet, QuantileSketch] = {}
 
-    def _new_state(self) -> _HistogramState:
-        return _HistogramState(
-            len(self.buckets),
-            sketch_relative_error=(self.sketch_relative_error
-                                   if self.backend == "sketch" else None))
+    def _sketch_for(self, key: LabelSet) -> QuantileSketch:
+        sketch = self._sketches.get(key)
+        if sketch is None:
+            sketch = self._sketches[key] = QuantileSketch()
+        return sketch
 
     # -- recording ------------------------------------------------------
     def observe(self, value: float, **labels: object) -> None:
-        key = () if not labels else labelset(labels)
-        state = self._states.get(key)
-        if state is None:
-            state = self._states[key] = self._new_state()
-        state.bucket_counts[self._bucket_index(value)] += 1
-        if state.sketch is not None:
-            state.sketch.add(value)
-            return
-        state.sum += value
-        state.samples.append(value)
+        self._sketch_for(() if not labels else labelset(labels)).add(value)
 
-    def _bucket_index(self, value: float) -> int:
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                return index
-        return len(self.buckets)
+    def merge_sketch(self, sketch: QuantileSketch,
+                     **labels: object) -> None:
+        """Fold a whole sketch into one label set (a scrape rebuild)."""
+        self._sketch_for(() if not labels else labelset(labels)).merge(sketch)
 
     # -- aggregation ----------------------------------------------------
-    def _matching(self, labels: _t.Mapping[str, object],
-                  ) -> list[_HistogramState]:
-        """States whose label set contains ``labels`` as a subset."""
-        match = set(labelset(labels))
-        return [state for key, state in sorted(self._states.items())
-                if match <= set(key)]
-
-    def _merged_sketch(self, states: _t.Sequence[_HistogramState],
-                       ) -> QuantileSketch:
-        merged = QuantileSketch(self.sketch_relative_error)
-        for state in states:
-            if state.sketch is not None:
-                merged.merge(state.sketch)
+    def sketch(self, **labels: object) -> QuantileSketch:
+        """A fresh sketch merging every label set matching the subset."""
+        match = set(() if not labels else labelset(labels))
+        merged = QuantileSketch()
+        for key, sketch in sorted(self._sketches.items()):
+            if match <= set(key):
+                merged.merge(sketch)
         return merged
 
-    def samples(self, **labels: object) -> list[float]:
-        """Raw samples across every label set matching the subset.
+    def series(self) -> list[tuple[LabelSet, QuantileSketch]]:
+        """Every label set with its own sketch, sorted by label set."""
+        return sorted(self._sketches.items())
 
-        Empty under the sketch backend: no raw samples are retained.
+    def samples(self, **labels: object) -> list[float]:
+        """Always empty: no raw sample is retained.
+
+        Kept only for ``bench/layers.py::_loop_lag_samples``, which
+        reads it; once that reader takes the sketch's ``max`` instead,
+        this method goes.
         """
-        collected: list[float] = []
-        for state in self._matching(labels):
-            collected.extend(state.samples)
-        return collected
+        return []
 
     def count(self, **labels: object) -> int:
         """Total observations across the matching label sets."""
-        return sum(state.observations()
-                   for state in self._matching(labels))
+        return self.sketch(**labels).count
 
     def sum(self, **labels: object) -> float:
-        return math.fsum(state.folded_sum()
-                         for state in self._matching(labels))
+        return self.sketch(**labels).sum
 
     def mean(self, **labels: object) -> float:
-        count = self.count(**labels)
-        if not count:
+        sketch = self.sketch(**labels)
+        if not sketch.count:
             raise TelemetryError(f"histogram {self.name} is empty")
-        return self.sum(**labels) / count
+        return sketch.sum / sketch.count
 
     def percentile(self, q: float, **labels: object) -> float:
-        """Percentile over the matching states (exact or sketched)."""
-        if self.backend == "sketch":
-            states = self._matching(labels)
-            if not any(state.observations() for state in states):
-                raise TelemetryError(f"histogram {self.name} is empty")
-            return self._merged_sketch(states).quantile(q)
-        values = self.samples(**labels)
-        if not values:
+        """Percentile over the matching label sets, within the sketch's
+        relative error (q = 0 and q = 100 are the exact min and max)."""
+        sketch = self.sketch(**labels)
+        if not sketch.count:
             raise TelemetryError(f"histogram {self.name} is empty")
-        return percentile(values, q)
-
-    def bucket_counts(self, **labels: object) -> list[int]:
-        """Per-bucket counts (last entry is the +inf overflow bucket)."""
-        totals = [0] * (len(self.buckets) + 1)
-        for state in self._matching(labels):
-            for index, count in enumerate(state.bucket_counts):
-                totals[index] += count
-        return totals
+        return sketch.quantile(q)
 
     def labelsets(self) -> list[LabelSet]:
-        return sorted(self._states)
-
-    def cumulative_rows(self, key: LabelSet,
-                        ) -> tuple[list[tuple[float, int]], int, float, str]:
-        """Prometheus-style cumulative buckets for one exact label set.
-
-        Returns ``(rows, total, sum, backend)`` where ``rows`` is the
-        ascending ``(upper_bound, cumulative_count)`` list *excluding*
-        the ``+inf`` bucket (``total`` is its value), ``sum`` is the
-        folded sample sum and ``backend`` the per-state fidelity tag.
-        Exact states expose the configured bounds; sketch states
-        expose their gamma log-buckets (exact counts, approximate
-        positions within the sketch's relative-error bound).  This is
-        the accessor the ``/metrics`` exposition renders from
-        (:mod:`repro.telemetry.exposition`).
-        """
-        state = self._states.get(key)
-        if state is None:
-            raise TelemetryError(
-                f"histogram {self.name}: unknown label set {key!r}")
-        if state.sketch is not None:
-            rows = state.sketch.cumulative_buckets()
-            return rows, state.sketch.count, state.sketch.sum, "sketch"
-        rows = []
-        cumulative = 0
-        for bound, count in zip(self.buckets, state.bucket_counts):
-            cumulative += count
-            rows.append((bound, cumulative))
-        total = cumulative + state.bucket_counts[-1]
-        return rows, total, state.folded_sum(), "exact"
+        return sorted(self._sketches)
 
     def summary(self, **labels: object) -> dict[str, object]:
-        """count/mean/p50/p95/p99/max over the matching states.
-
-        The ``backend`` key states how the percentiles were computed —
-        ``exact`` (raw samples) or ``sketch`` (relative-error-bounded)
-        — so exported series of different fidelities are never compared
-        as identical stats (``diff_runs`` keys on it).
-        """
-        if self.backend == "sketch":
-            states = self._matching(labels)
-            sketch = self._merged_sketch(states)
-            if not sketch.count:
-                return {"count": 0.0, "backend": "sketch"}
-            return {
-                "count": float(sketch.count),
-                "mean": sketch.sum / sketch.count,
-                "p50": sketch.quantile(50.0),
-                "p95": sketch.quantile(95.0),
-                "p99": sketch.quantile(99.0),
-                "max": sketch.max,
-                "backend": "sketch",
-            }
-        values = self.samples(**labels)
-        if not values:
-            return {"count": 0.0, "backend": "exact"}
+        """count/mean/p50/p95/p99/max over the matching label sets."""
+        sketch = self.sketch(**labels)
+        if not sketch.count:
+            return {"count": 0.0}
         return {
-            "count": float(len(values)),
-            "mean": math.fsum(values) / len(values),
-            "p50": percentile(values, 50.0),
-            "p95": percentile(values, 95.0),
-            "p99": percentile(values, 99.0),
-            "max": max(values),
-            "backend": "exact",
+            "count": float(sketch.count),
+            "mean": sketch.sum / sketch.count,
+            "p50": sketch.quantile(50.0),
+            "p95": sketch.quantile(95.0),
+            "p99": sketch.quantile(99.0),
+            "max": sketch.max,
         }
 
     # -- merging --------------------------------------------------------
-    def _check_state_compat(self, state: _t.Mapping[str, object]) -> None:
-        if tuple(_t.cast(list, state["buckets"])) != self.buckets:
-            raise TelemetryError(
-                f"histogram {self.name}: cannot merge shards with "
-                f"different buckets")
-        if state["backend"] != self.backend:
-            raise TelemetryError(
-                f"histogram {self.name}: cannot merge {state['backend']}"
-                f"-backend shard into {self.backend} backend")
-        if self.backend == "sketch" and \
-                state["sketch_relative_error"] != self.sketch_relative_error:
-            raise TelemetryError(
-                f"histogram {self.name}: cannot merge shards with "
-                f"different sketch error bounds")
-
     def state_dict(self) -> dict[str, object]:
-        states: dict[str, object] = {}
-        for key in self.labelsets():
-            state = self._states[key]
-            entry: dict[str, object] = {
-                "bucket_counts": list(state.bucket_counts),
-            }
-            if state.sketch is not None:
-                entry["sketch"] = state.sketch.state_dict()
-            else:
-                entry["samples"] = sorted(state.samples)
-                entry["sum_terms"] = sorted(
-                    term for term in [state.sum, *state.sum_terms]
-                    if term != 0.0)
-            states[_encode_labelset(key)] = entry
         return {
             "kind": self.kind,
             "help": self.help,
-            "buckets": list(self.buckets),
-            "backend": self.backend,
-            "sketch_relative_error": self.sketch_relative_error,
-            "states": states,
+            "states": {_encode_labelset(key): sketch.state_dict()
+                       for key, sketch in self.series()},
         }
 
     def merge_state(self, state: _t.Mapping[str, object]) -> None:
-        self._check_state_compat(state)
         for encoded, entry in _t.cast(
                 dict, state.get("states", {})).items():
-            key = _decode_labelset(encoded)
-            mine = self._states.get(key)
-            if mine is None:
-                mine = self._states[key] = self._new_state()
-            for index, count in enumerate(entry["bucket_counts"]):
-                mine.bucket_counts[index] += count
-            if mine.sketch is not None:
-                mine.sketch.merge(QuantileSketch.from_state(
-                    entry["sketch"]))
-            else:
-                # Canonical multiset order: sorting makes the merged
-                # sample list — hence every export byte — independent
-                # of the order shards were folded in.
-                mine.samples = sorted(
-                    mine.samples
-                    + [float(sample) for sample in entry["samples"]])
-                mine.sum_terms.extend(
-                    float(term) for term in entry["sum_terms"])
+            self._sketch_for(_decode_labelset(encoded)).merge(
+                QuantileSketch.from_state(entry))

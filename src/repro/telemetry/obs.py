@@ -220,7 +220,7 @@ def follow_obs(url: str, interval_s: float = 2.0, count: int = 0,
     The ``repro.cli obs --follow URL`` implementation: every
     ``interval_s`` it scrapes the exposition text, rebuilds a registry
     (:func:`~repro.telemetry.exposition.telemetry_from_exposition` —
-    counters/gauges exact, histogram percentiles at bucket resolution)
+    counters and gauges exact, histogram sketches from their buckets)
     and re-renders the stage / hit-ratio / live-health panels.
     ``count`` bounds the polls (0 = until the endpoint goes away or
     Ctrl-C); ``metrics_path`` writes the final scrape as metric JSONL,
@@ -288,12 +288,10 @@ class ObsRun:
 def instrumented_run(quick: bool = True, seed: int = 0,
                      profile: bool = False,
                      system: "CachingSystem | None" = None,
-                     backend: str = "exact",
                      tail_threshold_ms: float | None = None,
                      tail_sample_every: int = 0) -> ObsRun:
     """Run the paper's workload with telemetry on; the obs core.
 
-    ``backend`` selects histogram storage (``exact``/``sketch``);
     ``tail_threshold_ms``/``tail_sample_every`` attach a tail-based
     trace sampler (off by default, so every trace is kept).
     """
@@ -302,7 +300,6 @@ def instrumented_run(quick: bool = True, seed: int = 0,
         n_apps=30, duration_s=duration, seed=seed,
         testbed=TestbedConfig(
             seed=seed, enable_telemetry=True,
-            telemetry_backend=backend,
             telemetry_tail_threshold_ms=tail_threshold_ms,
             telemetry_tail_sample_every=tail_sample_every))
     workload = Workload(config)
@@ -328,7 +325,6 @@ def run_obs(quick: bool = True, seed: int = 0,
             profile: bool = False,
             metrics_path: str | None = None,
             trace_path: str | None = None,
-            backend: str = "exact",
             tail_threshold_ms: float | None = None,
             tail_sample_every: int = 0,
             fleet: int = 0,
@@ -340,7 +336,6 @@ def run_obs(quick: bool = True, seed: int = 0,
     traces with their per-stage self-time breakdown.
     """
     run = instrumented_run(quick, seed, profile=profile,
-                           backend=backend,
                            tail_threshold_ms=tail_threshold_ms,
                            tail_sample_every=tail_sample_every)
     telemetry = run.telemetry
@@ -355,10 +350,6 @@ def run_obs(quick: bool = True, seed: int = 0,
         f"{len(telemetry.spans)} spans, "
         f"{len(telemetry.instruments())} instruments recorded over "
         f"{run.duration_s:.0f} sim-s (seed {seed})")
-    if backend != "exact":
-        tables[0].notes.append(
-            f"histogram backend: {backend} (percentiles within the "
-            f"declared relative-error bound of exact)")
     sampler = telemetry.spans.sampler
     if sampler is not None:
         stats = sampler.stats()

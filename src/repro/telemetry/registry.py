@@ -17,14 +17,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.errors import TelemetryError
-from repro.telemetry.instruments import (
-    HISTOGRAM_BACKENDS,
-    Counter,
-    Gauge,
-    Histogram,
-    Instrument,
-)
-from repro.telemetry.sketch import DEFAULT_RELATIVE_ERROR
+from repro.telemetry.instruments import Counter, Gauge, Histogram, Instrument
 from repro.telemetry.spans import ParentLike, Span, SpanLog, SpanScope
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -52,21 +45,15 @@ class Telemetry:
     ``now``) or any zero-argument callable; ``None`` pins the clock to
     zero, which suits pure unit tests of instruments.
 
-    ``histogram_backend`` selects the default histogram storage:
-    ``"exact"`` (raw samples, exact percentiles) or ``"sketch"``
-    (fixed-memory :class:`~repro.telemetry.sketch.QuantileSketch` per
-    label set, percentiles within ``sketch_relative_error`` of exact —
-    the mergeable fleet-scale backend).  ``sampler`` attaches a
-    :class:`~repro.telemetry.sampling.TailSampler` so only
-    slow/erroring/1-in-N request traces are committed to the span log.
+    ``sampler`` attaches a :class:`~repro.telemetry.sampling.TailSampler`
+    so only slow/erroring/1-in-N request traces are committed to the
+    span log.
     """
 
     enabled = True
 
     def __init__(self, clock: "Simulator | _t.Callable[[], float] | None"
                  = None, max_spans: int = 100_000,
-                 histogram_backend: str = "exact",
-                 sketch_relative_error: float = DEFAULT_RELATIVE_ERROR,
                  sampler: "TailSampler | None" = None) -> None:
         if clock is None:
             self._clock: _t.Callable[[], float] = _zero_clock
@@ -74,13 +61,7 @@ class Telemetry:
             self._clock = clock
         else:
             self._clock = lambda: clock.now
-        if histogram_backend not in HISTOGRAM_BACKENDS:
-            raise TelemetryError(
-                f"unknown histogram backend {histogram_backend!r} "
-                f"(expected one of {'/'.join(HISTOGRAM_BACKENDS)})")
         self._instruments: dict[str, Instrument] = {}
-        self.histogram_backend = histogram_backend
-        self.sketch_relative_error = sketch_relative_error
         self.spans = SpanLog(self._clock, max_spans=max_spans,
                              sampler=sampler)
 
@@ -107,15 +88,8 @@ class Telemetry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return _t.cast(Gauge, self._get(name, Gauge, help=help))
 
-    def histogram(self, name: str, help: str = "",
-                  buckets: _t.Sequence[float] | None = None,
-                  backend: str | None = None) -> Histogram:
-        """A histogram; ``backend`` overrides the registry default."""
-        resolved = self.histogram_backend if backend is None else backend
-        return _t.cast(Histogram, self._get(
-            name, Histogram, help=help, buckets=buckets,
-            backend=resolved,
-            sketch_relative_error=self.sketch_relative_error))
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return _t.cast(Histogram, self._get(name, Histogram, help=help))
 
     def instruments(self) -> list[Instrument]:
         """Every registered instrument, sorted by name."""
@@ -143,11 +117,11 @@ class Telemetry:
     def merge_state(self, state: _t.Mapping[str, object]) -> "Telemetry":
         """Fold one :meth:`state_dict` shard into this registry.
 
-        Instruments are created on demand (with the shard's own
-        configuration) and merged by name; a kind clash — the shard's
-        ``requests`` is a counter, ours is a gauge — raises.  The fold
-        is associative and commutative: any merge order over the same
-        shards yields byte-identical exports (docs/telemetry.md).
+        Instruments are created on demand and merged by name; a kind
+        clash — the shard's ``requests`` is a counter, ours is a gauge —
+        raises.  The fold is associative and commutative: any merge
+        order over the same shards yields byte-identical exports
+        (docs/telemetry.md).
         """
         for name, istate in sorted(_t.cast(
                 dict, state.get("instruments", {})).items()):
@@ -159,16 +133,8 @@ class Telemetry:
                     f"{kind!r}")
             mine = self._instruments.get(name)
             if mine is None:
-                if cls is Histogram:
-                    mine = Histogram(
-                        name, help=_t.cast(str, istate["help"]),
-                        buckets=_t.cast(list, istate["buckets"]),
-                        backend=_t.cast(str, istate["backend"]),
-                        sketch_relative_error=_t.cast(
-                            float, istate["sketch_relative_error"]))
-                else:
-                    mine = cls(name, help=_t.cast(str, istate["help"]))
-                self._instruments[name] = mine
+                mine = self._instruments[name] = cls(
+                    name, help=_t.cast(str, istate["help"]))
             elif mine.kind != kind:
                 raise TelemetryError(
                     f"cannot merge shard {kind} {name!r} into existing "
@@ -212,8 +178,6 @@ class _NullInstrument(Counter, Gauge, Histogram):
     def __init__(self) -> None:  # pylint: disable=super-init-not-called
         self.name = "null"
         self.help = ""
-        self.buckets = ()
-        self.backend = "exact"
 
     # Recording is a no-op; reads report emptiness.
     def inc(self, amount: float = 1.0, **labels: object) -> None:
@@ -234,9 +198,6 @@ class _NullInstrument(Counter, Gauge, Histogram):
     def total(self, **labels: object) -> float:
         return 0.0
 
-    def samples(self, **labels: object) -> list[float]:
-        return []
-
     def count(self, **labels: object) -> int:
         return 0
 
@@ -248,9 +209,6 @@ class _NullInstrument(Counter, Gauge, Histogram):
 
     def percentile(self, q: float, **labels: object) -> float:
         return 0.0
-
-    def bucket_counts(self, **labels: object) -> list[int]:
-        return []
 
     def labelsets(self) -> list:
         return []
@@ -305,9 +263,7 @@ class NullTelemetry(Telemetry):
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._null_instrument
 
-    def histogram(self, name: str, help: str = "",
-                  buckets: _t.Sequence[float] | None = None,
-                  backend: str | None = None) -> Histogram:
+    def histogram(self, name: str, help: str = "") -> Histogram:
         return self._null_instrument
 
     def span(self, name: str, parent: ParentLike = None,

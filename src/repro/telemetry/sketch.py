@@ -172,6 +172,46 @@ class QuantileSketch:
             rows.append((self._gamma ** index, cumulative))
         return rows
 
+    @classmethod
+    def from_cumulative_buckets(cls, rows: _t.Sequence[tuple[float, int]],
+                                count: int, total: float,
+                                ) -> "QuantileSketch":
+        """The inverse of :meth:`cumulative_buckets` (a scrape rebuild).
+
+        Each upper bound ``gamma^i`` maps back to bucket ``i``, so
+        count, sum and every bucket count are the source's; min and max
+        become the outer bucket edges, the tightest bounds the rows
+        carry.  Runs in time proportional to the row count.
+        """
+        sketch = cls()
+        previous = 0
+        for bound, cumulative in rows:
+            held = cumulative - previous
+            if held < 0:
+                raise TelemetryError(
+                    f"cumulative bucket counts decrease at le={bound!r}")
+            previous = cumulative
+            if not held:
+                continue
+            if bound <= _MIN_TRACKABLE:
+                sketch._zero_count += held
+                continue
+            index = round(math.log(bound) / sketch._log_gamma)
+            sketch._buckets[index] = sketch._buckets.get(index, 0) + held
+        if previous != count:
+            raise TelemetryError(
+                f"bucket rows hold {previous} observations, "
+                f"count says {count}")
+        sketch._count = count
+        sketch._sum_local = total
+        if sketch._zero_count:
+            sketch._min = sketch._max = 0.0
+        if sketch._buckets:
+            if not sketch._zero_count:
+                sketch._min = sketch._gamma ** (min(sketch._buckets) - 1)
+            sketch._max = sketch._gamma ** max(sketch._buckets)
+        return sketch
+
     # -- merging --------------------------------------------------------
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Fold another sketch into this one (in place); returns self.

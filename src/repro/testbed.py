@@ -87,14 +87,6 @@ class TestbedConfig:
     #: Collect metrics and spans (see :mod:`repro.telemetry`).  Off by
     #: default: un-instrumented runs keep the no-op null backend.
     enable_telemetry: bool = False
-    #: Histogram storage: ``"exact"`` retains raw samples (exact
-    #: percentiles), ``"sketch"`` keeps a fixed-memory quantile sketch
-    #: per label set (percentiles within
-    #: ``telemetry_sketch_relative_error`` of exact, mergeable across
-    #: fleet shards) — see docs/telemetry.md.
-    telemetry_backend: str = "exact"
-    #: Quantile relative-error bound for the sketch backend.
-    telemetry_sketch_relative_error: float = 0.01
     #: Tail-based span sampling: complete a request's trace only when
     #: it breaches this many sim-ms (None = no threshold rule).
     telemetry_tail_threshold_ms: float | None = None
@@ -107,13 +99,6 @@ class TestbedConfig:
                      "adns_hops", "origin_hops"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.telemetry_backend not in ("exact", "sketch"):
-            raise ConfigError(
-                f"telemetry_backend must be 'exact' or 'sketch', "
-                f"got {self.telemetry_backend!r}")
-        if not 0.0 < self.telemetry_sketch_relative_error < 1.0:
-            raise ConfigError(
-                "telemetry_sketch_relative_error must be in (0, 1)")
         if self.telemetry_tail_threshold_ms is not None \
                 and self.telemetry_tail_threshold_ms < 0:
             raise ConfigError(
@@ -161,11 +146,7 @@ class Testbed:
             sampler = TailSampler(
                 threshold_ms=cfg.telemetry_tail_threshold_ms,
                 sample_every=cfg.telemetry_tail_sample_every)
-        return Telemetry(
-            self.sim,
-            histogram_backend=cfg.telemetry_backend,
-            sketch_relative_error=cfg.telemetry_sketch_relative_error,
-            sampler=sampler)
+        return Telemetry(self.sim, sampler=sampler)
 
     def _build_topology(self) -> None:
         cfg = self.config

@@ -237,6 +237,23 @@ def test_response_roundtrip_with_all_sections():
         CacheFlag.CACHE_HIT
 
 
+def test_opt_coexists_with_dns_cache_record():
+    """A foreign RR (an EDNS(0) OPT record, CLASS = UDP payload size)
+    and the paper's DNS-Cache record share the Additional section
+    without clobbering each other."""
+    query = Message.query("www.apple.com")
+    rdata = CacheLookupRdata()
+    rdata.add_url("http://www.apple.com/image.jpg", CacheFlag.REQUEST)
+    query.attach_cache_lookup(rdata, RRClass.REQUEST)
+    query.additional.append(ResourceRecord("", RRType.OPT, 4096, 0, b""))
+    decoded = Message.decode(query.encode())
+    assert decoded.cache_lookup(RRClass.REQUEST) is not None
+    assert len(decoded.additional) == 2
+    opt = next(record for record in decoded.additional
+               if record.rtype == RRType.OPT)
+    assert int(opt.rclass) == 4096
+
+
 def test_cache_lookup_filters_by_class():
     query = Message.query("a.example")
     rdata = CacheLookupRdata()

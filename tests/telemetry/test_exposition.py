@@ -4,13 +4,15 @@ The admin plane's ``/metrics`` contract (docs/telemetry.md): the
 rendered text is deterministic byte-for-byte — families sorted by
 exposed name, series by label set, buckets by ascending ``le`` — and
 the golden file here pins the exact bytes for every instrument shape
-the registry can hold (counter, gauge, exact / sketch histograms,
-escaped label values).  ``parse_exposition`` is the
-scrape-side validator ``tools/check.sh`` runs against a live stack;
-``telemetry_from_exposition`` is the ``obs --follow`` inverse.
+the registry can hold (counter, gauge, labelled and unlabelled sketch
+histograms with a zero bucket, escaped label values).
+``parse_exposition`` is the scrape-side validator ``tools/check.sh``
+runs against a live stack; ``telemetry_from_exposition`` is the ``obs
+--follow`` inverse.
 """
 
 import pathlib
+import random
 
 import pytest
 
@@ -39,14 +41,12 @@ def build_registry() -> Telemetry:
     weird.inc(1, path='c:\\tmp\\"x"\nnext')
     telemetry.gauge("demo.in_flight", help="open exchanges").set(
         4, tier="ap")
-    exact = telemetry.histogram("demo.exact_ms", help="exact latencies",
-                                buckets=(1.0, 5.0, 25.0))
+    latency = telemetry.histogram("demo.latency_ms", help="latencies")
     for value in (0.5, 3.0, 7.0, 100.0):
-        exact.observe(value, app="news")
-    sketch = telemetry.histogram("demo.sketch_ms", help="sketched",
-                                 backend="sketch")
-    for value in (1.0, 2.0, 4.0):
-        sketch.observe(value)
+        latency.observe(value, app="news")
+    depth = telemetry.histogram("demo.depth", help="queue depth")
+    for value in (0.0, 1.0, 2.0, 4.0):
+        depth.observe(value)
     return telemetry
 
 
@@ -96,20 +96,20 @@ def test_parse_round_trips_families_and_escapes():
     [(sample, labels, value)] = weird.samples
     assert labels == {"path": 'c:\\tmp\\"x"\nnext'}
     assert value == 1.0
-    # Histogram families carry backend labels and cumulative buckets.
-    exact = by_name["demo_exact_ms"]
-    buckets = [(labels["le"], value)
-               for name, labels, value in exact.samples
+    # Histogram families carry one cumulative bucket per sketch bucket
+    # (upper bound gamma^i), and no label the registry did not record.
+    latency = by_name["demo_latency_ms"]
+    buckets = [(float(labels["le"]), value)
+               for name, labels, value in latency.samples
                if name.endswith("_bucket")]
-    assert buckets == [("1.0", 1.0), ("5.0", 2.0), ("25.0", 3.0),
-                       ("+Inf", 4.0)]
-    assert all(labels["backend"] == "exact"
-               for _n, labels, _v in exact.samples)
-    sketch = by_name["demo_sketch_ms"]
-    assert {labels["backend"] for _n, labels, _v in sketch.samples} \
-        == {"sketch"}
-    assert {labels["alpha"] for _n, labels, _v in sketch.samples} \
-        == {"0.01"}
+    assert [count for _bound, count in buckets] == [1.0, 2.0, 3.0, 4.0,
+                                                    4.0]
+    bounds = [bound for bound, _count in buckets]
+    assert bounds[-1] == float("inf")
+    for value, bound in zip((0.5, 3.0, 7.0, 100.0), bounds):
+        assert value <= bound <= value * 1.03
+    assert {key for _n, labels, _v in latency.samples for key in labels} \
+        == {"app", "le"}
 
 
 def test_parser_rejects_malformed_lines():
@@ -150,11 +150,48 @@ def test_reconstruction_round_trips_counters_and_gauges():
 def test_reconstruction_preserves_histogram_counts():
     source = build_registry()
     rebuilt = telemetry_from_exposition(render_prometheus(source))
-    assert rebuilt.histogram("demo.exact_ms").summary()["count"] == 4
-    # Synthetic refills sit at bucket bounds: counts exact, quantiles
-    # at bucket resolution (docs/telemetry.md spells out the fidelity).
-    assert rebuilt.histogram("demo.sketch_ms").summary() != {}
-    # The rebuilt text is itself stable: render(parse(render)) fixes.
-    once = render_prometheus(rebuilt)
-    twice = render_prometheus(telemetry_from_exposition(once))
-    assert once == twice
+    for name in ("demo.latency_ms", "demo.depth"):
+        assert rebuilt.histogram(name).count() == \
+            source.histogram(name).count()
+        assert rebuilt.histogram(name).sum() == \
+            source.histogram(name).sum()
+    # The rebuilt sketches render to the source's bytes.
+    assert render_prometheus(rebuilt) == render_prometheus(source)
+
+
+def test_reconstruction_returns_the_sources_quantiles():
+    source = Telemetry()
+    lag = source.histogram("live.loop_lag_ms", help="lag")
+    rng = random.Random(5)
+    for _ in range(20_000):
+        lag.observe(rng.expovariate(0.5))
+    rebuilt = telemetry_from_exposition(render_prometheus(source))
+    again = rebuilt.histogram("live.loop_lag_ms")
+    assert again.count() == lag.count()
+    for q in (50.0, 95.0):
+        assert again.percentile(q) == lag.percentile(q)
+
+
+def test_reconstruction_cost_does_not_grow_with_observations():
+    # Rebuilding sets bucket counts; it never replays observations, so
+    # a series that has counted a trillion of them rebuilds at once.
+    text = ('# TYPE lag histogram\n'
+            'lag_bucket{le="1.0"} 400000000000\n'
+            'lag_bucket{le="1.0202"} 1000000000000\n'
+            'lag_bucket{le="+Inf"} 1000000000000\n'
+            'lag_sum 2.5e12\n'
+            'lag_count 1000000000000\n')
+    lag = telemetry_from_exposition(text).histogram("lag")
+    assert lag.count() == 10 ** 12
+    assert lag.sum() == 2.5e12
+    assert lag.percentile(50.0) == pytest.approx(1.01)
+
+
+def test_reconstruction_refuses_counts_the_buckets_do_not_hold():
+    with pytest.raises(TelemetryError, match="count says 5"):
+        telemetry_from_exposition(
+            '# TYPE lag histogram\n'
+            'lag_bucket{le="1.0"} 4\n'
+            'lag_bucket{le="+Inf"} 5\n'
+            'lag_sum 4.5\n'
+            'lag_count 5\n')

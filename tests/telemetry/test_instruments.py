@@ -1,4 +1,6 @@
-"""Instrument unit tests: labels, aggregation, bucket edges."""
+"""Instrument unit tests: labels, aggregation, percentiles."""
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import TelemetryError
 from repro.telemetry import (
-    DEFAULT_LATENCY_BUCKETS_MS,
+    DEFAULT_RELATIVE_ERROR,
     Counter,
     Gauge,
     Histogram,
@@ -75,38 +77,6 @@ def test_gauge_set_and_add():
 
 
 # ----------------------------------------------------------------------
-# Histogram buckets
-# ----------------------------------------------------------------------
-def test_histogram_bucket_edges_are_inclusive_upper_bounds():
-    hist = Histogram("lat", buckets=(1.0, 2.0, 4.0))
-    for value in (0.5, 1.0, 1.5, 2.0, 4.0, 4.1, 100.0):
-        hist.observe(value)
-    # 0.5 and 1.0 land in <=1.0; 1.5 and 2.0 in <=2.0; 4.0 in <=4.0;
-    # 4.1 and 100.0 overflow into the implicit +inf bucket.
-    assert hist.bucket_counts() == [2, 2, 1, 2]
-
-
-def test_histogram_default_buckets_cover_paper_range():
-    hist = Histogram("lat")
-    assert hist.buckets == DEFAULT_LATENCY_BUCKETS_MS
-    hist.observe(7.0)       # an AP hit
-    hist.observe(30.0)      # an edge retrieval
-    hist.observe(4000.0)    # pathological origin miss -> +inf
-    counts = hist.bucket_counts()
-    assert sum(counts) == 3
-    assert counts[-1] == 1  # the overflow bucket
-
-
-def test_histogram_rejects_bad_buckets():
-    with pytest.raises(TelemetryError):
-        Histogram("h", buckets=())
-    with pytest.raises(TelemetryError):
-        Histogram("h", buckets=(2.0, 1.0))
-    with pytest.raises(TelemetryError):
-        Histogram("h", buckets=(1.0, 1.0))
-
-
-# ----------------------------------------------------------------------
 # percentile
 # ----------------------------------------------------------------------
 def test_percentile_basics():
@@ -146,34 +116,58 @@ def test_percentile_matches_numpy(values, q):
 # ----------------------------------------------------------------------
 # Histogram statistics
 # ----------------------------------------------------------------------
-def test_histogram_percentiles_are_exact_not_bucketed():
-    hist = Histogram("lat", buckets=(1000.0,))  # one coarse bucket
+def test_histogram_default_buckets_cover_paper_range():
+    hist = Histogram("lat")
+    hist.observe(0.5)       # a WiFi hop
+    hist.observe(7.0)       # an AP hit
+    hist.observe(30.0)      # an edge retrieval
+    hist.observe(4000.0)    # pathological origin miss
+    # Log-buckets have no overflow: every sample keeps its own bucket,
+    # and the largest is reported exactly.
+    [(_key, sketch)] = hist.series()
+    assert sketch.bucket_count == 4
+    assert sketch.cumulative_buckets()[-1][1] == hist.count() == 4
+    assert hist.percentile(100.0) == 4000.0
+    assert hist.percentile(50.0) == pytest.approx(
+        7.0, rel=DEFAULT_RELATIVE_ERROR)
+
+
+def test_histogram_percentiles_are_within_the_sketch_error():
+    hist = Histogram("lat")
     samples = [float(value) for value in range(1, 101)]
     for value in samples:
         hist.observe(value)
-    # Despite a single bucket, percentiles match the repository's
-    # reference implementation over the raw samples.
-    assert hist.percentile(50.0) == percentile(samples, 50.0)
-    assert hist.percentile(95.0) == percentile(samples, 95.0)
-    assert hist.percentile(99.0) == percentile(samples, 99.0)
+    # The sketch answers by nearest rank, percentile() interpolates
+    # between the two samples around the rank: the estimate is within
+    # DEFAULT_RELATIVE_ERROR of that bracket.
+    alpha = DEFAULT_RELATIVE_ERROR
+    for q in (50.0, 95.0, 99.0):
+        rank = q / 100.0 * (len(samples) - 1)
+        low, high = samples[math.floor(rank)], samples[math.ceil(rank)]
+        assert low <= percentile(samples, q) <= high
+        assert (1 - alpha) * low <= hist.percentile(q) \
+            <= (1 + alpha) * high
+    assert hist.percentile(0.0) == 1.0
+    assert hist.percentile(100.0) == 100.0
     assert hist.mean() == pytest.approx(50.5)
 
 
 def test_histogram_label_subset_aggregation():
-    hist = Histogram("client.retrieval_ms", buckets=(10.0, 100.0))
+    hist = Histogram("client.retrieval_ms")
     hist.observe(5.0, app="maps", source="ap-hit")
     hist.observe(50.0, app="maps", source="edge")
     hist.observe(7.0, app="mail", source="ap-hit")
-    assert sorted(hist.samples(source="ap-hit")) == [5.0, 7.0]
-    assert hist.samples(app="maps", source="edge") == [50.0]
+    assert hist.count(source="ap-hit") == 2
+    assert hist.sum(source="ap-hit") == 12.0
+    assert hist.summary(app="maps", source="edge")["max"] == 50.0
     assert hist.count() == 3
     assert hist.sum() == pytest.approx(62.0)
 
 
 def test_histogram_empty_reads_raise_or_report_zero():
-    hist = Histogram("lat", buckets=(1.0,))
+    hist = Histogram("lat")
     with pytest.raises(TelemetryError):
         hist.mean()
     with pytest.raises(TelemetryError):
         hist.percentile(50.0)
-    assert hist.summary() == {"count": 0.0, "backend": "exact"}
+    assert hist.summary() == {"count": 0.0}

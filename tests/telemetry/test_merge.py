@@ -21,7 +21,7 @@ from repro.telemetry.export import metric_records
 
 def _shard(index: int) -> Telemetry:
     """One per-AP-style shard with all three instrument kinds."""
-    telemetry = Telemetry(histogram_backend="sketch")
+    telemetry = Telemetry()
     requests = telemetry.counter("fleet.requests", help="req")
     used = telemetry.gauge("fleet.cache_used_bytes", help="bytes")
     serve = telemetry.histogram("fleet.serve_ms", help="ms")
@@ -75,27 +75,28 @@ def test_merged_aggregates_are_the_shard_sums():
     assert used.value(ap="ap2") == 3000.0
 
 
-def test_uncapped_exact_histograms_merge_with_sorted_samples():
+def test_merged_histogram_quantiles_equal_the_single_stream():
     def shard(values):
-        telemetry = Telemetry()  # exact backend
+        telemetry = Telemetry()
         histogram = telemetry.histogram("lat", help="ms")
         for value in values:
             histogram.observe(value)
         return telemetry
 
-    merged = shard([5.0, 1.0]).merge(shard([3.0, 9.0]))
-    histogram = merged.histogram("lat")
-    assert histogram.samples() == [1.0, 3.0, 5.0, 9.0]
-    assert histogram.percentile(100.0) == 9.0
+    merged = shard([5.0, 1.0]).merge(shard([3.0, 9.0])).histogram("lat")
+    single = shard([5.0, 1.0, 3.0, 9.0]).histogram("lat")
+    assert merged.summary() == single.summary()
+    assert merged.percentile(0.0) == 1.0
+    assert merged.percentile(100.0) == 9.0
 
 
-def test_backend_mismatch_refuses_to_merge():
-    exact = Telemetry()
-    exact.histogram("lat", help="ms").observe(1.0)
-    sketchy = Telemetry(histogram_backend="sketch")
-    sketchy.histogram("lat", help="ms").observe(1.0)
-    with pytest.raises(TelemetryError, match="backend"):
-        sketchy.merge(exact)
+def test_error_bound_mismatch_refuses_to_merge():
+    ours = Telemetry()
+    ours.histogram("lat", help="ms").observe(1.0)
+    theirs = ours.state_dict()
+    theirs["instruments"]["lat"]["states"]["[]"]["relative_error"] = 0.02
+    with pytest.raises(TelemetryError, match="error bounds"):
+        ours.merge_state(theirs)
 
 
 def test_kind_clash_refuses_to_merge():

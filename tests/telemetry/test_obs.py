@@ -153,5 +153,6 @@ def test_live_health_violations_count_missing_instruments_as_broken():
     telemetry.histogram("live.loop_lag_ms").observe(200.0)
     assert live_health_violations(telemetry) == []
     telemetry.histogram("live.loop_lag_ms").observe(400.0)
+    # Nearest rank: p99 is the 400 ms probe's sketch bucket, within 1 %.
     assert live_health_violations(telemetry) == [
-        "live.loop_lag_ms (p99) = 398 > 200"]
+        "live.loop_lag_ms (p99) = 399.474 > 200"]

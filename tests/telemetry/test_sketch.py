@@ -5,9 +5,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TelemetryError
-from repro.telemetry import DEFAULT_RELATIVE_ERROR, QuantileSketch
+from repro.telemetry import (
+    DEFAULT_RELATIVE_ERROR,
+    Histogram,
+    QuantileSketch,
+    percentile,
+)
 
 QS = (50.0, 90.0, 95.0, 99.0)
 
@@ -37,6 +44,18 @@ def _filled(values, relative_error=DEFAULT_RELATIVE_ERROR):
     return sketch
 
 
+def _within_error_of_percentile(estimate, values, q, alpha):
+    """``percentile(values, q)`` interpolates between the two samples
+    around its rank; the sketch answers by nearest rank, so its
+    estimate is within ``alpha`` of that bracket."""
+    ordered = sorted(values)
+    rank = q / 100.0 * (len(ordered) - 1)
+    exact = percentile(values, q)
+    low = min(ordered[math.floor(rank)], exact)
+    high = max(ordered[math.ceil(rank)], exact)
+    return (1 - alpha) * low <= estimate <= (1 + alpha) * high
+
+
 # ----------------------------------------------------------------------
 # The relative-error guarantee
 # ----------------------------------------------------------------------
@@ -50,6 +69,32 @@ def test_percentiles_stay_within_the_declared_relative_error(alpha):
             assert abs(estimate - truth) <= alpha * truth + 1e-9, \
                 f"{name} p{q:g}: {estimate} vs exact {truth} " \
                 f"(alpha={alpha})"
+        if alpha == DEFAULT_RELATIVE_ERROR:
+            # A Histogram is this sketch at DEFAULT_RELATIVE_ERROR.
+            histogram = Histogram("lat")
+            for value in values:
+                histogram.observe(value)
+            for q in (50.0, 95.0, 99.0):
+                assert _within_error_of_percentile(
+                    histogram.percentile(q), values, q, alpha), \
+                    f"{name} histogram p{q:g}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=1e-3, max_value=1e6,
+                          allow_nan=False), min_size=1, max_size=300))
+def test_histogram_is_exact_in_count_sum_min_max_and_bounded_in_tails(
+        values):
+    histogram = Histogram("lat")
+    for value in values:
+        histogram.observe(value)
+    assert histogram.count() == len(values)
+    assert histogram.sum() == sum(values)
+    assert histogram.percentile(0.0) == min(values)
+    assert histogram.summary()["max"] == max(values)
+    for q in (50.0, 95.0, 99.0):
+        assert _within_error_of_percentile(
+            histogram.percentile(q), values, q, DEFAULT_RELATIVE_ERROR)
 
 
 def test_extreme_quantiles_are_exact():

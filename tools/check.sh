@@ -22,12 +22,13 @@ echo "==> repro.lint determinism"
 # Two lint runs must print byte-identical JSON.
 lint_a=$(mktemp) lint_b=$(mktemp)
 spans_a=$(mktemp) spans_b=$(mktemp) trace_a=$(mktemp)
+metrics_a=$(mktemp) metrics_b=$(mktemp)
 sweep_serial=$(mktemp) sweep_parallel=$(mktemp)
 merged_serial=$(mktemp) merged_parallel=$(mktemp)
 diff_out=$(mktemp) async_proj=$(mktemp -d)
 admin_follow=$(mktemp)
 trap 'rm -f "$lint_a" "$lint_b" \
-    "$spans_a" "$spans_b" "$trace_a" \
+    "$spans_a" "$spans_b" "$trace_a" "$metrics_a" "$metrics_b" \
     "$sweep_serial" "$sweep_parallel" \
     "$merged_serial" "$merged_parallel" \
     "$diff_out" "$admin_follow"; \
@@ -76,10 +77,16 @@ done
 
 echo "==> repro.cli obs (telemetry determinism smoke)"
 python -m repro.cli obs --spans "$spans_a" \
-    --export-trace "$trace_a" >/dev/null
-python -m repro.cli obs --spans "$spans_b" >/dev/null
+    --export-metrics "$metrics_a" --export-trace "$trace_a" >/dev/null
+python -m repro.cli obs --spans "$spans_b" \
+    --export-metrics "$metrics_b" >/dev/null
 if ! cmp -s "$spans_a" "$spans_b"; then
     echo "FAIL: span JSONL export differs across two same-seed runs" >&2
+    exit 1
+fi
+# The histogram sketch summaries must repeat byte for byte as well.
+if [ ! -s "$metrics_a" ] || ! cmp -s "$metrics_a" "$metrics_b"; then
+    echo "FAIL: metric JSONL export differs across two same-seed runs" >&2
     exit 1
 fi
 # The Perfetto export must at least be a well-formed trace document.
