@@ -12,12 +12,10 @@ object.  This module restores that form on top of the single-AP pieces:
   cheaper than the edge);
 * misses fill the *home* AP's cache, so content naturally spreads.
 
-When the testbed is instrumented, every AP additionally carries its own
-*telemetry shard* — a private :class:`~repro.telemetry.Telemetry`
-registry recording ``fleet.*`` instruments.  :meth:`fleet_rollup`
-folds the shards into one controller-side registry; the fold is
-order-independent, so the merged view is byte-identical however the
-fleet reports in.  ``repro.cli obs --fleet N`` renders it.
+Every agent's cache records into the testbed's one registry
+(``cache.*``, ``tier=ap``) like the single-AP system's;
+:meth:`WiCacheDistributedSystem.ap_cache_stats` sums the agents'
+counters for the ``multiap`` experiment.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from repro.baselines.wicache import (
 )
 from repro.dnslib.server import ForwardingDnsService
 from repro.net.node import Node
-from repro.telemetry.registry import Telemetry
 from repro.testbed import Testbed
 
 __all__ = ["WiCacheDistributedSystem"]
@@ -52,7 +49,6 @@ class WiCacheDistributedSystem(CachingSystem):
         self.cache_capacity_per_ap = cache_capacity_per_ap
         self.controller: WiCacheController | None = None
         self.agents: list[WiCacheAgent] = []
-        self.shards: list[Telemetry] = []
         self._ap_names: list[str] = []
         self._next_home = 0
 
@@ -66,19 +62,12 @@ class WiCacheDistributedSystem(CachingSystem):
         for index in range(1, self.n_aps):
             bed.add_peer_ap(f"ap{index + 1}")
             self._ap_names.append(f"ap{index + 1}")
-        self.shards = []
         for ap_name in self._ap_names:
-            # One private shard registry per AP (only when the run is
-            # instrumented), folded across APs by the shard merge.
-            shard = Telemetry(bed.sim) if bed.telemetry.enabled else None
             agent = WiCacheAgent(bed, self.controller,
                                  self.cache_capacity_per_ap,
-                                 node=bed.network.node(ap_name),
-                                 telemetry=shard)
+                                 node=bed.network.node(ap_name))
             agent.install()
             self.agents.append(agent)
-            if shard is not None:
-                self.shards.append(shard)
 
     def home_ap_name(self, index: int | None = None) -> str:
         """Round-robin home-AP assignment for new clients."""
@@ -118,16 +107,3 @@ class WiCacheDistributedSystem(CachingSystem):
             "controller_lookups": float(
                 self.controller.lookups if self.controller else 0),
         }
-
-    def fleet_states(self) -> list[dict[str, object]]:
-        """Every AP shard's :meth:`Telemetry.state_dict` snapshot."""
-        return [shard.state_dict() for shard in self.shards]
-
-    def fleet_rollup(self) -> Telemetry:
-        """The controller view: all per-AP shards folded into one.
-
-        The fold is associative and commutative, so any reporting
-        order over the same shards yields byte-identical exports.
-        Empty when the run was not instrumented.
-        """
-        return Telemetry.from_states(self.fleet_states())

@@ -39,7 +39,6 @@ from repro.net.address import IPv4Address
 from repro.net.node import Node, TCP_HTTP_PORT
 from repro.sim.kernel import MS
 from repro.baselines.base import CachingSystem, telemetry_of
-from repro.telemetry.registry import NULL, Telemetry
 from repro.testbed import Testbed
 
 __all__ = ["WiCacheSystem", "WiCacheController", "WiCacheAgent",
@@ -90,8 +89,7 @@ class WiCacheAgent:
     def __init__(self, bed: Testbed, controller: WiCacheController,
                  cache_capacity_bytes: int,
                  http_service_time_s: float = 0.5 * MS,
-                 node: "Node | None" = None,
-                 telemetry: "Telemetry | None" = None) -> None:
+                 node: "Node | None" = None) -> None:
         self.bed = bed
         self.node = node if node is not None else bed.ap
         self.sim = bed.sim
@@ -103,22 +101,6 @@ class WiCacheAgent:
         self.http_service_time_s = http_service_time_s
         self.hits_served = 0
         self.background_fills = 0
-        # The distributed system hands every agent its own *shard*
-        # registry; per-AP fleet.* instruments recorded here roll up
-        # into one controller view via Telemetry.merge.  The single-AP
-        # system passes nothing and records nothing extra (NULL).
-        self.telemetry = telemetry if telemetry is not None else NULL
-        self._t_requests = self.telemetry.counter(
-            "fleet.requests", "requests served at this AP, by outcome")
-        self._t_fetches = self.telemetry.counter(
-            "fleet.fetches",
-            "client fetches by home AP, by cache outcome")
-        self._t_fills = self.telemetry.counter(
-            "fleet.fills", "background fetch-and-cache fills")
-        self._h_serve = self.telemetry.histogram(
-            "fleet.serve_ms", "AP-local serve time for cache hits")
-        self._g_used = self.telemetry.gauge(
-            "fleet.cache_used_bytes", "bytes cached at this AP")
 
     def install(self, port: int = TCP_HTTP_PORT) -> None:
         self.node.bind_tcp(port, self._handle)
@@ -128,17 +110,12 @@ class WiCacheAgent:
         if not isinstance(request, HttpRequest):
             raise TransportError(
                 f"Wi-Cache agent got a {type(request).__name__}")
-        started = self.sim.now
         yield self.node.occupy_cpu(self.http_service_time_s)
         entry = self.store.get(request.url.base, self.sim.now)
         if entry is None:
             self.controller.unregister(hash_url(request.url.base))
-            self._t_requests.inc(ap=self.node.name, hit="no")
             return HttpResponse.not_found(request.url)
         self.hits_served += 1
-        self._t_requests.inc(ap=self.node.name, hit="yes")
-        self._h_serve.observe((self.sim.now - started) * 1e3,
-                              ap=self.node.name)
         return HttpResponse(status=200, body=entry.data_object,
                             headers={_SERVED_FROM: "cache"})
 
@@ -175,9 +152,6 @@ class WiCacheAgent:
                 self.controller.unregister(hash_url(evicted.url))
             self.controller.register(hash_url(entry.url),
                                      self.node.address)
-            self._t_fills.inc(ap=self.node.name)
-            self._g_used.set(float(self.store.used_bytes),
-                             ap=self.node.name)
 
 
 class WiCacheFetcher:
@@ -263,11 +237,6 @@ class WiCacheFetcher:
                               app=self.app_id, source=source)
         self._t_fetches.inc(app=self.app_id, source=source,
                             hit="yes" if result.cache_hit else "no")
-        # Fleet shard accounting: this client's outcome, attributed to
-        # its home AP (no-op for the single-AP system's NULL shard).
-        self.agent._t_fetches.inc(
-            ap=self.agent.node.name,
-            hit="yes" if result.cache_hit else "no")
         return result
 
     def flush(self) -> None:

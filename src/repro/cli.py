@@ -40,26 +40,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list", help="list available experiments")
 
-    common = argparse.ArgumentParser(add_help=False)
+    # Each subcommand inherits exactly the options it reads.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", type=str, default=None,
+                        help="write results to this file instead of stdout")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, metavar="N",
+                      help="run sweep cells across N worker processes "
+                           "(default 1 = in-process)")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--full", action="store_true",
                         help="paper-length (1 h) runs instead of quick")
     common.add_argument("--seed", type=int, default=0,
                         help="master random seed (default 0)")
     common.add_argument("--format", choices=("text", "csv", "json"),
                         default="text", help="output format")
-    common.add_argument("--output", type=str, default=None,
-                        help="write results to this file instead of stdout")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run sweep cells across N worker processes "
-                             "(default 1 = in-process)")
 
     for name, (description, _path) in EXPERIMENTS.items():
-        subparsers.add_parser(name, help=description, parents=[common])
+        subparsers.add_parser(name, help=description,
+                              parents=[common, jobs])
     subparsers.add_parser("all", help="run every experiment in order",
-                          parents=[common])
+                          parents=[common, jobs])
 
     sweep = subparsers.add_parser(
-        "sweep",
+        "sweep", parents=[output, jobs],
         help="run an ad-hoc declarative scenario through the sweep "
              "engine (deterministic across --jobs)")
     sweep.add_argument("--name", type=str, default="cli-sweep",
@@ -84,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "cell (repeatable)")
     sweep.add_argument("--telemetry", action="store_true",
                        help="attach a telemetry snapshot to every cell")
-    sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker process count (default 1)")
     sweep.add_argument("--runner", type=str, default="workload",
                        help="cell runner: workload or a "
                             "module:function path (default workload)")
@@ -98,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "one registry and write its metric JSONL "
                             "to FILE (implies --telemetry; "
                             "byte-identical across --jobs)")
-    sweep.add_argument("--output", type=str, default=None,
-                       help="write results to this file instead of stdout")
 
     obs = subparsers.add_parser(
         "obs", parents=[common],
@@ -115,21 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="FILE",
                      help="write a Chrome trace-event JSON of the span "
                           "trees to FILE (view in ui.perfetto.dev)")
-    obs.add_argument("--profile", action="store_true",
-                     help="also report host events/sec and wall-ms "
-                          "per sim-s")
-    obs.add_argument("--tail-threshold-ms", type=float, default=None,
-                     metavar="MS",
-                     help="tail-sample traces: keep every request "
-                          "slower than MS end-to-end (plus errors)")
-    obs.add_argument("--tail-sample-every", type=int, default=0,
-                     metavar="N",
-                     help="tail-sample traces: also keep a "
-                          "deterministic 1-in-N baseline")
-    obs.add_argument("--fleet", type=int, default=0, metavar="N_APS",
-                     help="also run an N-AP distributed Wi-Cache "
-                          "fleet and render the merged per-AP shard "
-                          "rollup (per-AP hit ratio + Gini)")
     obs.add_argument("--top", type=int, default=0, metavar="N",
                      help="also list the N slowest request traces "
                           "with per-stage self-times")
@@ -162,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="FILE",
                       help="flush metric records to FILE as JSONL on "
                            "shutdown")
-    live.add_argument("--logs", type=str, default="", metavar="FILE",
-                      help="flush the structured log (trace-correlated "
-                           "JSONL) to FILE on shutdown")
     live.add_argument("--metrics-port", type=int, default=None,
                       metavar="PORT",
                       help="bind the admin plane (/metrics, /healthz, "
@@ -190,23 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
              "health (docs/live.md)")
 
     diff = subparsers.add_parser(
-        "diff", parents=[common],
-        help="diff two exported runs (JSONL paths) or two systems "
-             "across a seed fleet with significance annotations")
+        "diff", parents=[output],
+        help="diff two exported runs (JSONL paths) metric by metric "
+             "and stage by stage")
     diff.add_argument("runs", nargs="*", metavar="RUN",
                       help="two exported runs: spans/metrics .jsonl "
                            "files or directories holding spans.jsonl/"
                            "metrics.jsonl")
-    diff.add_argument("--systems", type=str, default=None,
-                      metavar="A,B",
-                      help="compare two systems across --seeds instead "
-                           "of two exported runs")
-    diff.add_argument("--seeds", type=str, default="0,1,2",
-                      help="seed fleet for --systems (default 0,1,2)")
-    diff.add_argument("--n-apps", type=int, default=None,
-                      help="workload app count override (--systems)")
-    diff.add_argument("--duration-s", type=float, default=None,
-                      help="simulated seconds per run (--systems)")
     diff.add_argument("--tolerance", type=float, default=0.0,
                       help="absolute delta below which values are "
                            "equal (default 0 = byte-exact)")
@@ -282,25 +254,11 @@ def _run_sweep(args: argparse.Namespace) -> str:
 
 
 def _run_diff(args: argparse.Namespace) -> str:
-    """Diff two exported runs, or two systems across a seed fleet."""
+    """Diff two exported runs."""
     from repro.errors import ConfigError
 
-    if args.systems:
-        from repro.telemetry.analysis import compare_systems
-
-        names = [name.strip() for name in args.systems.split(",")
-                 if name.strip()]
-        if len(names) != 2:
-            raise ConfigError(
-                f"--systems expects exactly two names, got {names}")
-        seeds = tuple(int(seed) for seed in args.seeds.split(",")
-                      if seed.strip())
-        return compare_systems(
-            names[0], names[1], seeds=seeds, n_apps=args.n_apps,
-            duration_s=args.duration_s, jobs=args.jobs).render()
     if len(args.runs) != 2:
-        raise ConfigError(
-            "diff expects two exported run paths (or --systems A,B)")
+        raise ConfigError("diff expects two exported run paths")
     from repro.telemetry.analysis import diff_runs, load_run
 
     delta = diff_runs(load_run(args.runs[0]), load_run(args.runs[1]),
@@ -330,8 +288,8 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         print(f"  {'all'.ljust(width)}  run everything")
         print(f"  {'obs'.ljust(width)}  telemetry panel: per-stage "
               f"latency, attribution, hit ratios, exports")
-        print(f"  {'diff'.ljust(width)}  diff two exported runs or two "
-              f"systems across a seed fleet")
+        print(f"  {'diff'.ljust(width)}  diff two exported runs metric "
+              f"by metric and stage by stage")
         print(f"  {'sweep'.ljust(width)}  ad-hoc declarative scenario "
               f"through the sweep engine")
         print(f"  {'live'.ljust(width)}  serve the stack on loopback "
@@ -351,7 +309,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                             serve=args.serve,
                             spans_path=args.spans,
                             metrics_path=args.export_metrics,
-                            logs_path=args.logs,
                             metrics_port=args.metrics_port,
                             drain_grace_s=args.drain_grace_s,
                             watchdog_interval_s=args.watchdog_interval_s,
@@ -370,6 +327,27 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
             print(f"sweep: {error}", file=sys.stderr)
             return 2
         _emit(rendered, args.output)
+        print(f"done in {elapsed():.0f}s", file=sys.stderr)
+        return 0
+
+    if args.command == "diff":
+        from repro.errors import ConfigError, TelemetryError
+
+        elapsed = perf_timer()
+        try:
+            rendered = _run_diff(args)
+        except (ConfigError, TelemetryError, OSError,
+                ValueError) as error:
+            print(f"diff: {error}", file=sys.stderr)
+            return 2
+        # An identical pair diffs to the empty string — keep it
+        # *byte*-empty (no trailing newline) so tools can gate on it.
+        if args.output:
+            with open(args.output, "w") as handle:
+                handle.write(rendered + "\n" if rendered else "")
+            print(f"wrote {args.output}", file=sys.stderr)
+        elif rendered:
+            print(rendered)
         print(f"done in {elapsed():.0f}s", file=sys.stderr)
         return 0
 
@@ -396,12 +374,9 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
               flush=True)
         rendered = _render_tables(
             run_obs(quick, args.seed, spans_path=args.spans,
-                    profile=args.profile,
                     metrics_path=args.export_metrics,
                     trace_path=args.export_trace,
-                    tail_threshold_ms=args.tail_threshold_ms,
-                    tail_sample_every=args.tail_sample_every,
-                    fleet=args.fleet, top=args.top), args.format)
+                    top=args.top), args.format)
     elif args.command == "parity":
         from repro.engine.parity import run_parity
         from repro.errors import ReproError
@@ -419,25 +394,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         _emit(_render_tables(tables, args.format), args.output)
         print(f"done in {elapsed():.0f}s", file=sys.stderr)
         return code
-    elif args.command == "diff":
-        from repro.errors import ConfigError, TelemetryError
-
-        try:
-            rendered = _run_diff(args)
-        except (ConfigError, TelemetryError, OSError,
-                ValueError) as error:
-            print(f"diff: {error}", file=sys.stderr)
-            return 2
-        # An identical pair diffs to the empty string — keep it
-        # *byte*-empty (no trailing newline) so tools can gate on it.
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(rendered + "\n" if rendered else "")
-            print(f"wrote {args.output}", file=sys.stderr)
-        elif rendered:
-            print(rendered)
-        print(f"done in {elapsed():.0f}s", file=sys.stderr)
-        return 0
     else:
         from repro.runner.registry import resolve_path
 

@@ -42,8 +42,8 @@ class Scheduler:
     spends_modelled_time: bool
 
     def __init__(self) -> None:
-        #: Events executed so far — the denominator for the telemetry
-        #: layer's host-profiling hook (events/sec, wall-ms per sim-s).
+        #: Events executed so far — the benchmark's events-per-request
+        #: numerator (``bench/README.md``).
         self.events_processed = 0
 
     @property

@@ -25,7 +25,7 @@ live-health bound (:func:`repro.telemetry.obs.live_health_violations`:
 a socket error, a loop stall, loop-lag p99 over 200 ms).  The flush
 also runs on the **failure** path: ``_run_stack`` stops the stack in
 a ``finally``, and :meth:`stop` itself flushes even when a drain
-raises, so a crash mid-serve still leaves spans/metrics/log exports
+raises, so a crash mid-serve still leaves spans/metrics exports
 behind.
 
 With ``metrics_port`` set, an :class:`AdminServer` rides alongside the
@@ -73,7 +73,6 @@ from repro.httplib.wire import (
 from repro.net.address import IPv4Address
 from repro.net.node import Node
 from repro.telemetry.exposition import PROM_CONTENT_TYPE, render_prometheus
-from repro.telemetry.logfmt import StructuredLog
 from repro.telemetry.registry import Telemetry
 from repro.telemetry.spans import Span
 
@@ -107,8 +106,6 @@ class LiveStackConfig:
     #: Flush spans/metrics here on shutdown ("" = no export).
     spans_path: str = ""
     metrics_path: str = ""
-    #: Flush the structured log here on shutdown ("" = no export).
-    logs_path: str = ""
     #: Bind the admin plane (``/metrics``, ``/healthz``,
     #: ``/debug/traces``) on this port; 0 = ephemeral, None = no admin
     #: server.
@@ -185,18 +182,13 @@ class LiveStack:
         #: interleaved stop could observe a half-started stack.
         self._lifecycle_lock = asyncio.Lock()
         self._state = "starting"
-        #: Trace-correlated JSONL event log, clocked off the engine so
-        #: its records line up with span timestamps.
-        self.log = StructuredLog(clock=lambda: self.engine.now)
-        self.log.log("lifecycle", state=self._state)
         #: role -> (host, port) once started (the /healthz payload).
         self.endpoints: dict[str, tuple[str, int]] = {}
         self.watchdog = LoopLagWatchdog(
             engine.loop,
             self.telemetry.histogram("live.loop_lag_ms"),
             self.telemetry.counter("live.loop_stalls"),
-            interval_s=cfg.watchdog_interval_s,
-            on_stall=self._record_stall)
+            interval_s=cfg.watchdog_interval_s)
         self.admin = AdminServer(self)
 
     # ------------------------------------------------------------------
@@ -209,12 +201,6 @@ class LiveStack:
 
     def _set_state(self, state: str) -> None:
         self._state = state
-        self.log.log("lifecycle", state=state)
-
-    def _record_stall(self, lag_ms: float) -> None:
-        self.log.log("loop_stall", level="warning",
-                     lag_ms=round(lag_ms, 3),
-                     threshold_ms=self.watchdog.stall_threshold_ms)
 
     async def start(self) -> dict[str, tuple[str, int]]:
         """Bind every tier; returns ``role -> (host, port)``.
@@ -294,8 +280,6 @@ class LiveStack:
             write_spans_jsonl(self.telemetry, self.config.spans_path)
         if self.config.metrics_path:
             write_metrics_jsonl(self.telemetry, self.config.metrics_path)
-        if self.config.logs_path:
-            self.log.write_jsonl(self.config.logs_path)
 
     # ------------------------------------------------------------------
     # Population (mirrors Testbed's surface)
@@ -436,8 +420,11 @@ class AdminServer:
       (``?n=`` caps the count).
 
     Requests never mutate any instrument — a scrape observes the stack
-    without perturbing the numbers it reports (admin activity goes to
-    the structured log instead).  The server stays up through the
+    without perturbing the numbers it reports; the plane counts its
+    own traffic in :attr:`requests_served` and :attr:`errors`.  An
+    admin error (a malformed request, a client gone mid-reply) stays
+    out of ``live.socket_errors``, so a scrape racing shutdown cannot
+    break the live-health verdict.  The server stays up through the
     drain so probes watch the 200 → 503 transition; the stack stops it
     last.
     """
@@ -448,6 +435,7 @@ class AdminServer:
         self._lock = asyncio.Lock()
         self.endpoint: tuple[str, int] | None = None
         self.requests_served = 0
+        self.errors = 0
 
     async def start(self, host: str = LIVE_HOST,
                     port: int = 0) -> tuple[str, int]:
@@ -483,11 +471,8 @@ class AdminServer:
                 encode_payload_response(status, payload, content_type))
             await writer.drain()
             self.requests_served += 1
-            self._stack.log.log("admin_request", path=request.url.path,
-                                status=status, bytes=len(payload))
-        except (HttpError, OSError) as err:
-            self._stack.log.log("admin_error", level="warning",
-                                error=str(err))
+        except (HttpError, OSError):
+            self.errors += 1
         finally:
             writer.close()
             try:
@@ -532,6 +517,8 @@ class AdminServer:
                                    for server in stack._servers),
             "watchdog": {"probes": stack.watchdog.probes,
                          "stalls": stack.watchdog.stalls},
+            "admin": {"requests_served": self.requests_served,
+                      "errors": self.errors},
             # Router CPU the requests served so far would have cost
             # (accounted, never slept: docs/live.md).
             "modelled_cpu_s": {
@@ -613,11 +600,6 @@ async def _run_stack(config: LiveStackConfig, demo_requests: int,
             hits += int(result.source == "ap-hit")
             emit(f"live: fetch {url} -> {result.source} "
                  f"({result.total_latency_s * 1e3:.2f} ms)")
-            requests = stack.telemetry.spans.finished("request")
-            stack.log.log(
-                "fetch", span=requests[-1] if requests else None,
-                url=url, source=result.source,
-                total_ms=round(result.total_latency_s * 1e3, 3))
         if demo_requests:
             emit(f"live: {hits}/{demo_requests} served from the AP "
                  f"cache")
@@ -635,8 +617,8 @@ async def _run_stack(config: LiveStackConfig, demo_requests: int,
             await shutdown.wait()
             emit("live: signal received, draining")
     finally:
-        # The failure path flushes too: stop() exports spans/metrics/
-        # logs even when the serve loop above raised (and stop()'s own
+        # The failure path flushes too: stop() exports spans/metrics
+        # even when the serve loop above raised (and stop()'s own
         # finally keeps that true when a drain fails).
         await stack.stop()
     engine.raise_unwaited()
@@ -652,7 +634,7 @@ async def _run_stack(config: LiveStackConfig, demo_requests: int,
 
 def run_live(demo_requests: int = 6, serve: bool = False,
              spans_path: str = "", metrics_path: str = "",
-             logs_path: str = "", metrics_port: int | None = None,
+             metrics_port: int | None = None,
              drain_grace_s: float = 0.0,
              watchdog_interval_s: float = 0.25,
              inject_stall_ms: float = 0.0,
@@ -667,7 +649,6 @@ def run_live(demo_requests: int = 6, serve: bool = False,
     """
     config = LiveStackConfig(spans_path=spans_path,
                              metrics_path=metrics_path,
-                             logs_path=logs_path,
                              metrics_port=metrics_port,
                              drain_grace_s=drain_grace_s,
                              watchdog_interval_s=watchdog_interval_s)

@@ -75,8 +75,7 @@ class LoopLagWatchdog:
     land in a histogram (``live.loop_lag_ms``); any probe later than
     ``stall_threshold_ms`` additionally bumps a stall counter
     (``live.loop_stalls``, a live-health bound in
-    :func:`repro.telemetry.obs.live_health_violations`) and invokes
-    ``on_stall`` so the structured log can record the incident.
+    :func:`repro.telemetry.obs.live_health_violations`).
 
     The instruments are duck-typed (same pattern as
     :class:`OwnedTaskSet`): this module stays free of telemetry
@@ -93,9 +92,7 @@ class LoopLagWatchdog:
                  lag_histogram: _LagHistogram,
                  stall_counter: _StallCounter,
                  interval_s: float = 0.25,
-                 stall_threshold_ms: float = 250.0,
-                 on_stall: _t.Callable[[float], None] | None = None,
-                 ) -> None:
+                 stall_threshold_ms: float = 250.0) -> None:
         if interval_s <= 0.0:
             raise SimulationError(
                 f"watchdog interval must be positive, got {interval_s!r}")
@@ -104,7 +101,6 @@ class LoopLagWatchdog:
         self._counter = stall_counter
         self.interval_s = interval_s
         self.stall_threshold_ms = stall_threshold_ms
-        self._on_stall = on_stall
         self._handle: asyncio.Handle | None = None
         self._deadline = 0.0
         self._running = False
@@ -140,8 +136,6 @@ class LoopLagWatchdog:
         if lag_ms > self.stall_threshold_ms:
             self.stalls += 1
             self._counter.inc()
-            if self._on_stall is not None:
-                self._on_stall(lag_ms)
         self._deadline = monotonic() + self.interval_s
         self._handle = self._loop.call_later(self.interval_s, self._probe)
 

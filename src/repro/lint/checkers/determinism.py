@@ -154,8 +154,7 @@ class WallClock(Checker):
     Simulated components must take time from ``sim.now`` — mixing in
     host time makes latency results depend on machine load.  That
     includes the telemetry layer, whose spans and histograms clock off
-    ``Simulator.now``; its profiling hook takes host time only through
-    ``repro.perf.perf_timer``.  Operator tooling (``tools/``, the
+    ``Simulator.now``.  Operator tooling (``tools/``, the
     ``repro.perf`` helper) and the real-time engine
     (``repro.engine.wallclock``) are allowlisted via
     ``[tool.repro-lint] wallclock-allow``.

@@ -44,10 +44,8 @@ class MultiSeedResult:
 def common_numeric_metrics(cells: _t.Iterable[CellResult]) -> list[str]:
     """Every numeric metric name across cells, first-seen order.
 
-    The shared discovery step behind :func:`cells_table` and the
-    trace-analysis run diff (:func:`repro.telemetry.analysis.
-    compare_systems`): insertion-ordered so serial and parallel sweeps
-    list columns identically.
+    The discovery step behind :func:`cells_table`: insertion-ordered
+    so serial and parallel sweeps list columns identically.
     """
     seen: dict[str, None] = {}
     for cr in cells:

@@ -1,12 +1,11 @@
 """Unified observability for the DNS→AP→edge request path.
 
-One :class:`Telemetry` registry per testbed collects three signal kinds:
+One :class:`Telemetry` registry per testbed collects two signal kinds:
 
 * **metrics** — named :class:`Counter`/:class:`Gauge`/:class:`Histogram`
   instruments with ``app``/``tier``/``outcome``-style labels;
 * **spans** — sim-time trace trees (``request → dns_piggyback →
-  {ap_hit | edge_fetch → pacm_admit}``) clocked on ``Simulator.now``;
-* **host profiling** — the opt-in wall-clock view in :mod:`.profiling`.
+  {ap_hit | edge_fetch → pacm_admit}``) clocked on ``Simulator.now``.
 
 Components take an optional ``telemetry`` argument defaulting to
 :data:`NULL`, the no-op backend, so un-instrumented runs record nothing.
@@ -14,7 +13,11 @@ Exports (:mod:`.export`) are deterministic: same seed → byte-identical
 JSONL.  See ``docs/telemetry.md`` for the instrument catalogue and span
 taxonomy.
 
-The analysis layer turns recordings into decisions: :mod:`.analysis`
+Each module answers one of three questions — where a request's
+milliseconds went, why PACM admitted or evicted an object, what the
+last change did to performance — or feeds the live-health verdict;
+``docs/telemetry.md`` tables each one with the gate that reads it.
+The analysis layer turns recordings into answers: :mod:`.analysis`
 (span trees, critical-path attribution, run diffing), :mod:`.tracefmt`
 (Perfetto-viewable Chrome traces), and :mod:`.obs` (the panels, plus
 the live-health verdict behind ``repro.cli live``/``parity`` exit
@@ -47,9 +50,7 @@ from repro.telemetry.instruments import (
     labelset,
     percentile,
 )
-from repro.telemetry.profiling import HostProfile, HostProfileReport
 from repro.telemetry.registry import NULL, NullTelemetry, Telemetry
-from repro.telemetry.sampling import TailSampler
 from repro.telemetry.sketch import DEFAULT_RELATIVE_ERROR, QuantileSketch
 from repro.telemetry.spans import (
     Span,
@@ -65,8 +66,6 @@ __all__ = [
     "DEFAULT_RELATIVE_ERROR",
     "Gauge",
     "Histogram",
-    "HostProfile",
-    "HostProfileReport",
     "Instrument",
     "LabelSet",
     "NULL",
@@ -76,7 +75,6 @@ __all__ = [
     "SpanLog",
     "SpanRecord",
     "SpanScope",
-    "TailSampler",
     "Telemetry",
     "TraceTree",
     "attribute",

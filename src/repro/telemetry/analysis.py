@@ -18,10 +18,9 @@ instruments.  This module turns those recordings into *decisions*:
   ``edge_fetch`` stage simply does not exist.
 * **Run diffing** — compare two exported runs series-by-series and
   stage-by-stage.  Two same-seed runs diff *empty* (byte-empty render),
-  which ``tools/check.sh`` enforces; across systems and seed fleets,
-  :func:`compare_systems` reuses the sweep engine and the paired
-  Student-t machinery from :mod:`repro.analysis.stats` to annotate
-  every delta with a confidence interval.
+  which ``tools/check.sh`` enforces.  Comparing systems across seeds
+  is :mod:`repro.analysis.stats`' job (``fold_multiseed`` +
+  ``paired_comparison``, as ``experiments/replication.py`` uses them).
 
 Everything here is a pure function of deterministic inputs, so reports
 are byte-identical across runs of the same seed.
@@ -48,12 +47,7 @@ __all__ = [
     "TraceAttribution", "AttributionReport", "attribute_tree",
     "attribute",
     "RunData", "load_run", "DiffEntry", "RunDiff", "diff_runs",
-    "compare_systems",
 ]
-
-#: Attribution/summary statistics exposed by reports.
-STATS = ("count", "mean", "p50", "p95", "p99", "max")
-
 
 # ----------------------------------------------------------------------
 # Span records: one shape for live registries and exported JSONL
@@ -284,14 +278,6 @@ class TraceAttribution:
     total_ms: float
     #: Stage (span name) → self time; values sum to ``total_ms``.
     self_ms: dict[str, float]
-    #: How many requests this trace stands in for — 1.0 normally, the
-    #: sampling rate for a 1-in-N keep under tail-based sampling
-    #: (``sample.weight`` on the root span); aggregation weights every
-    #: statistic by it so attribution still telescopes to fleet totals.
-    weight: float = 1.0
-    #: Why the sampler kept this trace (``tail``/``error``/``sampled``;
-    #: empty when no sampler ran).
-    sample_reason: str = ""
 
 
 def attribute_tree(tree: TraceTree) -> TraceAttribution:
@@ -331,43 +317,19 @@ def attribute_tree(tree: TraceTree) -> TraceAttribution:
         app=str(root.attrs.get("app", "?")),
         source=str(root.attrs.get("source", "?")),
         total_ms=root.duration_ms,
-        self_ms=self_ms,
-        weight=float(_t.cast(float,
-                             root.attrs.get("sample.weight", 1.0))),
-        sample_reason=str(root.attrs.get("sample.reason", "")))
+        self_ms=self_ms)
 
 
-def _summary(samples: _t.Sequence[float],
-             weights: _t.Sequence[float] | None = None,
-             ) -> dict[str, float]:
-    """Count/mean/percentiles, optionally weighted.
-
-    Each weighted sample stands in for ``weight`` requests (tail-based
-    sampling), so ``count`` is the total weight and mean/percentiles
-    are weight-expanded.  All-unit weights dispatch to the exact
-    unweighted arithmetic, keeping unsampled reports bit-identical.
-    """
+def _summary(samples: _t.Sequence[float]) -> dict[str, float]:
+    """Count/mean/percentiles/max of one stage's per-request samples."""
     if not samples:
         return {"count": 0.0}
-    if weights is not None and all(w == 1.0 for w in weights):
-        weights = None
-    if weights is None:
-        return {
-            "count": float(len(samples)),
-            "mean": math.fsum(samples) / len(samples),
-            "p50": percentile(samples, 50.0),
-            "p95": percentile(samples, 95.0),
-            "p99": percentile(samples, 99.0),
-            "max": max(samples),
-        }
-    total_weight = math.fsum(weights)
     return {
-        "count": total_weight,
-        "mean": math.fsum(value * weight for value, weight
-                          in zip(samples, weights)) / total_weight,
-        "p50": percentile(samples, 50.0, weights=weights),
-        "p95": percentile(samples, 95.0, weights=weights),
-        "p99": percentile(samples, 99.0, weights=weights),
+        "count": float(len(samples)),
+        "mean": math.fsum(samples) / len(samples),
+        "p50": percentile(samples, 50.0),
+        "p95": percentile(samples, 95.0),
+        "p99": percentile(samples, 99.0),
         "max": max(samples),
     }
 
@@ -392,9 +354,7 @@ class AttributionReport:
         """Stage → per-request self-time samples, filtered by source.
 
         The pseudo-stage ``total`` carries the per-request end-to-end
-        latency.  ``source="*"`` merges every request path.  Under
-        tail-based sampling, pair with :meth:`stage_weights` (aligned
-        element-for-element) to weight the samples.
+        latency.  ``source="*"`` merges every request path.
         """
         samples: dict[str, list[float]] = {}
         for attribution in self.requests:
@@ -406,33 +366,13 @@ class AttributionReport:
                     attribution.self_ms[stage])
         return samples
 
-    def stage_weights(self, source: str = "*",
-                      ) -> dict[str, list[float]]:
-        """Stage → per-request sampling weights, aligned with
-        :meth:`stage_samples` (same filter, same iteration order)."""
-        weights: dict[str, list[float]] = {}
-        for attribution in self.requests:
-            if source != "*" and attribution.source != source:
-                continue
-            weights.setdefault("total", []).append(attribution.weight)
-            for stage in sorted(attribution.self_ms):
-                weights.setdefault(stage, []).append(attribution.weight)
-        return weights
-
     def summary(self) -> dict[str, dict[str, dict[str, float]]]:
-        """``source → stage → {count, mean, p50, p95, p99, max}``.
-
-        Weighted by each trace's sampling weight, so a 1-in-N sampled
-        trace counts as N requests; unsampled runs (all weights 1) are
-        bit-identical to the historical unweighted summary.
-        """
+        """``source → stage → {count, mean, p50, p95, p99, max}``."""
         result: dict[str, dict[str, dict[str, float]]] = {}
         for source in ("*", *self.sources()):
             per_stage = self.stage_samples(source)
-            per_weight = self.stage_weights(source)
-            result[source] = {
-                stage: _summary(per_stage[stage], per_weight[stage])
-                for stage in sorted(per_stage)}
+            result[source] = {stage: _summary(per_stage[stage])
+                              for stage in sorted(per_stage)}
         return result
 
     def table(self, title: str = "critical-path latency attribution",
@@ -444,26 +384,19 @@ class AttributionReport:
                      "p50_ms", "p95_ms", "p99_ms"])
         for source in self.sources():
             per_stage = self.stage_samples(source)
-            per_weight = self.stage_weights(source)
-            total = math.fsum(
-                value * weight for value, weight
-                in zip(per_stage.get("total", ()),
-                       per_weight.get("total", ())))
+            total = math.fsum(per_stage.get("total", ()))
             for stage in sorted(per_stage):
                 if stage == "total":
                     continue
-                stats = _summary(per_stage[stage], per_weight[stage])
-                stage_sum = math.fsum(
-                    value * weight for value, weight
-                    in zip(per_stage[stage], per_weight[stage]))
+                stats = _summary(per_stage[stage])
+                stage_sum = math.fsum(per_stage[stage])
                 table.add_row(
                     source=source, stage=stage,
                     count=int(stats["count"]),
                     share=stage_sum / total if total else 0.0,
                     mean_ms=stats["mean"], p50_ms=stats["p50"],
                     p95_ms=stats["p95"], p99_ms=stats["p99"])
-            stats = _summary(per_stage.get("total", ()),
-                             per_weight.get("total", ()))
+            stats = _summary(per_stage.get("total", ()))
             if stats["count"]:
                 table.add_row(source=source, stage="(end-to-end)",
                               count=int(stats["count"]), share=1.0,
@@ -476,13 +409,6 @@ class AttributionReport:
         table.notes.append(
             "per-stage self-times: each instant belongs to the deepest "
             "active span, so stages sum exactly to end-to-end")
-        weighted = math.fsum(attribution.weight
-                             for attribution in self.requests)
-        if weighted != float(len(self.requests)):
-            table.notes.append(
-                f"tail-sampled: {len(self.requests)} kept traces stand "
-                f"in for {weighted:.0f} requests (stats weighted by "
-                f"sample.weight)")
         return table
 
 
@@ -668,71 +594,3 @@ def diff_runs(run_a: RunData, run_b: RunData,
                             key=f"{source}/{stage}", field=field,
                             a=left, b=right))
     return RunDiff(entries=entries)
-
-
-# ----------------------------------------------------------------------
-# Cross-system comparison (significance-annotated)
-# ----------------------------------------------------------------------
-def compare_systems(system_a: str, system_b: str,
-                    seeds: _t.Sequence[int] = (0, 1, 2),
-                    n_apps: int | None = None,
-                    duration_s: float | None = None,
-                    jobs: int = 1,
-                    confidence: float = 0.95) -> ExperimentTable:
-    """Paired per-seed comparison of two systems on every metric.
-
-    Runs an axis-free sweep (``system × seed``) through the engine,
-    folds it with :func:`repro.runner.reduce.fold_multiseed`, and
-    annotates each metric's delta with a paired Student-t interval —
-    the significance machinery the replication experiment uses.
-    """
-    from repro.analysis.stats import paired_comparison
-    from repro.apps.workload import WorkloadConfig
-    from repro.runner import ScenarioSpec, SweepEngine
-    from repro.runner.reduce import common_numeric_metrics, \
-        fold_multiseed
-
-    workload_kwargs: dict[str, _t.Any] = {}
-    if n_apps is not None:
-        workload_kwargs["n_apps"] = n_apps
-    spec = ScenarioSpec(
-        name=f"diff:{system_a}-vs-{system_b}",
-        systems=(system_a, system_b), seeds=tuple(seeds),
-        workload=WorkloadConfig(**workload_kwargs),
-        duration_s=duration_s)
-    result = SweepEngine(jobs=jobs).run(spec)
-    folded = fold_multiseed(result)
-    samples_a = folded[system_a].samples
-    samples_b = folded[system_b].samples
-    table = ExperimentTable(
-        title=f"run diff: {system_a} vs {system_b} "
-              f"({len(seeds)} paired seeds)",
-        columns=["metric", system_a, system_b, "delta", "ci_low",
-                 "ci_high", "verdict"])
-    for metric in common_numeric_metrics(result.cells):
-        if metric not in samples_a or metric not in samples_b:
-            continue
-        first, second = samples_a[metric], samples_b[metric]
-        if len(first) != len(second) or not first:
-            continue
-        mean_a = math.fsum(first) / len(first)
-        mean_b = math.fsum(second) / len(second)
-        if len(first) < 2:
-            table.add_row(metric=metric, **{
-                system_a: mean_a, system_b: mean_b},
-                delta=mean_b - mean_a, ci_low=mean_b - mean_a,
-                ci_high=mean_b - mean_a, verdict="n<2")
-            continue
-        comparison = paired_comparison(second, first,
-                                       confidence=confidence)
-        table.add_row(metric=metric, **{
-            system_a: mean_a, system_b: mean_b},
-            delta=comparison.mean_difference,
-            ci_low=comparison.ci_low, ci_high=comparison.ci_high,
-            verdict=("significant" if comparison.significant
-                     else "inconclusive"))
-    table.notes.append(
-        f"delta = {system_b} - {system_a}; paired per-seed "
-        f"{confidence:.0%} Student-t interval "
-        f"(repro.analysis.stats.paired_comparison)")
-    return table

@@ -17,7 +17,7 @@ with the sample count.
 Every instrument is **mergeable**: :meth:`Instrument.merge` folds a
 shard's state into this one, and :meth:`state_dict` /
 :meth:`merge_state` round-trip the same fold through JSON for
-cross-process hand-off (sweep workers, per-AP fleet shards).  The merge
+cross-process hand-off (sweep workers).  The merge
 is associative and commutative, and all float accumulation is kept as
 flat per-shard term lists folded with :func:`math.fsum` at read time
 (exact summation, rounded once), so merged exports are byte-identical
@@ -41,37 +41,16 @@ __all__ = ["Counter", "Gauge", "Histogram", "Instrument", "LabelSet",
 LabelSet = tuple[tuple[str, str], ...]
 
 
-def percentile(values: _t.Sequence[float], q: float,
-               weights: _t.Sequence[float] | None = None) -> float:
+def percentile(values: _t.Sequence[float], q: float) -> float:
     """Linear-interpolation percentile, ``q`` in [0, 100].
 
     Matches ``numpy.percentile``'s default behaviour but avoids pulling
     numpy into hot simulation paths.
-
-    With ``weights`` (positive, one per value — how many requests each
-    sample stands in for under tail-based trace sampling), samples are
-    placed at positions ``t_i = (c_i - w_i) / (W - w_n)`` over their
-    sorted order (``c_i`` = cumulative weight through sample i, ``W``
-    total weight, ``w_n`` the last sorted sample's weight) and linearly
-    interpolated between.  Unit weights reduce to exactly
-    ``t_i = (i-1)/(n-1)`` — the unweighted formula — and that case is
-    dispatched to the unweighted code path so results are
-    bit-identical.
     """
     if not values:
         raise ValueError("percentile of an empty sequence")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"q must be within [0, 100], got {q}")
-    if weights is not None:
-        if len(weights) != len(values):
-            raise ValueError(
-                f"got {len(weights)} weights for {len(values)} values")
-        if any(weight <= 0 for weight in weights):
-            raise ValueError("weights must be positive")
-        if all(weight == 1.0 for weight in weights):
-            weights = None  # bit-identical to the unweighted path
-    if weights is not None:
-        return _weighted_percentile(values, q, weights)
     ordered = sorted(values)
     if len(ordered) == 1:
         return ordered[0]
@@ -82,30 +61,6 @@ def percentile(values: _t.Sequence[float], q: float,
         return ordered[low]
     fraction = rank - low
     return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-
-
-def _weighted_percentile(values: _t.Sequence[float], q: float,
-                         weights: _t.Sequence[float]) -> float:
-    pairs = sorted(zip(values, weights))
-    if len(pairs) == 1:
-        return pairs[0][0]
-    total = math.fsum(weight for _value, weight in pairs)
-    span = total - pairs[-1][1]
-    if span <= 0.0:  # pragma: no cover - positive weights, n >= 2
-        return pairs[-1][0]
-    target = q / 100.0
-    cumulative = 0.0
-    previous_value, previous_t = pairs[0][0], 0.0
-    for value, weight in pairs:
-        cumulative += weight
-        t = min((cumulative - weight) / span, 1.0)
-        if t >= target:
-            if t <= previous_t:
-                return value
-            fraction = (target - previous_t) / (t - previous_t)
-            return previous_value * (1.0 - fraction) + value * fraction
-        previous_value, previous_t = value, t
-    return pairs[-1][0]
 
 
 def labelset(labels: _t.Mapping[str, object]) -> LabelSet:
@@ -244,9 +199,9 @@ def _canonical_terms(values: dict[LabelSet, float],
 class Gauge(Instrument):
     """A point-in-time value (bytes used, entries cached, ...).
 
-    Merging gauges **sums** per-label values across shards — the fleet
-    reading of "total bytes cached across all APs".  Give shards
-    distinct labels (``ap=ap3``) when a sum would be meaningless.
+    Merging gauges **sums** per-label values across shards — the swept
+    reading of "total bytes cached across all cells".  Give shards
+    distinct labels when a sum would be meaningless.
     """
 
     kind = "gauge"

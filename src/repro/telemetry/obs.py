@@ -7,8 +7,8 @@ the span-derived critical-path attribution
 (:mod:`repro.telemetry.analysis`), and per-app hit ratios with a Gini
 fairness index.  ``--export-spans``/``--export-metrics`` dump the run
 as deterministic JSONL, ``--export-trace`` writes a Perfetto-viewable
-Chrome trace (:mod:`repro.telemetry.tracefmt`), and ``--profile`` adds
-the host-side events/sec view from :mod:`repro.telemetry.profiling`.
+Chrome trace (:mod:`repro.telemetry.tracefmt`), and ``--top N`` lists
+the slowest request traces with their per-stage self-times.
 
 :func:`instrumented_run` is the shared "one instrumented run" builder
 this panel and the paper-bound tests (``tests/telemetry/
@@ -34,20 +34,16 @@ from repro.telemetry.analysis import (
 )
 from repro.telemetry.export import write_metrics_jsonl, write_spans_jsonl
 from repro.telemetry.instruments import Counter, Gauge, Histogram
-from repro.telemetry.profiling import HostProfile, HostProfileReport
 from repro.telemetry.registry import Telemetry
 from repro.testbed import Testbed, TestbedConfig
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.baselines.base import CachingSystem
-    from repro.baselines.multi_ap import WiCacheDistributedSystem
 
 __all__ = ["ObsRun", "follow_obs", "instrumented_run", "run_obs",
            "stage_table", "hit_ratio_table", "live_health_table",
            "live_health_violations", "LIVE_HEALTH_BOUNDS",
-           "fleet_tables", "fleet_table", "top_traces_table"]
-
-_MB = 1024 * 1024
+           "top_traces_table"]
 
 #: Retrieval sources in request-path order (device first, origin last).
 _SOURCES = ("device-hit", "ap-hit", "ap-delegated", "edge")
@@ -277,8 +273,6 @@ class ObsRun:
     telemetry: Telemetry
     duration_s: float
     seed: int
-    #: Host-side profile, only when profiling was requested.
-    profile: HostProfileReport | None = None
 
     def attribution(self) -> AttributionReport:
         """Critical-path attribution over this run's span log."""
@@ -286,58 +280,30 @@ class ObsRun:
 
 
 def instrumented_run(quick: bool = True, seed: int = 0,
-                     profile: bool = False,
-                     system: "CachingSystem | None" = None,
-                     tail_threshold_ms: float | None = None,
-                     tail_sample_every: int = 0) -> ObsRun:
-    """Run the paper's workload with telemetry on; the obs core.
-
-    ``tail_threshold_ms``/``tail_sample_every`` attach a tail-based
-    trace sampler (off by default, so every trace is kept).
-    """
+                     system: "CachingSystem | None" = None) -> ObsRun:
+    """Run the paper's workload with telemetry on; the obs core."""
     duration = quick_duration(quick, quick_s=2 * MINUTE)
     config = WorkloadConfig(
         n_apps=30, duration_s=duration, seed=seed,
-        testbed=TestbedConfig(
-            seed=seed, enable_telemetry=True,
-            telemetry_tail_threshold_ms=tail_threshold_ms,
-            telemetry_tail_sample_every=tail_sample_every))
+        testbed=TestbedConfig(seed=seed, enable_telemetry=True))
     workload = Workload(config)
-
-    profiles: list[HostProfile] = []
-
-    def _profiler(bed: "Testbed", _system: "CachingSystem",
-                  ) -> _t.Generator[object, object, None]:
-        profiles.append(HostProfile(bed.sim).start())
-        yield bed.sim.timeout(0.0)
-
-    extra = [_profiler] if profile else []
-    workload.run(system if system is not None else ApeCacheSystem(),
-                 extra_processes=extra)
+    workload.run(system if system is not None else ApeCacheSystem())
     bed: "Testbed" = workload._last_bed
     return ObsRun(telemetry=bed.telemetry, duration_s=duration,
-                  seed=seed,
-                  profile=profiles[0].stop() if profiles else None)
+                  seed=seed)
 
 
 def run_obs(quick: bool = True, seed: int = 0,
             spans_path: str | None = None,
-            profile: bool = False,
             metrics_path: str | None = None,
             trace_path: str | None = None,
-            tail_threshold_ms: float | None = None,
-            tail_sample_every: int = 0,
-            fleet: int = 0,
             top: int = 0) -> list[ExperimentTable]:
     """One telemetry-enabled APE-CACHE run, rendered as panels.
 
-    ``fleet=N`` appends the merged-shard fleet rollup from an N-AP
-    distributed Wi-Cache run; ``top=N`` appends the N slowest request
-    traces with their per-stage self-time breakdown.
+    ``top=N`` appends the N slowest request traces with their
+    per-stage self-time breakdown.
     """
-    run = instrumented_run(quick, seed, profile=profile,
-                           tail_threshold_ms=tail_threshold_ms,
-                           tail_sample_every=tail_sample_every)
+    run = instrumented_run(quick, seed)
     telemetry = run.telemetry
 
     report = run.attribution()
@@ -350,15 +316,6 @@ def run_obs(quick: bool = True, seed: int = 0,
         f"{len(telemetry.spans)} spans, "
         f"{len(telemetry.instruments())} instruments recorded over "
         f"{run.duration_s:.0f} sim-s (seed {seed})")
-    sampler = telemetry.spans.sampler
-    if sampler is not None:
-        stats = sampler.stats()
-        tables[0].notes.append(
-            f"tail sampler: kept {sampler.kept_traces}/"
-            f"{stats['roots_seen']} traces (tail={stats['kept_tail']} "
-            f"error={stats['kept_error']} "
-            f"sampled={stats['kept_sampled']}), dropped "
-            f"{stats['dropped_spans']} spans")
     if spans_path is not None:
         count = write_spans_jsonl(telemetry, spans_path)
         tables[0].notes.append(f"wrote {count} spans to {spans_path}")
@@ -374,12 +331,8 @@ def run_obs(quick: bool = True, seed: int = 0,
         tables[0].notes.append(
             f"wrote {count} spans as a Chrome trace to {trace_path} "
             f"(open in ui.perfetto.dev)")
-    if run.profile is not None:
-        tables[0].notes.append(run.profile.render())
     if top:
         tables.append(top_traces_table(report, top))
-    if fleet:
-        tables.extend(fleet_tables(n_aps=fleet, quick=quick, seed=seed))
     return tables
 
 
@@ -391,7 +344,7 @@ def top_traces_table(report: AttributionReport,
     """The ``n`` slowest request traces, with per-stage self-times."""
     table = ExperimentTable(
         title=f"obs: top {n} slowest request traces",
-        columns=["trace", "app", "source", "weight", "total_ms",
+        columns=["trace", "app", "source", "total_ms",
                  "stage_breakdown"])
     ranked = sorted(report.requests,
                     key=lambda attribution: (-attribution.total_ms,
@@ -402,11 +355,8 @@ def top_traces_table(report: AttributionReport,
         breakdown = " | ".join(f"{stage} {self_ms:.2f}"
                                for stage, self_ms in stages
                                if self_ms > 0.0)
-        weight = f"{attribution.weight:g}"
-        if attribution.sample_reason:
-            weight += f" ({attribution.sample_reason})"
         table.add_row(trace=attribution.trace_id, app=attribution.app,
-                      source=attribution.source, weight=weight,
+                      source=attribution.source,
                       total_ms=attribution.total_ms,
                       stage_breakdown=breakdown)
     table.notes.append(
@@ -415,94 +365,6 @@ def top_traces_table(report: AttributionReport,
     if not report.requests:
         table.notes.append("no complete request traces recorded")
     return table
-
-
-# ----------------------------------------------------------------------
-# Fleet rollup (sharded registries -> one controller view)
-# ----------------------------------------------------------------------
-def fleet_table(merged: Telemetry, n_shards: int) -> ExperimentTable:
-    """Per-AP stats from the merged fleet registry, plus a Gini note."""
-    table = ExperimentTable(
-        title="obs: fleet rollup (merged per-AP telemetry shards)",
-        columns=["ap", "fetches", "hit_ratio", "served", "fills",
-                 "cache_mb", "serve_p95_ms"])
-    fetches = merged.get("fleet.fetches")
-    if not isinstance(fetches, Counter) or not fetches.labelsets():
-        table.notes.append("no fleet.* instruments in the merged "
-                           "registry (was the run instrumented?)")
-        return table
-    requests = merged.get("fleet.requests")
-    fills = merged.get("fleet.fills")
-    used = merged.get("fleet.cache_used_bytes")
-    serve = merged.get("fleet.serve_ms")
-    aps = sorted({str(dict(labels).get("ap", ""))
-                  for labels in fetches.labelsets()})
-    ratios = []
-    for ap in aps:
-        total = fetches.total(ap=ap)
-        hits = fetches.total(ap=ap, hit="yes")
-        ratio = hits / total if total else 0.0
-        ratios.append(ratio)
-        summary: dict[str, object] = {}
-        if isinstance(serve, Histogram):
-            summary = serve.summary(ap=ap)
-        table.add_row(
-            ap=ap, fetches=int(total), hit_ratio=ratio,
-            served=(int(requests.total(ap=ap, hit="yes"))
-                    if isinstance(requests, Counter) else 0),
-            fills=(int(fills.total(ap=ap))
-                   if isinstance(fills, Counter) else 0),
-            cache_mb=(used.value(ap=ap) / _MB
-                      if isinstance(used, Gauge) else 0.0),
-            serve_p95_ms=_t.cast(float, summary.get("p95", 0.0)))
-    table.notes.append(
-        f"Gini over per-AP hit ratios: {gini(ratios):.3f} "
-        f"(0 = perfectly even)")
-    table.notes.append(
-        f"merged from {n_shards} per-AP sketch shards via "
-        f"Telemetry.merge (order-independent fold)")
-    return table
-
-
-def fleet_tables(n_aps: int = 2, quick: bool = True,
-                 seed: int = 0) -> list[ExperimentTable]:
-    """Run an instrumented N-AP distributed Wi-Cache fleet and render
-    the controller's merged-shard view."""
-    from repro.apps.executor import AppRunner
-    from repro.apps.generator import DummyAppParams, generate_apps
-    from repro.apps.workload import zipf_rates
-    from repro.baselines.multi_ap import WiCacheDistributedSystem
-
-    duration = quick_duration(quick, quick_s=2 * MINUTE)
-    bed = Testbed(TestbedConfig(seed=seed, enable_telemetry=True))
-    system = WiCacheDistributedSystem(n_aps=n_aps,
-                                      cache_capacity_per_ap=2 * _MB)
-    system.install(bed)
-    apps = generate_apps(24, seed=seed, params=DummyAppParams())
-    rates = zipf_rates(24, 0.8, 3.0)
-
-    def _drive(runner: AppRunner, rate_per_s: float,
-               ) -> _t.Generator[object, object, None]:
-        rng = bed.streams.stream(f"obsfleet:{runner.app.app_id}")
-        while True:
-            yield bed.sim.timeout(rng.expovariate(rate_per_s))
-            yield bed.sim.process(runner.execute())
-
-    for index, (app, rate) in enumerate(zip(apps, rates)):
-        home = system.home_ap_name(index)
-        node = bed.add_client(f"client-{app.app_id}", ap_name=home)
-        fetcher = system.new_fetcher(bed, node, app.app_id)
-        for obj in app.objects:
-            bed.host_object(obj.url, obj.size_bytes,
-                            origin_delay_s=obj.origin_delay_s)
-        bed.sim.process(_drive(AppRunner(bed.sim, app, fetcher), rate))
-    bed.run(until=duration)
-
-    table = fleet_table(system.fleet_rollup(), len(system.shards))
-    table.notes.append(
-        f"{n_aps} APs, 24 apps round-robin over home APs, "
-        f"{duration:.0f} sim-s (seed {seed})")
-    return [table]
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,7 +22,6 @@ from repro.telemetry.spans import ParentLike, Span, SpanLog, SpanScope
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
-    from repro.telemetry.sampling import TailSampler
 
 __all__ = ["Telemetry", "NullTelemetry", "NULL"]
 
@@ -44,17 +43,12 @@ class Telemetry:
     ``clock`` is a :class:`Simulator` (spans and snapshots read its
     ``now``) or any zero-argument callable; ``None`` pins the clock to
     zero, which suits pure unit tests of instruments.
-
-    ``sampler`` attaches a :class:`~repro.telemetry.sampling.TailSampler`
-    so only slow/erroring/1-in-N request traces are committed to the
-    span log.
     """
 
     enabled = True
 
     def __init__(self, clock: "Simulator | _t.Callable[[], float] | None"
-                 = None, max_spans: int = 100_000,
-                 sampler: "TailSampler | None" = None) -> None:
+                 = None, max_spans: int = 100_000) -> None:
         if clock is None:
             self._clock: _t.Callable[[], float] = _zero_clock
         elif callable(clock):
@@ -62,8 +56,7 @@ class Telemetry:
         else:
             self._clock = lambda: clock.now
         self._instruments: dict[str, Instrument] = {}
-        self.spans = SpanLog(self._clock, max_spans=max_spans,
-                             sampler=sampler)
+        self.spans = SpanLog(self._clock, max_spans=max_spans)
 
     # -- clock ----------------------------------------------------------
     def now(self) -> float:
@@ -107,8 +100,8 @@ class Telemetry:
         """JSON-able snapshot of every instrument: the shard hand-off.
 
         Spans are *not* included — span/trace ids are per-registry
-        sequences, so merging logs would collide ids; shards keep (and
-        sample) their own span logs while metrics roll up.
+        sequences, so merging logs would collide ids; shards keep their
+        own span logs while metrics roll up.
         """
         return {"instruments": {
             name: self._instruments[name].state_dict()

@@ -10,7 +10,7 @@ every bucket's midpoint is within ``α`` (relative) of everything the
 bucket holds, and a quantile query only has to walk bucket counts to
 the requested rank.
 
-Design properties the fleet roll-up relies on (docs/telemetry.md):
+Design properties the shard merge relies on (docs/telemetry.md):
 
 * **Fixed memory** — bucket count grows with the *dynamic range* of the
   data (log of max/min), never with the sample count.  Sub-millisecond

@@ -33,9 +33,6 @@ import typing as _t
 
 from repro.errors import TelemetryError
 
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.telemetry.sampling import TailSampler
-
 __all__ = ["Span", "SpanLog", "SpanScope", "format_trace_parent",
            "parse_trace_parent"]
 
@@ -134,24 +131,15 @@ class SpanLog:
     reproducible.  Spans are stored in *completion* order — children
     before parents — inside a ring of ``max_spans``; overflow drops the
     oldest finished span and bumps :attr:`dropped`.
-
-    With a :class:`~repro.telemetry.sampling.TailSampler` attached, the
-    log becomes a flight recorder: finished spans are buffered per
-    trace and only committed (or discarded wholesale) when the trace's
-    root finishes — see :mod:`repro.telemetry.sampling`.
     """
 
     def __init__(self, clock: _t.Callable[[], float],
-                 max_spans: int = 100_000,
-                 sampler: "TailSampler | None" = None) -> None:
+                 max_spans: int = 100_000) -> None:
         if max_spans < 1:
             raise TelemetryError(
                 f"max_spans must be >= 1, got {max_spans}")
         self._clock = clock
         self.max_spans = max_spans
-        self.sampler = sampler
-        #: Trace id → finished-but-undecided spans (sampler mode only).
-        self._pending: dict[int, list[Span]] = {}
         self._finished: collections.deque[Span] = collections.deque(
             maxlen=max_spans)
         self._ids = itertools.count(1)
@@ -180,34 +168,7 @@ class SpanLog:
 
     def _finish(self, span: Span) -> None:
         span.end_s = self._clock()
-        if self.sampler is None:
-            self._record(span)
-            return
-        bucket = self._pending.get(span.trace_id)
-        if bucket is None:
-            if len(self._pending) >= self.sampler.max_pending_traces:
-                # Flight-recorder overflow: evict the oldest pending
-                # trace (its root never finished) to stay bounded.
-                oldest = next(iter(self._pending))
-                evicted = self._pending.pop(oldest)
-                self.sampler.evicted_traces += 1
-                self.sampler.dropped_spans += len(evicted)
-            bucket = self._pending[span.trace_id] = []
-        bucket.append(span)
-        if span.parent_id is not None:
-            return
-        # The trace's root finished: decide the whole trace now.
-        trace = self._pending.pop(span.trace_id)
-        reason, weight = self.sampler.decide(span)
-        if reason is None:
-            self.sampler.dropped_traces += 1
-            self.sampler.dropped_spans += len(trace)
-            return
-        self.sampler.kept[reason] += 1
-        span.attrs["sample.reason"] = reason
-        span.attrs["sample.weight"] = weight
-        for kept in trace:
-            self._record(kept)
+        self._record(span)
 
     def _record(self, span: Span) -> None:
         if len(self._finished) == self.max_spans:
@@ -260,8 +221,3 @@ class SpanLog:
                 lines.append(span.render() + "  (parent elsewhere)")
                 walk(span.span_id, 1)
         return "\n".join(lines)
-
-    def clear(self) -> None:
-        self._finished.clear()
-        self._pending.clear()
-        self.dropped = 0

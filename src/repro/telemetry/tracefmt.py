@@ -45,13 +45,6 @@ def chrome_trace_events(records: _t.Sequence[SpanRecord],
             label = f"trace {record.trace}"
             if record.parent is None and "app" in record.attrs:
                 label += f" ({record.attrs['app']})"
-            # Under tail-based sampling a kept trace may stand in for
-            # N requests; say so on the track label so a Perfetto
-            # window of 50 traces is read as the 5000 it represents.
-            weight = record.attrs.get("sample.weight")
-            if record.parent is None and isinstance(
-                    weight, (int, float)) and weight != 1.0:
-                label += f" ×{weight:g}"
             events.append({
                 "ph": "M", "pid": _PID, "tid": record.trace,
                 "name": "thread_name", "args": {"name": label},

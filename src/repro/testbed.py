@@ -87,25 +87,12 @@ class TestbedConfig:
     #: Collect metrics and spans (see :mod:`repro.telemetry`).  Off by
     #: default: un-instrumented runs keep the no-op null backend.
     enable_telemetry: bool = False
-    #: Tail-based span sampling: complete a request's trace only when
-    #: it breaches this many sim-ms (None = no threshold rule).
-    telemetry_tail_threshold_ms: float | None = None
-    #: ... or matches a deterministic 1-in-N baseline sample (0 = no
-    #: baseline).  Leaving both at their defaults keeps every trace.
-    telemetry_tail_sample_every: int = 0
 
     def __post_init__(self) -> None:
         for name in ("edge_hops", "controller_hops", "ldns_hops",
                      "adns_hops", "origin_hops"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.telemetry_tail_threshold_ms is not None \
-                and self.telemetry_tail_threshold_ms < 0:
-            raise ConfigError(
-                "telemetry_tail_threshold_ms must be >= 0")
-        if self.telemetry_tail_sample_every < 0:
-            raise ConfigError(
-                "telemetry_tail_sample_every must be >= 0")
 
 
 class Testbed:
@@ -121,8 +108,8 @@ class Testbed:
         #: One registry for every tier, clocked on this testbed's
         #: simulator, so cross-tier traces share one id space.
         self.telemetry: Telemetry = (
-            self._build_telemetry()
-            if self.config.enable_telemetry else NULL)
+            Telemetry(self.sim) if self.config.enable_telemetry
+            else NULL)
         self.network = Network(self.sim, telemetry=self.telemetry)
         self.transport = Transport(
             self.network,
@@ -136,18 +123,6 @@ class Testbed:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build_telemetry(self) -> Telemetry:
-        cfg = self.config
-        sampler = None
-        if cfg.telemetry_tail_threshold_ms is not None \
-                or cfg.telemetry_tail_sample_every:
-            from repro.telemetry.sampling import TailSampler
-
-            sampler = TailSampler(
-                threshold_ms=cfg.telemetry_tail_threshold_ms,
-                sample_every=cfg.telemetry_tail_sample_every)
-        return Telemetry(self.sim, sampler=sampler)
-
     def _build_topology(self) -> None:
         cfg = self.config
         net = self.network

@@ -115,6 +115,9 @@ def test_admin_endpoints_over_loopback():
             assert health["endpoints"]["admin/http"] == list(admin)
             assert health["watchdog"]["probes"] >= 1
             assert health["watchdog"]["stalls"] == 0
+            # The two scrapes so far; this one counts once answered.
+            assert health["admin"] == {"requests_served": 2,
+                                       "errors": 0}
             # State the request path keeps as plain attributes, read
             # at scrape time.  One delegated fetch so far: the AP's
             # DNS-Cache search and its HTTP service were charged
@@ -155,7 +158,40 @@ def test_admin_endpoints_over_loopback():
         finally:
             await stack.stop()
         engine.raise_unwaited()
-        assert stack.log.records(event="admin_request")
+        assert stack.admin.requests_served == 6
+        assert stack.admin.errors == 0
+
+    asyncio.run(_scenario())
+
+
+def test_malformed_admin_request_is_counted_and_the_plane_still_answers():
+    async def _scenario():
+        engine = WallClock()
+        stack = LiveStack(engine, config=_quiet_config())
+        endpoints = await stack.start()
+        admin = endpoints["admin/http"]
+        try:
+            host, port = admin
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"\x00\x01 not an http request\r\n\r\n")
+            await writer.drain()
+            # The plane closes the connection without a reply.
+            assert await reader.read() == b""
+            writer.close()
+            await writer.wait_closed()
+            assert stack.admin.errors == 1
+            assert stack.admin.requests_served == 0
+
+            status, _body = await _admin_get(admin, "/metrics")
+            assert status == 200
+            assert stack.admin.requests_served == 1
+            assert stack.admin.errors == 1
+            # An admin error is not a socket error on the cache path.
+            assert stack.telemetry.counter(
+                "live.socket_errors").total() == 0
+        finally:
+            await stack.stop()
+        engine.raise_unwaited()
 
     asyncio.run(_scenario())
 
@@ -206,11 +242,9 @@ def test_watchdog_counts_a_blocked_loop():
         telemetry = Telemetry()
         lag = telemetry.histogram("live.loop_lag_ms")
         stalls = telemetry.counter("live.loop_stalls")
-        seen = []
         watchdog = LoopLagWatchdog(
             asyncio.get_running_loop(), lag, stalls,
-            interval_s=0.05, stall_threshold_ms=50.0,
-            on_stall=seen.append)
+            interval_s=0.05, stall_threshold_ms=50.0)
         watchdog.start()
         await asyncio.sleep(0.01)  # the immediate first probe
         assert watchdog.probes >= 1
@@ -223,10 +257,26 @@ def test_watchdog_counts_a_blocked_loop():
         assert watchdog.stalls >= 1
         assert stalls.value() >= 1
         assert lag.summary()["max"] >= 50.0
-        assert seen and seen[0] >= 50.0
         probes = watchdog.probes
         await asyncio.sleep(0.12)
         assert watchdog.probes == probes, "stop() must halt probing"
+
+    asyncio.run(_scenario())
+
+
+def test_stack_probes_at_the_configured_watchdog_interval():
+    async def _scenario():
+        stack = LiveStack(WallClock(), config=LiveStackConfig(
+            watchdog_interval_s=0.05))
+        await stack.start()
+        try:
+            await asyncio.sleep(0.4)
+        finally:
+            await stack.stop()
+        assert stack.watchdog.interval_s == 0.05
+        # The immediate probe plus one per 50 ms: at the 0.25 s default
+        # it would be two.
+        assert stack.watchdog.probes >= 4
 
     asyncio.run(_scenario())
 
@@ -278,52 +328,71 @@ def test_run_live_inject_stall_feeds_the_budget_metrics(tmp_path):
 def test_mid_serve_fault_still_flushes_exports(tmp_path, monkeypatch):
     spans = tmp_path / "spans.jsonl"
     metrics = tmp_path / "metrics.jsonl"
-    logs = tmp_path / "live.jsonl"
+    states = []
+    set_state = LiveStack._set_state
 
     async def _boom(self, client, url):
         await asyncio.sleep(0)  # one loop turn: genuinely mid-serve
         raise RuntimeError("injected mid-serve fault")
 
+    def _record_state(self, state):
+        states.append(state)
+        set_state(self, state)
+
     monkeypatch.setattr(LiveStack, "fetch", _boom)
+    monkeypatch.setattr(LiveStack, "_set_state", _record_state)
     with pytest.raises(RuntimeError, match="injected mid-serve"):
         run_live(demo_requests=2, spans_path=str(spans),
-                 metrics_path=str(metrics), logs_path=str(logs),
-                 emit=lambda line: None)
-    # stop() ran in the finally and flushed all three exports.
-    assert metrics.exists() and spans.exists() and logs.exists()
+                 metrics_path=str(metrics), emit=lambda line: None)
+    # stop() ran in the finally and flushed both exports.
+    assert metrics.exists() and spans.exists()
     records = [json.loads(line)
                for line in metrics.read_text().splitlines()]
     # The watchdog's immediate first probe always lands one sample, so
     # the flushed export is non-trivial even though the demo died.
     assert any(record["name"] == "live.loop_lag_ms"
                for record in records)
-    events = [json.loads(line)
-              for line in logs.read_text().splitlines()]
-    states = [event["state"] for event in events
-              if event["event"] == "lifecycle"]
-    assert states == ["starting", "serving", "draining", "stopped"]
+    assert states == ["serving", "draining", "stopped"]
 
 
 # ----------------------------------------------------------------------
-# Tentpole: trace-correlated structured logs
+# `repro.cli live`: options reach the stack, fetches reach the spans
 # ----------------------------------------------------------------------
-def test_fetch_logs_carry_the_trace_id(tmp_path):
-    logs = tmp_path / "live.jsonl"
+def test_live_options_reach_run_live(monkeypatch, capsys):
+    import repro.engine.live as live_module
+    from repro.cli import main
+
+    calls = []
+    monkeypatch.setattr(live_module, "run_live",
+                        lambda **kwargs: calls.append(kwargs) or 0)
+    assert main(["live", "--requests", "3", "--serve", "--spans", "s",
+                 "--export-metrics", "m", "--metrics-port", "0",
+                 "--drain-grace-s", "0.5", "--watchdog-interval-s",
+                 "0.1", "--inject-stall-ms", "600"]) == 0
+    assert calls == [dict(demo_requests=3, serve=True, spans_path="s",
+                          metrics_path="m", metrics_port=0,
+                          drain_grace_s=0.5, watchdog_interval_s=0.1,
+                          inject_stall_ms=600.0)]
+    capsys.readouterr()
+
+
+def test_each_demo_fetch_is_one_exported_request_trace(tmp_path):
     spans = tmp_path / "spans.jsonl"
-    code = run_live(demo_requests=2, logs_path=str(logs),
-                    spans_path=str(spans), emit=lambda line: None)
+    lines = []
+    code = run_live(demo_requests=2, spans_path=str(spans),
+                    emit=lines.append)
     assert code == 0
-    events = [json.loads(line)
-              for line in logs.read_text().splitlines()]
-    fetches = [event for event in events if event["event"] == "fetch"]
-    assert len(fetches) == 2
-    span_records = [json.loads(line)
-                    for line in spans.read_text().splitlines()]
-    trace_ids = {record["trace"] for record in span_records}
-    for fetch in fetches:
-        trace, _dot, _span = fetch["trace"].partition(".")
-        assert int(trace) in trace_ids, \
-            "a fetch log line must grep to its exported trace"
+    records = [json.loads(line)
+               for line in spans.read_text().splitlines()]
+    roots = [record for record in records
+             if record["name"] == "request"]
+    assert len(roots) == 2
+    assert len([line for line in lines
+                if line.startswith("live: fetch ")]) == 2
+    for root in roots:
+        assert any(record["parent"] == root["span"]
+                   and record["trace"] == root["trace"]
+                   for record in records)
 
 
 def test_trace_payload_ranks_errors_first_then_slowest():

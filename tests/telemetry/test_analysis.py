@@ -293,6 +293,31 @@ def test_diff_reports_diverging_series_and_values(exported_run):
     assert "->" in rendered
 
 
+def test_diff_tolerance_hides_deltas_within_it():
+    def run(duration_ms, value):
+        return RunData(
+            metrics=[{"kind": "counter", "name": "c", "labels": {},
+                      "value": value}],
+            spans=[span(1, 1, None, "request", 0.0, duration_ms,
+                        source="ap-hit"),
+                   span(1, 2, 1, "ap_hit", 0.0, 4.0)])
+
+    exact = diff_runs(run(10.0, 5.0), run(10.5, 5.25))
+    keys = {(entry.kind, entry.key, entry.field)
+            for entry in exact.entries}
+    assert ("metric", "c{}", "value") in keys
+    assert ("stage", "ap-hit/total", "mean") in keys
+    # The ap_hit stage did not move, so it has no entry either way.
+    assert not any(entry.key.endswith("/ap_hit")
+                   for entry in exact.entries)
+    assert diff_runs(run(10.0, 5.0), run(10.5, 5.25),
+                     tolerance=0.5).empty
+    loose = diff_runs(run(10.0, 5.0), run(10.5, 5.25), tolerance=0.3)
+    assert {(entry.kind, entry.field) for entry in loose.entries} == {
+        ("stage", field) for field in ("mean", "p50", "p95", "p99",
+                                       "max")}
+
+
 def test_diff_entry_renders_one_sided_values():
     only_b = DiffEntry(kind="metric", key="m", field="value",
                        a=None, b=2.0)

@@ -1,7 +1,7 @@
 """Registry shard merging: order-independence, refusals, sweep roll-up.
 
 The contract under test (docs/telemetry.md, "shard merge contract"):
-folding per-worker/per-AP ``Telemetry`` shards is associative and
+folding per-worker ``Telemetry`` shards is associative and
 commutative, and the merged registry's JSONL export is byte-identical
 regardless of merge order — which is what lets ``SweepEngine`` roll up
 parallel workers and ``tools/check.sh`` compare --jobs 1 vs --jobs 2.

@@ -1,9 +1,11 @@
-"""Tail-based span sampling: keep slow/erroring/1-in-N, drop the rest."""
+"""Span recording keeps every trace: no sampling, and no drift.
 
-import pytest
+The span log commits every finished span in completion order.  These
+tests pin that default; a sampling policy that drops traces has to
+change them on purpose.
+"""
 
-from repro.errors import TelemetryError
-from repro.telemetry import TailSampler, Telemetry
+from repro.telemetry import Telemetry
 
 
 class _Clock:
@@ -14,14 +16,6 @@ class _Clock:
 
     def __call__(self):
         return self.t
-
-
-def _recorder(threshold_ms=None, sample_every=0, **kwargs):
-    clock = _Clock()
-    sampler = TailSampler(threshold_ms=threshold_ms,
-                          sample_every=sample_every, **kwargs)
-    telemetry = Telemetry(clock=clock, sampler=sampler)
-    return telemetry, clock, sampler
 
 
 def _request(telemetry, clock, duration_ms, fail=False, children=1):
@@ -37,51 +31,10 @@ def _request(telemetry, clock, duration_ms, fail=False, children=1):
         pass
 
 
-# ----------------------------------------------------------------------
-# The three keep reasons
-# ----------------------------------------------------------------------
-def test_threshold_breach_keeps_the_whole_trace():
-    telemetry, clock, sampler = _recorder(threshold_ms=50.0)
-    _request(telemetry, clock, duration_ms=10.0, children=2)
-    _request(telemetry, clock, duration_ms=80.0, children=2)
-    roots = telemetry.spans.finished("request")
-    assert len(roots) == 1
-    assert roots[0].attrs["sample.reason"] == "tail"
-    assert roots[0].attrs["sample.weight"] == 1.0
-    # The slow trace arrives whole: root + both children.
-    assert len(telemetry.spans) == 3
-    assert sampler.stats()["dropped_spans"] == 3
-    assert sampler.stats()["dropped_traces"] == 1
-
-
-def test_errors_are_always_kept():
-    telemetry, clock, _sampler = _recorder(threshold_ms=50.0)
-    _request(telemetry, clock, duration_ms=1.0, fail=True)
-    roots = telemetry.spans.finished("request")
-    assert len(roots) == 1
-    assert roots[0].status == "error:RuntimeError"
-    assert roots[0].attrs["sample.reason"] == "error"
-    assert roots[0].attrs["sample.weight"] == 1.0
-
-
-def test_one_in_n_baseline_is_deterministic_and_weighted():
-    telemetry, clock, sampler = _recorder(sample_every=4)
-    for _ in range(10):
-        _request(telemetry, clock, duration_ms=1.0)
-    roots = telemetry.spans.finished("request")
-    # Roots 1, 5, 9 of 10: the 1st, N+1th, 2N+1th completions.
-    assert len(roots) == 3
-    assert all(root.attrs["sample.reason"] == "sampled"
-               for root in roots)
-    assert all(root.attrs["sample.weight"] == 4.0 for root in roots)
-    assert sampler.stats()["kept_sampled"] == 3
-    assert sampler.stats()["roots_seen"] == 10
-
-
 def test_same_workload_keeps_identical_trace_sets():
     def run():
-        telemetry, clock, _sampler = _recorder(threshold_ms=30.0,
-                                               sample_every=3)
+        clock = _Clock()
+        telemetry = Telemetry(clock=clock)
         for turn in range(12):
             _request(telemetry, clock,
                      duration_ms=50.0 if turn % 5 == 0 else 2.0,
@@ -90,40 +43,12 @@ def test_same_workload_keeps_identical_trace_sets():
                  span.status, dict(span.attrs))
                 for span in telemetry.spans]
 
-    assert run() == run()
-
-
-def test_reasons_have_priority_error_over_tail_over_sampled():
-    # A slow *and* failing first request (which the 1-in-N baseline
-    # would also pick): error wins, and the sampling clock still ticks.
-    telemetry, clock, sampler = _recorder(threshold_ms=10.0,
-                                          sample_every=2)
-    _request(telemetry, clock, duration_ms=50.0, fail=True)
-    root = telemetry.spans.finished("request")[0]
-    assert root.attrs["sample.reason"] == "error"
-    assert sampler.stats()["roots_seen"] == 1
-
-
-# ----------------------------------------------------------------------
-# The pending-trace flight recorder
-# ----------------------------------------------------------------------
-def test_unfinished_roots_evict_oldest_when_the_buffer_fills():
-    telemetry, clock, sampler = _recorder(threshold_ms=0.0,
-                                          max_pending_traces=2)
-    # Three traces whose children finish but whose roots never do.
-    scopes = []
-    for _ in range(3):
-        scope = telemetry.span("request")
-        root = scope.__enter__()
-        with telemetry.span("stage", parent=root):
-            clock.t += 0.001
-        scopes.append(scope)
-    assert sampler.evicted_traces == 1
-    assert sampler.dropped_spans == 1
-    # The survivors' roots finish and (threshold 0) are kept whole.
-    for scope in scopes[1:]:
-        scope.__exit__(None, None, None)
-    assert len(telemetry.spans.finished("request")) == 2
+    first = run()
+    assert first == run()
+    # Every trace is kept, slow, fast and failed alike.
+    assert len(first) == 24
+    assert [status for name, _span, _trace, status, _attrs in first
+            if name == "request"].count("error:RuntimeError") == 1
 
 
 def test_without_a_sampler_every_span_is_recorded():
@@ -132,21 +57,4 @@ def test_without_a_sampler_every_span_is_recorded():
     _request(telemetry, clock, duration_ms=1.0)
     assert len(telemetry.spans) == 2
     root = telemetry.spans.finished("request")[0]
-    assert "sample.reason" not in root.attrs
-
-
-# ----------------------------------------------------------------------
-# Validation
-# ----------------------------------------------------------------------
-def test_a_sampler_that_keeps_nothing_is_rejected():
-    with pytest.raises(TelemetryError, match="records nothing"):
-        TailSampler()
-
-
-def test_parameter_validation():
-    with pytest.raises(TelemetryError, match="threshold_ms"):
-        TailSampler(threshold_ms=-1.0)
-    with pytest.raises(TelemetryError, match="sample_every"):
-        TailSampler(threshold_ms=1.0, sample_every=-1)
-    with pytest.raises(TelemetryError, match="max_pending_traces"):
-        TailSampler(threshold_ms=1.0, max_pending_traces=0)
+    assert root.attrs == {}

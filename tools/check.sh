@@ -80,8 +80,9 @@ python -m repro.cli obs --spans "$spans_a" \
     --export-metrics "$metrics_a" --export-trace "$trace_a" >/dev/null
 python -m repro.cli obs --spans "$spans_b" \
     --export-metrics "$metrics_b" >/dev/null
-if ! cmp -s "$spans_a" "$spans_b"; then
-    echo "FAIL: span JSONL export differs across two same-seed runs" >&2
+if [ ! -s "$spans_a" ] || ! cmp -s "$spans_a" "$spans_b"; then
+    echo "FAIL: span JSONL export is empty or differs across two" \
+        "same-seed runs" >&2
     exit 1
 fi
 # The histogram sketch summaries must repeat byte for byte as well.
