@@ -10,9 +10,12 @@ of retrieving the object from the edge or cloud server"), and ``app_id``
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.errors import CacheError
+from repro.dnslib.cache_rr import hash_url
 from repro.httplib.content import DataObject
+from repro.httplib.url import Url
 
 __all__ = ["CacheEntry"]
 
@@ -45,6 +48,16 @@ class CacheEntry:
     @property
     def url(self) -> str:
         return self.data_object.url
+
+    @functools.cached_property
+    def parsed_url(self) -> Url:
+        """``url`` parsed, once per entry."""
+        return Url.parse(self.url)
+
+    @functools.cached_property
+    def url_hash(self) -> bytes:
+        """The DNS-Cache identifier of the entry's basic URL."""
+        return hash_url(self.parsed_url.base)
 
     @property
     def size_bytes(self) -> int:

@@ -5,6 +5,9 @@ pluggable :class:`~repro.cache.policies.EvictionPolicy` (LRU for the
 baselines, PACM for APE-CACHE).  TTL expiry is enforced lazily on access
 and eagerly before every admission decision, mirroring how dnsmasq-style
 daemons sweep their tables.
+
+Every change to what the store holds bumps :attr:`CacheStore.generation`,
+so an answer derived from the store can tell whether it still holds.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ class CacheStore:
         #: host -> {key: entry}, maintained wherever ``_entries`` is
         #: mutated, so order within a host is global insertion order.
         self._by_host: dict[str, dict[str, CacheEntry]] = {}
+        #: URL hash -> entry, so a hash leaves with its entry.
+        self._by_hash: dict[bytes, CacheEntry] = {}
+        #: Bumped by every admit, drop and clear.
+        self.generation = 0
         self.used_bytes = 0
         self.insertions = 0
         self.evictions = 0
@@ -71,17 +78,17 @@ class CacheStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, url: str) -> bool:
+    def __contains__(self, url: "Url | str") -> bool:
         return self._key(url) in self._entries
 
     @staticmethod
-    def _key(url: str) -> str:
-        return Url.parse(url).base
+    def _key(url: "Url | str") -> str:
+        return (url if isinstance(url, Url) else Url.parse(url)).base
 
     @staticmethod
-    def _locate(url: str) -> tuple[str, str]:
+    def _locate(url: "Url | str") -> tuple[str, str]:
         """``(host, key)``: where ``url`` lives in the per-host index."""
-        parsed = Url.parse(url)
+        parsed = url if isinstance(url, Url) else Url.parse(url)
         return parsed.host.rstrip("."), parsed.base
 
     @property
@@ -111,7 +118,7 @@ class CacheStore:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def get(self, url: str, now: float) -> CacheEntry | None:
+    def get(self, url: "Url | str", now: float) -> CacheEntry | None:
         """A fresh entry for ``url`` (touching it), or None."""
         entry = self._entries.get(self._key(url))
         if entry is None:
@@ -125,9 +132,13 @@ class CacheStore:
         self._t_lookups.inc(tier=self.tier, outcome="hit")
         return entry
 
-    def peek(self, url: str) -> CacheEntry | None:
+    def peek(self, url: "Url | str") -> CacheEntry | None:
         """The entry regardless of freshness, without touching it."""
         return self._entries.get(self._key(url))
+
+    def peek_hash(self, url_hash: bytes) -> CacheEntry | None:
+        """:meth:`peek` by the entry's :attr:`CacheEntry.url_hash`."""
+        return self._by_hash.get(url_hash)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -151,7 +162,7 @@ class CacheStore:
             raise CapacityError(
                 f"{entry.url} ({entry.size_bytes}B) exceeds cache capacity "
                 f"({self.capacity_bytes}B)")
-        host, key = self._locate(entry.url)
+        host, key = self._locate(entry.parsed_url)
         existing = self._entries.get(key)
         if existing is not None:
             self._drop(existing, expired=False, count_eviction=False)
@@ -170,6 +181,8 @@ class CacheStore:
                     f"for {entry.url}")
         self._entries[key] = entry
         self._by_host.setdefault(host, {})[key] = entry
+        self._by_hash[entry.url_hash] = entry
+        self.generation += 1
         self.used_bytes += entry.size_bytes
         self.insertions += 1
         self._t_events.inc(tier=self.tier, event="insertion",
@@ -177,7 +190,7 @@ class CacheStore:
         self._t_used.set(self.used_bytes, tier=self.tier)
         return AdmissionResult(admitted=True, evicted=evicted)
 
-    def remove(self, url: str) -> CacheEntry | None:
+    def remove(self, url: "Url | str") -> CacheEntry | None:
         entry = self._entries.get(self._key(url))
         if entry is not None:
             self._drop(entry, expired=False)
@@ -186,11 +199,13 @@ class CacheStore:
     def clear(self) -> None:
         self._entries.clear()
         self._by_host.clear()
+        self._by_hash.clear()
+        self.generation += 1
         self.used_bytes = 0
 
     def _drop(self, entry: CacheEntry, expired: bool,
               count_eviction: bool = True) -> None:
-        host, key = self._locate(entry.url)
+        host, key = self._locate(entry.parsed_url)
         removed = self._entries.pop(key, None)
         if removed is None:  # pragma: no cover - internal invariant
             raise CacheError(f"{entry.url} vanished from the store")
@@ -198,6 +213,8 @@ class CacheStore:
         del same_host[key]
         if not same_host:
             del self._by_host[host]
+        del self._by_hash[removed.url_hash]
+        self.generation += 1
         self.used_bytes -= removed.size_bytes
         self._t_used.set(self.used_bytes, tier=self.tier)
         if expired:

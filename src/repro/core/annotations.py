@@ -21,6 +21,7 @@ import dataclasses
 import typing as _t
 
 from repro.errors import ConfigError
+from repro.dnslib.cache_rr import hash_url
 from repro.httplib.url import Url
 from repro.engine.api import MINUTE
 
@@ -46,6 +47,11 @@ class CacheableSpec:
     priority: int
     ttl_s: float
     field_name: str = ""
+    #: Derived from ``url`` once, at construction.
+    base_url: str = dataclasses.field(init=False, repr=False, compare=False)
+    domain: str = dataclasses.field(init=False, repr=False, compare=False)
+    url_hash: bytes = dataclasses.field(init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self) -> None:
         parsed = Url.parse(self.url)
@@ -58,14 +64,9 @@ class CacheableSpec:
                 f"priority must be a positive integer, got {self.priority}")
         if self.ttl_s <= 0:
             raise ConfigError(f"TTL must be positive, got {self.ttl_s}")
-
-    @property
-    def domain(self) -> str:
-        return Url.parse(self.url).host
-
-    @property
-    def base_url(self) -> str:
-        return Url.parse(self.url).base
+        object.__setattr__(self, "base_url", parsed.base)
+        object.__setattr__(self, "domain", parsed.host)
+        object.__setattr__(self, "url_hash", hash_url(parsed.base))
 
 
 class cacheable:  # noqa: N801 - annotation-like lowercase by design

@@ -15,6 +15,7 @@ Extends the stock caching DNS forwarder with:
 
 from __future__ import annotations
 
+import math
 import typing as _t
 
 from repro.errors import DnsError, HttpError
@@ -26,7 +27,7 @@ from repro.cache.store import CacheStore
 from repro.core.blocklist import BlockList
 from repro.core.config import ApeCacheConfig
 from repro.core.prefetch import PREFETCH_HEADER, PrefetchHint, decode_hints
-from repro.dnslib.cache_rr import CacheFlag, CacheLookupRdata, hash_url
+from repro.dnslib.cache_rr import CacheFlag, CacheLookupRdata
 from repro.dnslib.message import Message, Rcode
 from repro.dnslib.name import DomainName
 from repro.dnslib.rr import ResourceRecord, RRClass, RRType
@@ -88,10 +89,11 @@ class ApRuntime(ForwardingDnsService):
             "ap.edge_fetch_ms", help="AP-to-edge retrieval latency (ms)")
         self._t_http = self.telemetry.counter(
             "ap.http_requests", help="cache-endpoint requests, by mode")
-        self._url_by_hash: dict[bytes, str] = {}
-        #: Store key -> its URL hash, so a DNS-Cache answer looks the
-        #: hashes of a domain's entries up instead of re-hashing them.
-        self._hash_by_key: dict[str, bytes] = {}
+        #: DNS-Cache answers by query bytes after the ID, all built at
+        #: the store and block-list generations in ``_answers_stamp``.
+        self._answers: dict[bytes, ApRuntime._Answer] = {}
+        self._answers_stamp = (self.store.generation,
+                               self.blocklist.generation)
         # Statistics surfaced by the overhead experiments (Fig. 14).
         self.dns_cache_queries = 0
         self.plain_dns_queries = 0
@@ -119,73 +121,129 @@ class ApRuntime(ForwardingDnsService):
     # ------------------------------------------------------------------
     # Modified DNS (cache lookup piggybacking)
     # ------------------------------------------------------------------
-    def respond(self, query: Message, source: IPv4Address,
-                ) -> _t.Generator[object, object, Message]:
-        lookup = query.cache_lookup(RRClass.REQUEST)
-        if lookup is None:
+    def _handle(self, payload: bytes, source: IPv4Address,
+                ) -> _t.Generator[object, object, bytes]:
+        """Plain queries as the forwarder answers them; DNS-Cache queries
+        with flags for the requested hashes and the domain's cached URLs.
+
+        A DNS-Cache query whose bytes after the ID repeat one answered
+        while its answer holds (see :meth:`_reusable`) is not decoded
+        again: an all-hit answer is resent whole with this query's ID,
+        any other answer reuses its flags.  Both paths charge the same
+        CPU and count the same queries.
+        """
+        key = payload[2:]
+        query = None if key in self._answers else Message.decode(payload)
+        self.queries_handled += 1
+        self._t_queries.inc(role=self.role)
+        yield self.node.occupy_cpu(self.service_time_s)
+        if query is not None and \
+                query.cache_lookup(RRClass.REQUEST) is None:
             self.plain_dns_queries += 1
-            response = yield from super().respond(query, source)
-            return response
+            response = yield from self._respond_or_fail(query, source)
+            return response.encode()
 
         self.dns_cache_queries += 1
         # The DNS-Cache search costs a little extra CPU beyond a plain
         # DNS lookup (this is what Fig. 11b quantifies as +0.02 ms).
         yield self.node.occupy_cpu(self.config.dns_cache_extra_cpu_s)
+        answer = self._reusable(key)
+        if answer is not None and answer.wire is not None:
+            return payload[:2] + answer.wire[2:]
+        if query is None:
+            query = Message.decode(payload)
         domain = query.question_name()
-        result = self._build_flags(lookup, domain)
+        if answer is None:
+            lookup = _t.cast(CacheLookupRdata,
+                             query.cache_lookup(RRClass.REQUEST))
+            answer = self._answers[key] = self._build_flags(lookup, domain)
 
-        if result.all_hit and self.config.enable_dummy_ip_short_circuit:
-            # Short circuit: no upstream resolution; dummy IP, TTL 0.
+        short_circuit = answer.all_hit and \
+            self.config.enable_dummy_ip_short_circuit
+        if short_circuit:
+            # No upstream resolution; dummy IP, TTL 0.
             response = query.make_response()
             response.answers.append(ResourceRecord(
                 domain, RRType.A, RRClass.IN,
                 self.config.dummy_answer_ttl_s, DUMMY_IP))
         else:
             try:
-                response = yield from super().respond(query, source)
+                response = yield from self.respond(query, source)
             except DnsError:
                 response = query.make_response(Rcode.SERVFAIL)
-        response.attach_cache_lookup(result.rdata, RRClass.RESPONSE)
-        return response
+        response.attach_cache_lookup(answer.rdata, RRClass.RESPONSE)
+        wire = response.encode()
+        if short_circuit:
+            answer.wire = wire
+        return wire
 
-    class _FlagResult:
-        def __init__(self, rdata: CacheLookupRdata, all_hit: bool) -> None:
+    class _Answer:
+        """The flags one DNS-Cache query was answered with.
+
+        ``valid_until`` is the earliest expiry among the fresh entries
+        the flags were read from; ``wire`` is the whole all-hit response
+        once it has been sent.
+        """
+
+        __slots__ = ("rdata", "all_hit", "valid_until", "wire")
+
+        def __init__(self, rdata: CacheLookupRdata, all_hit: bool,
+                     valid_until: float) -> None:
             self.rdata = rdata
             self.all_hit = all_hit
+            self.valid_until = valid_until
+            self.wire: bytes | None = None
+
+    def _reusable(self, key: bytes) -> "_Answer | None":
+        """The answer to the query ``key`` (its bytes after the ID), if
+        building it again now would give the same flags.
+
+        It would unless the store or the block list changed since (their
+        generations), or an entry it read has expired (``valid_until``).
+        A change drops every answer, so at most the query shapes seen
+        since the last change are held.
+        """
+        stamp = (self.store.generation, self.blocklist.generation)
+        if stamp != self._answers_stamp:
+            self._answers.clear()
+            self._answers_stamp = stamp
+            return None
+        answer = self._answers.get(key)
+        if answer is not None and self.sim.now >= answer.valid_until:
+            del self._answers[key]
+            return None
+        return answer
 
     def _build_flags(self, lookup: CacheLookupRdata,
-                     domain: DomainName) -> "_FlagResult":
+                     domain: DomainName) -> "_Answer":
         """Flags for every requested hash, plus every cached same-domain
         URL the client did not ask about (per-domain batching)."""
         now = self.sim.now
-        rdata = CacheLookupRdata()
-        requested = set()
+        flags: dict[bytes, CacheFlag] = {}
+        valid_until = math.inf
         all_hit = len(lookup) > 0
-        for entry in lookup:
-            requested.add(entry.url_hash)
-            flag = self._flag_for_hash(entry.url_hash, now)
-            if flag != CacheFlag.CACHE_HIT:
+        for url_hash in lookup.flags:
+            flag = self._flag_for_hash(url_hash, now)
+            if flag == CacheFlag.CACHE_HIT:
+                valid_until = min(valid_until, _t.cast(
+                    CacheEntry, self.store.peek_hash(url_hash)).expires_at)
+            else:
                 all_hit = False
-            rdata.add(entry.url_hash, flag)
-        hashes = self._hash_by_key
-        for key, cached in self.store.in_domain(domain).items():
+            flags[url_hash] = flag
+        for cached in self.store.in_domain(domain).values():
             if cached.is_expired(now):
                 continue
-            cached_hash = hashes.get(key)
-            if cached_hash is None:
-                cached_hash = hashes[key] = hash_url(key)
-            if cached_hash not in requested:
-                rdata.add(cached_hash, CacheFlag.CACHE_HIT)
-        return self._FlagResult(rdata, all_hit)
+            valid_until = min(valid_until, cached.expires_at)
+            if cached.url_hash not in flags:
+                flags[cached.url_hash] = CacheFlag.CACHE_HIT
+        return self._Answer(CacheLookupRdata(flags), all_hit, valid_until)
 
     def _flag_for_hash(self, url_hash: bytes, now: float) -> CacheFlag:
         if self.blocklist.is_blocked_hash(url_hash):
             return CacheFlag.CACHE_MISS
-        url = self._url_by_hash.get(url_hash)
-        if url is not None:
-            entry = self.store.peek(url)
-            if entry is not None and not entry.is_expired(now):
-                return CacheFlag.CACHE_HIT
+        entry = self.store.peek_hash(url_hash)
+        if entry is not None and not entry.is_expired(now):
+            return CacheFlag.CACHE_HIT
         # Unknown hash, or known-but-expired: the AP offers to delegate.
         return CacheFlag.DELEGATION
 
@@ -230,7 +288,7 @@ class ApRuntime(ForwardingDnsService):
     def _serve_fetch(self, request: HttpRequest, app_id: str,
                      parent: ParentLike = None,
                      ) -> _t.Generator[object, object, HttpResponse]:
-        entry = self.store.get(request.url.base, self.sim.now)
+        entry = self.store.get(request.url, self.sim.now)
         if entry is not None:
             self._count_cache_hit()
             return HttpResponse(status=200, body=entry.data_object,
@@ -247,7 +305,7 @@ class ApRuntime(ForwardingDnsService):
                           ) -> _t.Generator[object, object, HttpResponse]:
         self.delegations += 1
         base = request.url.base
-        entry = self.store.get(base, self.sim.now)
+        entry = self.store.get(request.url, self.sim.now)
         if entry is not None:
             # Someone else delegated this URL first; serve the copy.
             self._count_cache_hit()
@@ -265,7 +323,7 @@ class ApRuntime(ForwardingDnsService):
         if pending is not None:
             self.coalesced_fetches += 1
             yield pending
-            entry = self.store.get(base, self.sim.now)
+            entry = self.store.get(request.url, self.sim.now)
             if entry is not None:
                 return HttpResponse(status=200, body=entry.data_object,
                                     headers={SERVED_FROM_HEADER: "edge"})
@@ -395,7 +453,6 @@ class ApRuntime(ForwardingDnsService):
             admission = self.store.admit(entry, self.policy, now)
             span.set_attr("admitted", admission.admitted)
             span.set_attr("evicted", len(admission.evicted))
-        self._url_by_hash[hash_url(entry.url)] = entry.url
 
     # ------------------------------------------------------------------
     # Introspection used by experiments
@@ -408,7 +465,7 @@ class ApRuntime(ForwardingDnsService):
         """
         per_entry_overhead = 96
         per_hash_overhead = 56
+        # One URL hash per stored entry, plus the blocked ones.
         return (self.store.used_bytes +
-                len(self.store) * per_entry_overhead +
-                len(self._url_by_hash) * per_hash_overhead +
+                len(self.store) * (per_entry_overhead + per_hash_overhead) +
                 len(self.blocklist) * per_hash_overhead)

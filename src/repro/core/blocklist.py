@@ -24,19 +24,23 @@ class BlockList:
                 f"threshold must be positive, got {threshold_bytes}")
         self.threshold_bytes = threshold_bytes
         self._blocked_hashes: set[bytes] = set()
+        #: Bumped by every change, so answers built on it can tell.
+        self.generation = 0
 
     def should_block(self, size_bytes: int) -> bool:
         """Whether an object of this size must never be cached."""
         return size_bytes > self.threshold_bytes
 
     def block(self, url: str) -> None:
-        self._blocked_hashes.add(hash_url(url))
+        self.block_hash(hash_url(url))
 
     def block_hash(self, url_hash: bytes) -> None:
         self._blocked_hashes.add(url_hash)
+        self.generation += 1
 
     def unblock(self, url: str) -> None:
         self._blocked_hashes.discard(hash_url(url))
+        self.generation += 1
 
     def is_blocked(self, url: str) -> bool:
         return hash_url(url) in self._blocked_hashes
@@ -49,3 +53,4 @@ class BlockList:
 
     def clear(self) -> None:
         self._blocked_hashes.clear()
+        self.generation += 1

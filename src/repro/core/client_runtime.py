@@ -31,7 +31,7 @@ from repro.core.ap_runtime import (
     SERVED_FROM_HEADER,
 )
 from repro.core.prefetch import PREFETCH_HEADER, PrefetchHint, encode_hints
-from repro.dnslib.cache_rr import CacheFlag, CacheLookupRdata, hash_url
+from repro.dnslib.cache_rr import CacheFlag, CacheLookupRdata
 from repro.dnslib.message import Message, Rcode
 from repro.dnslib.resolver import StubResolver
 from repro.dnslib.rr import RRClass, RRType
@@ -107,6 +107,9 @@ class ClientRuntime:
         self.http = HttpClient(node, transport, self.resolver,
                                telemetry=telemetry)
         self._specs: dict[str, CacheableSpec] = {}
+        #: Each looked-up domain's DNS-Cache query, encoded with ID 0;
+        #: dropped when a spec is added under the domain.
+        self._queries: dict[str, bytes] = {}
         self._domain_flags: dict[str, _DomainFlags] = {}
         self._dependents: dict[str, list[PrefetchHint]] = {}
         self.device_cache: CacheStore | None = (
@@ -144,7 +147,9 @@ class ClientRuntime:
         if existing is not None and existing != spec:
             raise ConfigError(
                 f"conflicting cacheable declarations for {spec.base_url}")
-        self._specs[spec.base_url] = spec
+        if existing is None:
+            self._specs[spec.base_url] = spec
+            self._queries.pop(spec.domain, None)
 
     def spec_for(self, url: "Url | str") -> CacheableSpec | None:
         base = Url.parse(url).base if isinstance(url, str) else url.base
@@ -185,19 +190,14 @@ class ClientRuntime:
             return state
         self._domain_flags.pop(domain, None)
 
-        query = Message.query(domain, RRType.A,
-                              message_id=self.resolver.next_message_id())
-        rdata = CacheLookupRdata()
-        for spec in self.specs_for_domain(domain):
-            rdata.add_url(spec.base_url, CacheFlag.REQUEST)
-        query.attach_cache_lookup(rdata, RRClass.REQUEST)
+        message_id = self.resolver.next_message_id()
+        query = message_id.to_bytes(2, "big") + self._query(domain)[2:]
         self.dns_cache_queries += 1
         response = yield from self.resolver.exchange(query)
 
-        flags: dict[bytes, CacheFlag] = {}
         lookup = response.cache_lookup(RRClass.RESPONSE)
-        if lookup is not None:
-            flags = {entry.url_hash: entry.flag for entry in lookup}
+        # The decoded message is this lookup's own, and so is its dict.
+        flags = lookup.flags if lookup is not None else {}
         a_record = response.first_answer(RRType.A)
         if a_record is None or response.header.rcode != Rcode.NOERROR:
             raise TransportError(
@@ -210,6 +210,20 @@ class ClientRuntime:
             self._domain_flags[domain] = state
             self.resolver.cache_response(domain, response)
         return state
+
+    def _query(self, domain: str) -> bytes:
+        """The DNS-Cache query for ``domain`` with ID 0: every registered
+        URL under it, asking for its flag."""
+        key = domain.lower()
+        wire = self._queries.get(key)
+        if wire is None:
+            query = Message.query(domain, RRType.A)
+            rdata = CacheLookupRdata()
+            for spec in self.specs_for_domain(domain):
+                rdata.add(spec.url_hash, CacheFlag.REQUEST)
+            query.attach_cache_lookup(rdata, RRClass.REQUEST)
+            wire = self._queries[key] = query.encode()
+        return wire
 
     # ------------------------------------------------------------------
     # Fetching (Fig. 7's cache retrieval stage)
@@ -226,7 +240,7 @@ class ClientRuntime:
         with self.telemetry.span("request", app=self.app_id,
                                  url=parsed.base) as req:
             if self.device_cache is not None:
-                local = self.device_cache.get(parsed.base, self.sim.now)
+                local = self.device_cache.get(parsed, self.sim.now)
                 if local is not None:
                     self.device_hits += 1
                     req.set_attr("source", "device-hit")
@@ -248,8 +262,7 @@ class ClientRuntime:
                 dns_span.set_attr("cached_flags", had_fresh_flags)
             lookup_latency = self.sim.now - lookup_started
 
-            flag = state.flags.get(hash_url(parsed.base),
-                                   CacheFlag.DELEGATION)
+            flag = state.flags.get(spec.url_hash, CacheFlag.DELEGATION)
             retrieval_started = self.sim.now
             if flag == CacheFlag.CACHE_HIT:
                 with self.telemetry.span("ap_hit", parent=req) as stage:
@@ -270,7 +283,7 @@ class ClientRuntime:
                 # The AP now holds the object; upgrade the local flag so
                 # later requests inside the flag TTL go down the hit path.
                 if response.ok and response.body is not None:
-                    state.flags[hash_url(parsed.base)] = CacheFlag.CACHE_HIT
+                    state.flags[spec.url_hash] = CacheFlag.CACHE_HIT
             retrieval_latency = self.sim.now - retrieval_started
             req.set_attr("source", source)
 

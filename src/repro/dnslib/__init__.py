@@ -7,7 +7,6 @@ tuples (:mod:`repro.dnslib.cache_rr`).
 
 from repro.dnslib.cache_rr import (
     CacheFlag,
-    CacheLookupEntry,
     CacheLookupRdata,
     hash_url,
 )
@@ -28,7 +27,6 @@ from repro.dnslib.zone import DnsRegistry, Zone
 __all__ = [
     "AuthoritativeService",
     "CacheFlag",
-    "CacheLookupEntry",
     "CacheLookupRdata",
     "CdnDnsService",
     "DnsCacheEntry",

@@ -10,6 +10,10 @@ Wire layout (big-endian)::
     | COUNT  |  COUNT x (HASH, FLAG)  |
     | 2 B    |  16 B + 1 B each       |
     +--------+------------------------+
+
+The tuples decode straight into one ordered ``hash -> flag`` dict: the
+body is sliced into fixed-size pairs by :func:`struct.iter_unpack`, and
+no object is built per tuple.  A hash appears at most once.
 """
 
 from __future__ import annotations
@@ -18,14 +22,17 @@ import dataclasses
 import enum
 import hashlib
 import struct
-import typing as _t
 
 from repro.errors import DnsFormatError
 
-__all__ = ["CacheFlag", "CacheLookupEntry", "CacheLookupRdata", "hash_url"]
+__all__ = ["CacheFlag", "CacheLookupRdata", "hash_url"]
 
 #: Truncated digest length carried on the wire.
 URL_HASH_BYTES = 16
+
+_COUNT = struct.Struct("!H")
+_PAIR = struct.Struct(f"{URL_HASH_BYTES}sB")
+_PAIR_BYTES = _PAIR.size
 
 
 def hash_url(url: str) -> bytes:
@@ -49,85 +56,64 @@ class CacheFlag(enum.IntEnum):
     DELEGATION = 3
 
 
-@dataclasses.dataclass(frozen=True)
-class CacheLookupEntry:
-    """One ``<HASH(URL), FLAG>`` tuple."""
-
-    url_hash: bytes
-    flag: CacheFlag
-
-    def __post_init__(self) -> None:
-        if len(self.url_hash) != URL_HASH_BYTES:
-            raise DnsFormatError(
-                f"url hash must be {URL_HASH_BYTES} bytes, "
-                f"got {len(self.url_hash)}")
-
-    @classmethod
-    def for_url(cls, url: str,
-                flag: CacheFlag = CacheFlag.REQUEST) -> "CacheLookupEntry":
-        return cls(hash_url(url), CacheFlag(flag))
+#: Flag by wire value; indexing it is the unknown-flag check.
+_FLAGS = tuple(CacheFlag)
+#: The one wire byte of each flag.
+_FLAG_BYTES = tuple(bytes((flag,)) for flag in CacheFlag)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class CacheLookupRdata:
-    """The full RDATA: an ordered list of lookup entries."""
+    """The full RDATA: ``url hash -> flag``, in wire order."""
 
-    entries: list[CacheLookupEntry] = dataclasses.field(default_factory=list)
+    flags: dict[bytes, CacheFlag] = dataclasses.field(default_factory=dict)
 
     def add(self, url_hash: bytes, flag: CacheFlag) -> None:
-        self.entries.append(CacheLookupEntry(url_hash, CacheFlag(flag)))
+        if len(url_hash) != URL_HASH_BYTES:
+            raise DnsFormatError(
+                f"url hash must be {URL_HASH_BYTES} bytes, "
+                f"got {len(url_hash)}")
+        self.flags[url_hash] = CacheFlag(flag)
 
     def add_url(self, url: str, flag: CacheFlag = CacheFlag.REQUEST) -> None:
-        self.entries.append(CacheLookupEntry.for_url(url, flag))
+        self.flags[hash_url(url)] = CacheFlag(flag)
 
     def flag_for(self, url: str) -> CacheFlag | None:
-        """Find the flag matching ``url``'s hash, or None if absent."""
-        wanted = hash_url(url)
-        for entry in self.entries:
-            if entry.url_hash == wanted:
-                return entry.flag
-        return None
-
-    def hashes(self) -> list[bytes]:
-        return [entry.url_hash for entry in self.entries]
+        """The flag matching ``url``'s hash, or None if absent."""
+        return self.flags.get(hash_url(url))
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> _t.Iterator[CacheLookupEntry]:
-        return iter(self.entries)
+        return len(self.flags)
 
     # ------------------------------------------------------------------
     # Codec
     # ------------------------------------------------------------------
     def encode(self) -> bytes:
-        if len(self.entries) > 0xFFFF:
+        count = len(self.flags)
+        if count > 0xFFFF:
             raise DnsFormatError("too many cache lookup entries")
-        out = bytearray(struct.pack("!H", len(self.entries)))
-        for entry in self.entries:
-            out.extend(entry.url_hash)
-            out.append(int(entry.flag))
-        return bytes(out)
+        body = b"".join([url_hash + _FLAG_BYTES[flag]
+                         for url_hash, flag in self.flags.items()])
+        if len(body) != count * _PAIR_BYTES:
+            raise DnsFormatError(
+                f"url hashes must be {URL_HASH_BYTES} bytes each")
+        return _COUNT.pack(count) + body
 
     @classmethod
     def decode(cls, data: bytes) -> "CacheLookupRdata":
         if len(data) < 2:
             raise DnsFormatError("truncated DNS-Cache RDATA")
-        (count,) = struct.unpack_from("!H", data, 0)
-        expected = 2 + count * (URL_HASH_BYTES + 1)
+        (count,) = _COUNT.unpack_from(data)
+        expected = 2 + count * _PAIR_BYTES
         if len(data) != expected:
             raise DnsFormatError(
                 f"DNS-Cache RDATA length {len(data)} != expected {expected}")
-        entries = []
-        offset = 2
-        for _ in range(count):
-            url_hash = data[offset:offset + URL_HASH_BYTES]
-            offset += URL_HASH_BYTES
-            try:
-                flag = CacheFlag(data[offset])
-            except ValueError:
-                raise DnsFormatError(
-                    f"unknown cache flag {data[offset]}") from None
-            offset += 1
-            entries.append(CacheLookupEntry(url_hash, flag))
-        return cls(entries)
+        try:
+            flags = {url_hash: _FLAGS[flag]
+                     for url_hash, flag in _PAIR.iter_unpack(data[2:])}
+        except IndexError:
+            bad = max(data[2 + URL_HASH_BYTES::_PAIR_BYTES])
+            raise DnsFormatError(f"unknown cache flag {bad}") from None
+        if len(flags) != count:
+            raise DnsFormatError("duplicate url hash in DNS-Cache RDATA")
+        return cls(flags)

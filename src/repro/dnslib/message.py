@@ -15,11 +15,18 @@ import typing as _t
 from repro.errors import DnsFormatError
 from repro.dnslib.cache_rr import CacheLookupRdata
 from repro.dnslib.name import DomainName, decode_name, encode_name
-from repro.dnslib.rr import ResourceRecord, RRClass, RRType
+from repro.dnslib.rr import (
+    ResourceRecord,
+    RRClass,
+    RRType,
+    rr_class,
+    rr_type,
+)
 
 __all__ = ["Rcode", "Question", "Header", "Message"]
 
 _HEADER_STRUCT = struct.Struct("!HHHHHH")
+_TYPE_CLASS = struct.Struct("!HH")
 
 
 class Rcode(enum.IntEnum):
@@ -33,7 +40,10 @@ class Rcode(enum.IntEnum):
     REFUSED = 5
 
 
-@dataclasses.dataclass
+_RCODES = {rcode.value: rcode for rcode in Rcode}
+
+
+@dataclasses.dataclass(slots=True)
 class Question:
     """One entry of the question section."""
 
@@ -52,20 +62,22 @@ class Question:
         buffer.extend(struct.pack("!HH", self.qtype, self.qclass))
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> tuple["Question", int]:
-        qname, offset = decode_name(data, offset)
+    def decode(cls, data: bytes, offset: int,
+               names: dict[int, DomainName] | None = None,
+               ) -> tuple["Question", int]:
+        qname, offset = decode_name(data, offset, names)
         if offset + 4 > len(data):
             raise DnsFormatError("truncated question")
-        raw_type, raw_class = struct.unpack_from("!HH", data, offset)
-        try:
-            qtype = RRType(raw_type)
-            qclass = RRClass(raw_class)
-        except ValueError as exc:
-            raise DnsFormatError(str(exc)) from None
-        return cls(qname, qtype, qclass), offset + 4
+        raw_type, raw_class = _TYPE_CLASS.unpack_from(data, offset)
+        # Typed and checked here, so __post_init__ has nothing to do.
+        question = cls.__new__(cls)
+        question.qname = qname
+        question.qtype = rr_type(raw_type)
+        question.qclass = rr_class(raw_class)
+        return question, offset + 4
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Header:
     """The 12-byte message header."""
 
@@ -96,23 +108,15 @@ class Header:
 
     @classmethod
     def from_flags_word(cls, message_id: int, word: int) -> "Header":
-        try:
-            rcode = Rcode(word & 0xF)
-        except ValueError:
-            raise DnsFormatError(f"unknown rcode {word & 0xF}") from None
-        return cls(
-            message_id=message_id,
-            is_response=bool(word & 0x8000),
-            opcode=(word >> 11) & 0xF,
-            authoritative=bool(word & 0x0400),
-            truncated=bool(word & 0x0200),
-            recursion_desired=bool(word & 0x0100),
-            recursion_available=bool(word & 0x0080),
-            rcode=rcode,
-        )
+        rcode = _RCODES.get(word & 0xF)
+        if rcode is None:
+            raise DnsFormatError(f"unknown rcode {word & 0xF}")
+        return cls(message_id, bool(word & 0x8000), (word >> 11) & 0xF,
+                   bool(word & 0x0400), bool(word & 0x0200),
+                   bool(word & 0x0100), bool(word & 0x0080), rcode)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Message:
     """A complete DNS message."""
 
@@ -200,16 +204,20 @@ class Message:
             raise DnsFormatError("message shorter than header")
         (message_id, flags, qdcount, ancount,
          nscount, arcount) = _HEADER_STRUCT.unpack_from(data, 0)
-        message = cls(header=Header.from_flags_word(message_id, flags))
+        message = cls(Header.from_flags_word(message_id, flags),
+                      [], [], [], [])
         offset = _HEADER_STRUCT.size
+        # Names decoded so far by offset: a compression pointer to one
+        # (every owner name that repeats the question) is not re-walked.
+        names: dict[int, DomainName] = {}
         for _ in range(qdcount):
-            question, offset = Question.decode(data, offset)
+            question, offset = Question.decode(data, offset, names)
             message.questions.append(question)
         for count, section in ((ancount, message.answers),
                                (nscount, message.authority),
                                (arcount, message.additional)):
             for _ in range(count):
-                record, offset = ResourceRecord.decode(data, offset)
+                record, offset = ResourceRecord.decode(data, offset, names)
                 section.append(record)
         if offset != len(data):
             raise DnsFormatError(

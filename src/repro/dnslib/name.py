@@ -50,6 +50,16 @@ class DomainName:
             raise DnsFormatError(f"name longer than {_MAX_NAME} octets")
         self._labels = labels
 
+    @classmethod
+    def _from_wire(cls, labels: tuple[str, ...]) -> "DomainName":
+        """A name from labels :func:`decode_name` read: each is already
+        1-63 ASCII octets, so only the total length is left to check."""
+        if sum(map(len, labels)) + len(labels) + 1 > _MAX_NAME:
+            raise DnsFormatError(f"name longer than {_MAX_NAME} octets")
+        name = cls.__new__(cls)
+        name._labels = labels
+        return name
+
     @property
     def labels(self) -> tuple[str, ...]:
         return self._labels
@@ -124,30 +134,43 @@ def encode_name(name: "DomainName | str", buffer: bytearray,
     buffer.append(0)
 
 
-def decode_name(data: bytes, offset: int) -> tuple[DomainName, int]:
+def decode_name(data: bytes, offset: int,
+                names: dict[int, DomainName] | None = None,
+                ) -> tuple[DomainName, int]:
     """Decode a (possibly compressed) name starting at ``offset``.
 
     Returns the name and the offset just past its in-place encoding.
+    ``names`` maps the offsets of names already decoded from ``data``
+    to them: a compression pointer to one ends the walk there, and the
+    name decoded here is added.
     """
     labels: list[str] = []
     jumped = False
     next_offset = offset
-    seen_pointers: set[int] = set()
+    seen_pointers: set[int] | None = None
     cursor = offset
+    end = len(data)
     while True:
-        if cursor >= len(data):
+        if cursor >= end:
             raise DnsFormatError("truncated name")
         length = data[cursor]
         if length & _POINTER_MASK == _POINTER_MASK:
-            if cursor + 1 >= len(data):
+            if cursor + 1 >= end:
                 raise DnsFormatError("truncated compression pointer")
             pointer = ((length & 0x3F) << 8) | data[cursor + 1]
-            if pointer in seen_pointers:
-                raise DnsFormatError("compression pointer loop")
-            seen_pointers.add(pointer)
             if not jumped:
                 next_offset = cursor + 2
                 jumped = True
+            if names is not None and pointer in names:
+                if not labels:
+                    return names[pointer], next_offset
+                labels.extend(names[pointer].labels)
+                break
+            if seen_pointers is None:
+                seen_pointers = set()
+            elif pointer in seen_pointers:
+                raise DnsFormatError("compression pointer loop")
+            seen_pointers.add(pointer)
             cursor = pointer
             continue
         if length & _POINTER_MASK:
@@ -157,7 +180,7 @@ def decode_name(data: bytes, offset: int) -> tuple[DomainName, int]:
             if not jumped:
                 next_offset = cursor
             break
-        if cursor + length > len(data):
+        if cursor + length > end:
             raise DnsFormatError("truncated label")
         try:
             labels.append(data[cursor:cursor + length].decode("ascii"))
@@ -165,4 +188,7 @@ def decode_name(data: bytes, offset: int) -> tuple[DomainName, int]:
             raise DnsFormatError(
                 f"non-ASCII bytes in label at offset {cursor}") from None
         cursor += length
-    return DomainName(labels), next_offset
+    name = DomainName._from_wire(tuple(labels))
+    if names is not None:
+        names[offset] = name
+    return name, next_offset

@@ -101,12 +101,14 @@ class StubResolver:
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
-    def exchange(self, query: Message,
+    def exchange(self, query: "Message | bytes",
                  ) -> _t.Generator[object, object, Message]:
-        """Send a prebuilt query to the configured server; no caching."""
+        """Send a prebuilt query, as a message or its wire bytes, to the
+        configured server; no caching."""
         self.network_queries += 1
+        wire = query if isinstance(query, bytes) else query.encode()
         payload = yield self.sim.process(self.transport.udp_request(
-            self.node.name, self.server, UDP_DNS_PORT, query.encode()))
+            self.node.name, self.server, UDP_DNS_PORT, wire))
         return Message.decode(_t.cast(bytes, payload))
 
     def resolve(self, hostname: "DomainName | str",

@@ -46,7 +46,29 @@ class RRClass(enum.IntEnum):
     RESPONSE = 0xFF02
 
 
-@dataclasses.dataclass
+_RR_TYPES = {rtype.value: rtype for rtype in RRType}
+_RR_CLASSES = {rclass.value: rclass for rclass in RRClass}
+_RR_HEADER = struct.Struct("!HHIH")
+
+
+def rr_type(value: int) -> RRType:
+    """``RRType(value)`` as the decoder needs it: a dict lookup that
+    raises :class:`DnsFormatError` for a type it does not know."""
+    rtype = _RR_TYPES.get(value)
+    if rtype is None:
+        raise DnsFormatError(f"unknown RR type {value}")
+    return rtype
+
+
+def rr_class(value: int) -> RRClass:
+    """:func:`rr_type` for classes."""
+    rclass = _RR_CLASSES.get(value)
+    if rclass is None:
+        raise DnsFormatError(f"unknown RR class {value}")
+    return rclass
+
+
+@dataclasses.dataclass(slots=True)
 class ResourceRecord:
     """One resource record with a typed ``rdata`` payload.
 
@@ -126,29 +148,23 @@ class ResourceRecord:
         raise DnsFormatError(f"cannot encode rdata for {self.rtype!r}")
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> tuple["ResourceRecord", int]:
-        """Decode one record starting at ``offset``."""
-        name, offset = decode_name(data, offset)
+    def decode(cls, data: bytes, offset: int,
+               names: dict[int, DomainName] | None = None,
+               ) -> tuple["ResourceRecord", int]:
+        """Decode one record starting at ``offset``; ``names`` as
+        :func:`decode_name` takes it."""
+        name, offset = decode_name(data, offset, names)
         if offset + 10 > len(data):
             raise DnsFormatError("truncated resource record header")
-        raw_type, raw_class, ttl, rdlength = struct.unpack_from(
-            "!HHIH", data, offset)
+        raw_type, raw_class, ttl, rdlength = _RR_HEADER.unpack_from(
+            data, offset)
         offset += 10
         if offset + rdlength > len(data):
             raise DnsFormatError("truncated RDATA")
         rdata_bytes = data[offset:offset + rdlength]
-        try:
-            rtype = RRType(raw_type)
-        except ValueError:
-            raise DnsFormatError(f"unknown RR type {raw_type}") from None
-        if rtype == RRType.OPT:
-            rclass: "RRClass | int" = raw_class
-        else:
-            try:
-                rclass = RRClass(raw_class)
-            except ValueError:
-                raise DnsFormatError(
-                    f"unknown RR class {raw_class}") from None
+        rtype = rr_type(raw_type)
+        rclass: "RRClass | int" = raw_class if rtype == RRType.OPT \
+            else rr_class(raw_class)
         rdata: object
         if rtype == RRType.A:
             if len(rdata_bytes) != 4:
@@ -164,7 +180,12 @@ class ResourceRecord:
             rdata = CacheLookupRdata.decode(rdata_bytes)
         else:  # pragma: no cover - RRType() above rejects unknowns
             raise DnsFormatError(f"cannot decode rdata for {rtype!r}")
-        return cls(name, rtype, rclass, ttl, rdata), offset + rdlength
+        # Every field is checked and typed above (a 32-bit TTL cannot be
+        # out of range), so __post_init__ has nothing left to do.
+        record = cls.__new__(cls)
+        record.name, record.rtype, record.rclass = name, rtype, rclass
+        record.ttl, record.rdata = ttl, rdata
+        return record, offset + rdlength
 
     def __str__(self) -> str:
         class_name = getattr(self.rclass, "name", str(int(self.rclass)))

@@ -90,13 +90,19 @@ class DnsService:
         self.queries_handled += 1
         self._t_queries.inc(role=self.role)
         yield self.node.occupy_cpu(self.service_time_s)
+        response = yield from self._respond_or_fail(query, source)
+        return response.encode()
+
+    def _respond_or_fail(self, query: Message, source: IPv4Address,
+                         ) -> _t.Generator[object, object, Message]:
+        """:meth:`respond`, answering NXDOMAIN or SERVFAIL on errors."""
         try:
             response = yield from self.respond(query, source)
         except DnsNameError:
             response = query.make_response(Rcode.NXDOMAIN)
         except DnsError:
             response = query.make_response(Rcode.SERVFAIL)
-        return response.encode()
+        return response
 
     def respond(self, query: Message, source: IPv4Address,
                 ) -> _t.Generator[object, object, Message]:

@@ -445,9 +445,9 @@ class _ServerBase:
 class LiveUdpServer(_ServerBase):
     """Feeds real datagrams into a node's registered UDP handler.
 
-    The handler generator (for the AP: ``ApRuntime.respond`` via
-    ``ForwardingDnsService._handle``) runs as an engine process; its
-    return value, the reply payload, is sent back to the querier.
+    The handler generator (for the AP: ``ApRuntime._handle``) runs as
+    an engine process; its return value, the reply payload, is sent
+    back to the querier.
     """
 
     role = "udp"

@@ -33,7 +33,10 @@ policies = st.sampled_from(["lru", "lfu", "fifo", "pacm"])
 
 def assert_host_index_mirrors_entries(store):
     """The per-host index is `_entries`, partitioned: same entries, same
-    relative order, and no emptied host left behind."""
+    relative order, and no emptied host left behind.  The hash index
+    holds exactly the stored entries."""
+    assert store._by_hash == {entry.url_hash: entry
+                              for entry in store._entries.values()}
     merged = {}
     for host, same_host in store._by_host.items():
         assert same_host, f"empty map left behind for {host!r}"

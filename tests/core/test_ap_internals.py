@@ -1,5 +1,7 @@
 """AP-runtime internals: flag construction, batching, counters."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,10 @@ from repro.core import ApRuntime, ApeCacheConfig, CacheFlag, CacheableSpec
 from repro.core.client_runtime import ClientRuntime
 from repro.dnslib import hash_url
 from repro.dnslib.cache_rr import CacheLookupRdata
+from repro.dnslib.message import Message
 from repro.dnslib.name import DomainName
+from repro.dnslib.rr import ResourceRecord, RRClass, RRType
+from repro.dnslib.server import DnsCacheEntry
 from repro.httplib import DataObject
 from repro.httplib.url import Url
 from repro.sim import HOUR, MINUTE
@@ -77,7 +82,7 @@ def test_build_flags_appends_unrequested_same_domain_hits(env):
     request.add_url(known)
     result = ap._build_flags(request,
                              DomainName("internalsapp.example"))
-    flags = {entry.url_hash: entry.flag for entry in result.rdata}
+    flags = result.rdata.flags
     assert flags[hash_url(known)] == CacheFlag.CACHE_HIT
     assert flags[hash_url(extra)] == CacheFlag.CACHE_HIT
     assert hash_url(other) not in flags
@@ -177,17 +182,28 @@ def test_ap_runtime_records_protocol_events():
 
 
 # ----------------------------------------------------------------------
-# The per-domain index against the scan it replaced
+# The per-domain index and the reused answers against a naive scan
 # ----------------------------------------------------------------------
+def naive_flag(ap, url_hash, now):
+    """`_flag_for_hash` without the store's hash index."""
+    if ap.blocklist.is_blocked_hash(url_hash):
+        return CacheFlag.CACHE_MISS
+    for cached in ap.store.entries():
+        if hash_url(Url.parse(cached.url).base) == url_hash and \
+                not cached.is_expired(now):
+            return CacheFlag.CACHE_HIT
+    return CacheFlag.DELEGATION
+
+
 def naive_build_flags(ap, lookup, domain):
     """`_build_flags` as it was before the per-host index: a walk over
-    the whole store, parsing every entry's URL.  The reference."""
+    the whole store, parsing and hashing every entry's URL.  The
+    reference."""
     now = ap.sim.now
     rdata = CacheLookupRdata()
-    requested = set()
-    for entry in lookup:
-        requested.add(entry.url_hash)
-        rdata.add(entry.url_hash, ap._flag_for_hash(entry.url_hash, now))
+    requested = set(lookup.flags)
+    for url_hash in lookup.flags:
+        rdata.add(url_hash, naive_flag(ap, url_hash, now))
     for cached in ap.store.entries():
         if cached.is_expired(now):
             continue
@@ -200,6 +216,18 @@ def naive_build_flags(ap, lookup, domain):
     return rdata
 
 
+def ask(bed, ap, lookup, queried, message_id):
+    """One DNS-Cache query through the AP's UDP handler; the flags it
+    answered."""
+    query = Message.query(queried, message_id=message_id)
+    query.attach_cache_lookup(lookup, RRClass.REQUEST)
+    wire = bed.sim.run(until=bed.sim.process(
+        ap._handle(query.encode(), bed.ap.address)))
+    response = Message.decode(wire)
+    assert response.header.message_id == message_id
+    return response.cache_lookup(RRClass.RESPONSE)
+
+
 #: Spellings of three hosts — one of them a suffix of another — as
 #: objects are stored under them, and a domain nothing is cached for.
 _HOSTS = ("shop.example", "Shop.Example", "shop.example.",
@@ -209,7 +237,7 @@ _QUERIED = _HOSTS + ("SHOP.EXAMPLE.", "empty.example")
 _flag_operations = st.lists(
     st.tuples(
         st.sampled_from(["admit", "admit", "admit", "get", "advance",
-                         "query", "query", "clear"]),
+                         "query", "query", "clear", "evict", "block"]),
         st.sampled_from(_HOSTS),
         st.integers(min_value=0, max_value=5),         # path index
         st.integers(min_value=1, max_value=24),        # size, KB
@@ -222,12 +250,22 @@ _flag_operations = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(_flag_operations)
 def test_indexed_build_flags_is_byte_identical_to_the_naive_scan(ops):
+    """Every answer — built, or reused from an earlier identical query —
+    matches the naive scan, asked twice in a row after each admit,
+    eviction, expiry, clear and block."""
     bed = Testbed(TestbedConfig(jitter_fraction=0.0))
     # 64 KB: a handful of objects fit, so PACM evicts all the time.
     ap = ApRuntime(bed.ap, bed.transport, bed.ldns.address,
                    config=ApeCacheConfig(cache_capacity_bytes=64 * KB))
     ap.tracker.observe("app", now=0.0)
+    # Answer the A part from the forwarder's cache, so a query takes
+    # only its CPU time and the flags are read at the instant it ends.
+    for queried in _QUERIED:
+        ap._cache[(DomainName(queried), RRType.A)] = DnsCacheEntry(
+            [ResourceRecord(queried, RRType.A, RRClass.IN, 60,
+                            "10.0.0.1")], math.inf)
     known_urls = []
+    asked = []
     for action, host, path, size_kb, seconds, queried in ops:
         now = bed.sim.now
         url = f"http://{host}/obj{path}"
@@ -237,7 +275,6 @@ def test_indexed_build_flags_is_byte_identical_to_the_naive_scan(ops):
                 DataObject(url, size_kb * KB), app_id="app", priority=1,
                 stored_at=now, expires_at=now + seconds,
                 fetch_latency_s=0.03), ap.policy, now)
-            ap._url_by_hash[hash_url(url)] = url
             known_urls.append(url)
         elif action == "get":
             ap.store.get(url, now)          # drops the entry if expired
@@ -245,13 +282,24 @@ def test_indexed_build_flags_is_byte_identical_to_the_naive_scan(ops):
             bed.sim.run(until=now + seconds)  # lets TTLs run out
         elif action == "clear":
             ap.store.clear()
-        else:
-            lookup = CacheLookupRdata()
-            for asked in known_urls[-3:] + [url]:
-                lookup.add_url(asked)
-            domain = DomainName(queried)
-            assert ap._build_flags(lookup, domain).rdata.encode() == \
-                naive_build_flags(ap, lookup, domain).encode()
+        elif action in ("evict", "block"):
+            # One of the URLs the queries below ask about.
+            recent = known_urls[-3:] or [url]
+            target = recent[path % len(recent)]
+            if action == "evict":
+                ap.store.remove(target)
+            else:
+                ap.blocklist.block(target)
+        lookup = CacheLookupRdata()
+        for known in known_urls[-3:] + [url]:
+            lookup.add_url(known)
+        # The queries answered before this operation, then a new one
+        # twice: each may reuse an answer built before the operation.
+        asked = asked[-2:] + [(lookup, queried)]
+        for lookup, queried in asked + asked[-1:]:
+            answered = ask(bed, ap, lookup, queried, len(known_urls))
+            assert answered.encode() == naive_build_flags(
+                ap, lookup, DomainName(queried)).encode()
     for queried in _QUERIED:
         domain = DomainName(queried)
         assert ap._build_flags(CacheLookupRdata(), domain).rdata.encode() \

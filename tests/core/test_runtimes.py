@@ -261,3 +261,104 @@ def test_memory_accounting_grows_with_cache():
     declare(bed, runtime, "http://app1.example/obj", 100 * KB)
     run_fetch(bed, runtime, "http://app1.example/obj")
     assert ap.memory_bytes() >= baseline + 100 * KB
+
+
+# ----------------------------------------------------------------------
+# Work done once per domain and per store generation
+# ----------------------------------------------------------------------
+def _sent_queries(runtime):
+    """Wrap the stub resolver so every query it sends is recorded."""
+    sent = []
+    exchange = runtime.resolver.exchange
+
+    def recording(query):
+        sent.append(query)
+        response = yield from exchange(query)
+        return response
+
+    runtime.resolver.exchange = recording
+    return sent
+
+
+def test_query_built_once_is_the_message_the_old_path_encoded():
+    from repro.dnslib import CacheLookupRdata, Message, RRClass, RRType
+
+    bed, _ap, runtime = make_bed()
+    for name in ("a", "b"):
+        declare(bed, runtime, f"http://app1.example/{name}", KB)
+    declare(bed, runtime, "http://app2.example/c", KB)
+    sent = _sent_queries(runtime)
+
+    def lookups():
+        for domain in ("app1.example", "app1.example", "app2.example"):
+            runtime.flush()
+            yield from runtime.lookup(domain)
+
+    def built_per_lookup(domain, message_id):
+        query = Message.query(domain, RRType.A, message_id=message_id)
+        rdata = CacheLookupRdata()
+        for spec in runtime.specs_for_domain(domain):
+            rdata.add_url(spec.base_url)
+        query.attach_cache_lookup(rdata, RRClass.REQUEST)
+        return query.encode()
+
+    bed.sim.run(until=bed.sim.process(lookups()))
+    ids = [int.from_bytes(wire[:2], "big") for wire in sent]
+    assert ids == sorted(set(ids))          # a fresh ID every time
+    assert sent == [built_per_lookup(domain, message_id) for domain,
+                    message_id in zip(("app1.example", "app1.example",
+                                       "app2.example"), ids)]
+
+    # A spec added under a domain rebuilds that domain's query only.
+    declare(bed, runtime, "http://app1.example/d", KB)
+    assert "app1.example" not in runtime._queries
+    assert "app2.example" in runtime._queries
+    runtime.flush()
+    bed.sim.run(until=bed.sim.process(runtime.lookup("app1.example")))
+    assert sent[-1] == built_per_lookup(
+        "app1.example", int.from_bytes(sent[-1][:2], "big"))
+    assert len(Message.decode(sent[-1]).cache_lookup(RRClass.REQUEST)) == 3
+
+
+def test_repeated_all_hit_query_is_answered_from_the_stored_bytes():
+    bed, ap, runtime = make_bed()
+    urls = [f"http://app1.example/{name}" for name in "abc"]
+    for url in urls:
+        declare(bed, runtime, url, KB)
+        run_fetch(bed, runtime, url)
+    answered = []
+    for _ in range(3):
+        runtime.flush()
+        answered.append(run_fetch(bed, runtime, urls[0]))
+    assert [result.source for result in answered] == ["ap-hit"] * 3
+    assert len(ap._answers) == 1
+    (answer,) = ap._answers.values()
+    assert answer.all_hit and answer.wire is not None
+    # Same CPU charged and queries counted as a freshly built answer.
+    assert ap.dns_cache_queries == runtime.dns_cache_queries
+
+
+def ap_tables(ap):
+    """Every container the AP runtime and its store keep."""
+    for owner in (ap, ap.store):
+        for name, value in vars(owner).items():
+            if isinstance(value, (dict, list, set)):
+                yield f"{type(owner).__name__}.{name}", value
+
+
+def test_ap_tables_stay_within_the_store_over_a_catalog_100x_the_cache():
+    """The AP's state is bounded by what it caches, not by every URL it
+    has ever seen: a hash leaves with its entry."""
+    bed, ap, runtime = make_bed(ape_config=ApeCacheConfig(
+        cache_capacity_bytes=32 * KB))
+    # 400 objects of 8 KB: a catalog 100 times the cache.
+    urls = [f"http://bigapp.example/obj{index}" for index in range(400)]
+    for url in urls:
+        declare(bed, runtime, url, 8 * KB)
+    for number, url in enumerate(urls + urls[::7]):
+        if number % 50 == 0:
+            runtime.flush()         # now and then a fresh DNS-Cache query
+        assert run_fetch(bed, runtime, url).data_object is not None
+        for name, table in ap_tables(ap):
+            assert len(table) <= max(len(ap.store), 1), name
+    assert ap.store.evictions > 300

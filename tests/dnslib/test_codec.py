@@ -4,7 +4,6 @@ import pytest
 
 from repro.dnslib import (
     CacheFlag,
-    CacheLookupEntry,
     CacheLookupRdata,
     DomainName,
     Header,
@@ -143,7 +142,9 @@ def test_cache_rdata_bad_flag_rejected():
 
 def test_cache_entry_requires_16_byte_hash():
     with pytest.raises(DnsFormatError):
-        CacheLookupEntry(b"short", CacheFlag.CACHE_HIT)
+        CacheLookupRdata().add(b"short", CacheFlag.CACHE_HIT)
+    with pytest.raises(DnsFormatError):
+        CacheLookupRdata({b"short": CacheFlag.CACHE_HIT}).encode()
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 import string
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.dnslib import (
     CacheFlag,
-    CacheLookupEntry,
     CacheLookupRdata,
     DomainName,
     Header,
@@ -26,6 +26,14 @@ _LABEL_ALPHABET = string.ascii_lowercase + string.digits + "-"
 labels = st.text(alphabet=_LABEL_ALPHABET, min_size=1, max_size=12)
 names = st.lists(labels, min_size=1, max_size=5).map(
     lambda parts: DomainName(parts))
+url_hashes = st.binary(min_size=16, max_size=16)
+flags = st.sampled_from(list(CacheFlag))
+
+
+def flag_tables(max_size):
+    return st.dictionaries(url_hashes, flags, max_size=max_size)
+
+
 addresses = st.integers(min_value=0, max_value=0xFFFFFFFF).map(IPv4Address)
 ttls = st.integers(min_value=0, max_value=0x7FFFFFFF)
 
@@ -44,10 +52,7 @@ def records(draw):
     if rtype == RRType.TXT:
         return ResourceRecord(name, rtype, RRClass.IN, ttl,
                               draw(st.binary(max_size=64)))
-    rdata = CacheLookupRdata([
-        CacheLookupEntry(draw(st.binary(min_size=16, max_size=16)),
-                         draw(st.sampled_from(list(CacheFlag))))
-        for _ in range(draw(st.integers(min_value=0, max_value=6)))])
+    rdata = CacheLookupRdata(draw(flag_tables(max_size=6)))
     rclass = draw(st.sampled_from([RRClass.REQUEST, RRClass.RESPONSE]))
     return ResourceRecord(name, rtype, rclass, ttl, rdata)
 
@@ -75,8 +80,7 @@ def messages(draw):
 def _canonical_record(record):
     rdata = record.rdata
     if isinstance(rdata, CacheLookupRdata):
-        rdata = tuple((entry.url_hash, entry.flag)
-                      for entry in rdata.entries)
+        rdata = tuple(rdata.flags.items())
     return (record.name, record.rtype, int(record.rclass), record.ttl,
             rdata)
 
@@ -144,3 +148,46 @@ def test_compression_shrinks_repeated_suffixes(name_list):
     for name in name_list:
         encode_name(name, without_compression, offsets=None)
     assert len(with_compression) <= len(without_compression)
+
+
+# ----------------------------------------------------------------------
+# DNS-Cache RDATA
+# ----------------------------------------------------------------------
+@settings(max_examples=200, deadline=None)
+@given(flag_tables(max_size=64))
+def test_cache_rdata_roundtrip_keeps_every_pair_in_order(table):
+    wire = CacheLookupRdata(dict(table)).encode()
+    assert len(wire) == 2 + 17 * len(table)
+    decoded = CacheLookupRdata.decode(wire)
+    assert list(decoded.flags.items()) == list(table.items())
+    assert all(type(flag) is CacheFlag for flag in decoded.flags.values())
+    assert decoded.encode() == wire
+
+
+@settings(max_examples=200, deadline=None)
+@given(flag_tables(max_size=64), st.data())
+def test_hostile_cache_rdata_is_rejected(table, data):
+    wire = CacheLookupRdata(dict(table)).encode()
+    attack = data.draw(st.sampled_from(
+        ["truncate", "count", "flag", "duplicate"]))
+    if attack == "truncate":
+        # Anything shorter than the whole RDATA.
+        hostile = wire[:data.draw(st.integers(0, len(wire) - 1))]
+    elif attack == "count":
+        # A count that disagrees with the length.
+        count = data.draw(st.integers(0, 0xFFFF).filter(
+            lambda count: count != len(table)))
+        hostile = count.to_bytes(2, "big") + wire[2:]
+    elif attack == "flag":
+        assume(table)
+        pair = data.draw(st.integers(0, len(table) - 1))
+        bad = data.draw(st.integers(4, 255))
+        at = 2 + 17 * pair + 16
+        hostile = wire[:at] + bytes([bad]) + wire[at + 1:]
+    else:
+        assume(table)
+        # The same hash twice: one flag per URL.
+        hostile = (len(table) + 1).to_bytes(2, "big") + wire[2:] + \
+            wire[2:19]
+    with pytest.raises(DnsFormatError):
+        CacheLookupRdata.decode(hostile)
