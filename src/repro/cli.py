@@ -156,14 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="S",
                       help="hold the 'draining' state for S seconds "
                            "before closing listeners (default 0)")
-    live.add_argument("--watchdog-interval-s", type=float,
-                      default=0.25, metavar="S",
-                      help="event-loop lag watchdog probe interval "
-                           "(default 0.25 s)")
     live.add_argument("--inject-stall-ms", type=float, default=0.0,
                       metavar="MS",
                       help="debug: block the event loop for MS after "
-                           "the demo to exercise the stall watchdog")
+                           "the demo to exercise the stall timer")
 
     subparsers.add_parser(
         "parity", parents=[common],
@@ -311,7 +307,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                             metrics_path=args.export_metrics,
                             metrics_port=args.metrics_port,
                             drain_grace_s=args.drain_grace_s,
-                            watchdog_interval_s=args.watchdog_interval_s,
                             inject_stall_ms=args.inject_stall_ms)
         except (ReproError, OSError) as error:
             print(f"live: {error}", file=sys.stderr)

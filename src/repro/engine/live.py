@@ -22,7 +22,8 @@ sockets, drains in-flight requests, closes the idle kept-alive
 connections and pooled sockets on both sides, flushes telemetry JSONL
 exports, and the process exits 0 — or 1 when the run broke a
 live-health bound (:func:`repro.telemetry.obs.live_health_violations`:
-a socket error, a loop stall, loop-lag p99 over 200 ms).  The flush
+a socket error, or a loop stall — a loop callback that ran past the
+engine's 250 ms stall threshold).  The flush
 also runs on the **failure** path: ``_run_stack`` stops the stack in
 a ``finally``, and :meth:`stop` itself flushes even when a drain
 raises, so a crash mid-serve still leaves spans/metrics exports
@@ -55,7 +56,7 @@ from repro.engine.livenet import (
     LiveTransport,
     LiveUdpServer,
 )
-from repro.engine.wallclock import LoopLagWatchdog, WallClock
+from repro.engine.wallclock import WallClock, timed_callback
 from repro.errors import HttpError
 from repro.httplib.content import DataObject
 from repro.httplib.messages import HttpRequest
@@ -65,11 +66,10 @@ from repro.httplib.server import (
     OriginServer,
 )
 from repro.httplib.url import Url
-from repro.httplib.wire import (
-    encode_payload_response,
-    read_head,
-    read_request,
-)
+from repro.httplib.wire import Framer, encode_payload_response, parse_request
+# Called by nothing; wrapped by name in ``bench/trace.py`` (see the
+# same import in ``repro.engine.livenet``).
+from repro.httplib.wire import read_request  # noqa: F401
 from repro.net.address import IPv4Address
 from repro.net.node import Node
 from repro.telemetry.exposition import PROM_CONTENT_TYPE, render_prometheus
@@ -95,10 +95,8 @@ _ZONE_TTL_S = 60
 
 @dataclasses.dataclass
 class LiveStackConfig:
-    """Knobs for the live deployment."""
+    """Knobs for the live deployment (every tier binds ``LIVE_HOST``)."""
 
-    #: Loopback host every tier binds.
-    host: str = LIVE_HOST
     #: Seconds to stay in the *draining* state (admin plane answering
     #: 503 on ``/healthz``) before the tier sockets close — gives load
     #: balancers/probes an observable drain window.
@@ -110,8 +108,6 @@ class LiveStackConfig:
     #: ``/debug/traces``) on this port; 0 = ephemeral, None = no admin
     #: server.
     metrics_port: int | None = None
-    #: Event-loop lag watchdog probe period (seconds).
-    watchdog_interval_s: float = 0.25
 
 
 class LiveStack:
@@ -138,8 +134,9 @@ class LiveStack:
         # Surface the engine's owned-task count (the ASYNC102 pattern)
         # as a live-health gauge for the obs panel.
         engine.tasks.bind_gauge(self.telemetry.gauge("live.tasks_active"))
+        # Every loop callback past the stall threshold counts here.
+        engine.bind_stall_counter(self.telemetry.counter("live.loop_stalls"))
 
-        cfg = self.config
         # No CPU capacities: the wall engine accounts modelled CPU
         # without holding it (``node.cpu.busy_time``), so nothing
         # contends for a slot.
@@ -184,11 +181,6 @@ class LiveStack:
         self._state = "starting"
         #: role -> (host, port) once started (the /healthz payload).
         self.endpoints: dict[str, tuple[str, int]] = {}
-        self.watchdog = LoopLagWatchdog(
-            engine.loop,
-            self.telemetry.histogram("live.loop_lag_ms"),
-            self.telemetry.counter("live.loop_stalls"),
-            interval_s=cfg.watchdog_interval_s)
         self.admin = AdminServer(self)
 
     # ------------------------------------------------------------------
@@ -210,16 +202,15 @@ class LiveStack:
         again in reverse order before the error propagates, so a failed
         ``repro.cli live --serve`` leaks no listening sockets.  With
         ``config.metrics_port`` set, the returned map gains an
-        ``admin/http`` entry and the lag watchdog starts probing.
+        ``admin/http`` entry.
         """
-        host = self.config.host
         endpoints: dict[str, tuple[str, int]] = {}
         async with self._lifecycle_lock:
             started: list[LiveUdpServer | LiveHttpServer] = []
             admin_started = False
             try:
                 for server in self._servers:
-                    endpoint = await server.start(host=host, port=0)
+                    endpoint = await server.start()
                     started.append(server)
                     node = server.node
                     if isinstance(server, LiveUdpServer):
@@ -230,7 +221,7 @@ class LiveStack:
                         endpoints[f"{node.name}/http"] = endpoint
                 if self.config.metrics_port is not None:
                     endpoints["admin/http"] = await self.admin.start(
-                        host=host, port=self.config.metrics_port)
+                        port=self.config.metrics_port)
                     admin_started = True
             except Exception:
                 if admin_started:
@@ -239,23 +230,20 @@ class LiveStack:
                     await server.stop(0.0)
                 raise
             self.endpoints = dict(endpoints)
-            self.watchdog.start()
             self._set_state("serving")
         return endpoints
 
     async def stop(self) -> None:
         """Graceful shutdown: drain (admin answering 503), then flush.
 
-        The watchdog stops first (the blessed blocking flush below must
-        not count as a stall) and the admin plane stops *last*, so
-        ``/healthz`` keeps reporting ``draining`` while the cache tiers
-        drain.  Telemetry is flushed in a ``finally``: an exception
-        while draining still leaves the JSONL exports behind.
+        The admin plane stops *last*, so ``/healthz`` keeps reporting
+        ``draining`` while the cache tiers drain.  Telemetry is flushed
+        in a ``finally``: an exception while draining still leaves the
+        JSONL exports behind.
         """
         async with self._lifecycle_lock:
             if self._state == "stopped":
                 return
-            self.watchdog.stop()
             self._set_state("draining")
             try:
                 if self.config.drain_grace_s > 0.0:
@@ -408,8 +396,10 @@ class AdminServer:
     """The live admin plane on its own listening socket.
 
     Serves three endpoints over the HTTP/1.1 wire codec the cache path
-    uses — but connection-close, one request per connection: the plane
-    is idle most of the time and ``curl``/``urllib`` just work:
+    uses, framed by the same :class:`~repro.httplib.wire.Framer` on a
+    protocol the stall timer times — but connection-close, one request
+    per connection: the plane is idle most of the time and
+    ``curl``/``urllib`` just work:
 
     * ``/metrics`` — Prometheus text exposition of every instrument
       (deterministic byte-for-byte on an idle stack);
@@ -437,11 +427,11 @@ class AdminServer:
         self.requests_served = 0
         self.errors = 0
 
-    async def start(self, host: str = LIVE_HOST,
-                    port: int = 0) -> tuple[str, int]:
+    async def start(self, port: int = 0) -> tuple[str, int]:
         """Listen (``port`` 0 = ephemeral) and return the endpoint."""
         async with self._lock:
-            server = await asyncio.start_server(self._serve, host, port)
+            server = await asyncio.get_running_loop().create_server(
+                lambda: _AdminConnection(self), LIVE_HOST, port)
             try:
                 sockname = server.sockets[0].getsockname()
                 self.endpoint = (sockname[0], sockname[1])
@@ -457,28 +447,6 @@ class AdminServer:
                 self._server.close()
                 await self._server.wait_closed()
                 self._server = None
-
-    async def _serve(self, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        try:
-            head = await read_head(reader)
-            if head is None:
-                # Connected and left without a byte (a port probe).
-                return
-            request = await read_request(reader, head)
-            status, payload, content_type = self._route(request)
-            writer.write(
-                encode_payload_response(status, payload, content_type))
-            await writer.drain()
-            self.requests_served += 1
-        except (HttpError, OSError):
-            self.errors += 1
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                pass
 
     def _route(self, request: HttpRequest) -> tuple[int, bytes, str]:
         stack = self._stack
@@ -515,8 +483,8 @@ class AdminServer:
             "tasks_active": len(stack.engine.tasks),
             "requests_served": sum(server.requests_served
                                    for server in stack._servers),
-            "watchdog": {"probes": stack.watchdog.probes,
-                         "stalls": stack.watchdog.stalls},
+            "longest_callback_ms": round(
+                stack.engine.longest_callback_ms, 3),
             "admin": {"requests_served": self.requests_served,
                       "errors": self.errors},
             # Router CPU the requests served so far would have cost
@@ -532,6 +500,50 @@ class AdminServer:
                             "tcp_reuses": transport.tcp_reuses,
                             "udp_sockets": transport.udp_sockets},
         }
+
+
+class _AdminConnection(asyncio.Protocol):
+    """One admin request per connection: frame it, answer it, close.
+
+    A close before the first byte is a port probe, not an error; a
+    malformed request, a close inside one, or a connection lost to an
+    error counts in :attr:`AdminServer.errors`.
+    """
+
+    transport: asyncio.Transport
+
+    def __init__(self, admin: AdminServer) -> None:
+        self._admin = admin
+        self._engine = admin._stack.engine
+        self._framer = Framer(parse_request)
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = _t.cast(asyncio.Transport, transport)
+
+    @timed_callback
+    def data_received(self, data: bytes) -> None:
+        admin = self._admin
+        try:
+            self._framer.feed(data)
+            message = self._framer.next()
+        except HttpError:
+            admin.errors += 1
+            self.transport.close()
+            return
+        if message is not None:
+            self.transport.write(
+                encode_payload_response(*admin._route(message[0])))
+            admin.requests_served += 1
+            self.transport.close()
+
+    def eof_received(self) -> bool:
+        if not self._framer.at_boundary:
+            self._admin.errors += 1
+        return False
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if exc is not None:
+            self._admin.errors += 1
 
 
 # ----------------------------------------------------------------------
@@ -558,10 +570,10 @@ def _demo_spec(url: str):
 def _block_loop(seconds: float) -> None:
     """Deliberately block the event loop for ``seconds``.
 
-    The watchdog's demo/test hook (``repro.cli live
-    --inject-stall-ms``): a synchronous sleep inside the serving
-    coroutine delays every pending callback — including the watchdog
-    probe — exactly like an accidental blocking call would.  It is a
+    The stall timer's demo/test hook (``repro.cli live
+    --inject-stall-ms``): run inside an engine callback, a synchronous
+    sleep delays every pending callback exactly like an accidental
+    blocking call would, and the engine times it like one.  It is a
     synchronous helper, so ASYNC101 (blocking calls written inside an
     ``async def``) leaves it alone; production code must never call
     it.
@@ -605,12 +617,15 @@ async def _run_stack(config: LiveStackConfig, demo_requests: int,
                  f"cache")
 
         if inject_stall_ms > 0.0:
-            _block_loop(inject_stall_ms / 1e3)
-            # Yield so the now-overdue watchdog probe runs and records
-            # the stall before the stack stops.
-            await asyncio.sleep(0.05)
+            # Block inside an engine callback, where the stall timer
+            # sees it, as it would see a handler that blocks.
+            stall = engine.timeout(0.0)
+            _t.cast("list[_t.Any]", stall.callbacks).append(
+                lambda _event: _block_loop(inject_stall_ms / 1e3))
+            await engine.wait(stall)
+            stalls = stack.telemetry.counter("live.loop_stalls").total()
             emit(f"live: injected a {inject_stall_ms:.0f} ms loop "
-                 f"stall ({stack.watchdog.stalls} counted)")
+                 f"stall ({stalls:.0f} counted)")
 
         if serve:
             emit("live: serving (SIGINT/SIGTERM to stop)")
@@ -623,7 +638,8 @@ async def _run_stack(config: LiveStackConfig, demo_requests: int,
         await stack.stop()
     engine.raise_unwaited()
     emit(f"live: drained, {stack.transport.udp_exchanges} udp / "
-         f"{stack.transport.tcp_exchanges} tcp exchanges")
+         f"{stack.transport.tcp_exchanges} tcp exchanges, longest loop "
+         f"callback {engine.longest_callback_ms:.2f} ms")
     from repro.telemetry.obs import live_health_violations
 
     violations = live_health_violations(stack.telemetry)
@@ -636,7 +652,6 @@ def run_live(demo_requests: int = 6, serve: bool = False,
              spans_path: str = "", metrics_path: str = "",
              metrics_port: int | None = None,
              drain_grace_s: float = 0.0,
-             watchdog_interval_s: float = 0.25,
              inject_stall_ms: float = 0.0,
              emit: _t.Callable[[str], None] = print) -> int:
     """Serve the live stack; the ``repro.cli live`` implementation.
@@ -650,7 +665,6 @@ def run_live(demo_requests: int = 6, serve: bool = False,
     config = LiveStackConfig(spans_path=spans_path,
                              metrics_path=metrics_path,
                              metrics_port=metrics_port,
-                             drain_grace_s=drain_grace_s,
-                             watchdog_interval_s=watchdog_interval_s)
+                             drain_grace_s=drain_grace_s)
     return asyncio.run(_run_stack(config, demo_requests, serve, emit,
                                   inject_stall_ms=inject_stall_ms))

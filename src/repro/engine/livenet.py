@@ -15,6 +15,8 @@ timeout), which the handler's process ``yield``s directly; only opening
 a socket is bridged from a coroutine
 (:meth:`~repro.engine.wallclock.WallClock.from_awaitable`).  HTTP bytes
 are cut into messages by the sans-IO :class:`~repro.httplib.wire.Framer`.
+Each protocol's receive callback is timed by the engine's stall timer
+(:func:`~repro.engine.wallclock.timed_callback`).
 
 Server side, :class:`LiveUdpServer` and :class:`LiveHttpServer` feed
 inbound datagrams/connections into a :class:`~repro.net.node.Node`'s
@@ -47,7 +49,7 @@ import typing as _t
 
 from repro.errors import HttpError, TransportError
 from repro.engine.events import Event
-from repro.engine.wallclock import WallClock
+from repro.engine.wallclock import WallClock, timed_callback
 from repro.httplib.messages import HttpResponse
 from repro.httplib.wire import (
     MAX_HEADER_BYTES,
@@ -57,9 +59,9 @@ from repro.httplib.wire import (
     parse_request,
     parse_response,
 )
-# Not called on the request path, which frames bytes with the parsers
-# above; bound here because ``bench/trace.py`` wraps these names in
-# this module by name.
+# Called by nothing: ``bench/trace.py`` wraps these names in this
+# module (and ``read_request`` in ``repro.engine.live``) until its
+# wrappers move to the parsers above (ROADMAP.md item 5(a)).
 from repro.httplib.wire import read_request, read_response  # noqa: F401
 from repro.net.address import IPv4Address
 from repro.net.node import Node, TCP_HTTP_PORT, UDP_DNS_PORT
@@ -97,12 +99,9 @@ def register_live_instruments(telemetry: Telemetry) -> None:
     telemetry.gauge("live.tasks_active",
                     help="socket opens bridged as tasks currently "
                          "alive in the engine's owned set")
-    telemetry.histogram("live.loop_lag_ms",
-                        help="event-loop scheduling delay per watchdog "
-                             "probe (docs/live.md)")
     telemetry.counter("live.loop_stalls",
-                      help="watchdog probes delayed past the stall "
-                           "threshold")
+                      help="loop callbacks that ran past the stall "
+                           "threshold (docs/live.md)")
 
 
 class LiveTransport:
@@ -326,6 +325,7 @@ class _ClientConnection(asyncio.Protocol):
             self.transport.write(payload)
         return exchange
 
+    @timed_callback
     def data_received(self, data: bytes) -> None:
         exchange = self._exchange
         if exchange is None:
@@ -377,6 +377,7 @@ class _UdpSocket(asyncio.DatagramProtocol):
         self.transport.sendto(payload)
         return exchange
 
+    @timed_callback
     def datagram_received(self, data: bytes, addr: Endpoint) -> None:
         # With no exchange outstanding the datagram answers nobody's
         # question (a duplicate, a stray): dropped.
@@ -507,7 +508,9 @@ class LiveUdpServer(_ServerBase):
 class _UdpServerProtocol(asyncio.DatagramProtocol):
     def __init__(self, server: LiveUdpServer) -> None:
         self._server = server
+        self._engine = server.engine
 
+    @timed_callback
     def datagram_received(self, data: bytes, addr: Endpoint) -> None:
         self._server._dispatch(data, addr)
 
@@ -598,6 +601,7 @@ class _ServerConnection(asyncio.Protocol):
 
     def __init__(self, server: LiveHttpServer) -> None:
         self._server = server
+        self._engine = server.engine
         self._framer = Framer(parse_request)
         self._source = IPv4Address(LIVE_HOST)
         #: A request's handler process is running.
@@ -620,6 +624,7 @@ class _ServerConnection(asyncio.Protocol):
             # The peer vanished (a reset, a broken pipe).
             self._server._socket_errors.inc(role=self._server.role)
 
+    @timed_callback
     def data_received(self, data: bytes) -> None:
         self._framer.feed(data)
         self._serve_next()

@@ -34,16 +34,26 @@ and a callback that raises reaches the loop's exception handler without
 stranding the events behind it.  Nothing in the served stack relies on
 the preemption.
 
+The stall timer: every loop callback the live stack runs — a burst,
+a timed event, a socket protocol's ``data_received`` /
+``datagram_received`` (:func:`timed_callback`) — is timed with two
+host-clock reads.  The engine keeps the longest in
+:attr:`WallClock.longest_callback_ms`, and one longer than
+:data:`STALL_THRESHOLD_MS` bumps the bound stall counter
+(``live.loop_stalls``, a live-health bound); nothing else is recorded
+per callback.
+
 This is the **only** module in the library that reads the host clock
-for simulated-looking time, which is why ``[tool.repro-lint]
-wallclock-allow`` lists it; everything downstream takes time from
-``engine.now`` and stays engine-agnostic.
+— for ``engine.now`` and the stall timer — which is why
+``[tool.repro-lint] wallclock-allow`` lists it; everything downstream
+takes time from ``engine.now`` and stays engine-agnostic.
 """
 
 from __future__ import annotations
 
 import asyncio
 import collections
+import functools
 import typing as _t
 from time import monotonic
 
@@ -51,97 +61,37 @@ from repro.errors import SimulationError
 from repro.engine.api import Scheduler
 from repro.engine.events import Event
 
-__all__ = ["LoopLagWatchdog", "OwnedTaskSet", "WallClock"]
+__all__ = ["OwnedTaskSet", "STALL_THRESHOLD_MS", "WallClock",
+           "timed_callback"]
 
 
 class _TaskGauge(_t.Protocol):  # pragma: no cover - typing only
     def set(self, value: float, **labels: object) -> None: ...
 
 
-class _LagHistogram(_t.Protocol):  # pragma: no cover - typing only
-    def observe(self, value: float, **labels: object) -> None: ...
-
-
 class _StallCounter(_t.Protocol):  # pragma: no cover - typing only
     def inc(self, amount: float = 1.0, **labels: object) -> None: ...
 
 
-class LoopLagWatchdog:
-    """Periodic probe of asyncio scheduling delay (event-loop lag).
+#: A loop callback that runs longer than this is a stall: every fetch
+#: waiting behind it is late by as much (docs/live.md).
+STALL_THRESHOLD_MS = 250.0
 
-    Every ``interval_s`` the watchdog schedules a callback and, when it
-    actually runs, records how far past its deadline the loop delivered
-    it — the canonical "is something blocking the loop" signal.  Lags
-    land in a histogram (``live.loop_lag_ms``); any probe later than
-    ``stall_threshold_ms`` additionally bumps a stall counter
-    (``live.loop_stalls``, a live-health bound in
-    :func:`repro.telemetry.obs.live_health_violations`).
+_Callback = _t.TypeVar("_Callback", bound=_t.Callable[..., None])
 
-    The instruments are duck-typed (same pattern as
-    :class:`OwnedTaskSet`): this module stays free of telemetry
-    imports, and the host-clock reads below are exactly why this module
-    is on ``wallclock-allow``.
 
-    The first probe fires via ``call_soon`` with a deadline of "now",
-    so every started stack records at least one (near-zero) lag sample
-    immediately — the parity gate's ``live.loop_lag_ms`` budget always
-    resolves, even on runs too short for a full interval to elapse.
-    """
+def timed_callback(method: _Callback) -> _Callback:
+    """Time a protocol's loop callback on its ``_engine``'s stall timer."""
 
-    def __init__(self, loop: asyncio.AbstractEventLoop,
-                 lag_histogram: _LagHistogram,
-                 stall_counter: _StallCounter,
-                 interval_s: float = 0.25,
-                 stall_threshold_ms: float = 250.0) -> None:
-        if interval_s <= 0.0:
-            raise SimulationError(
-                f"watchdog interval must be positive, got {interval_s!r}")
-        self._loop = loop
-        self._histogram = lag_histogram
-        self._counter = stall_counter
-        self.interval_s = interval_s
-        self.stall_threshold_ms = stall_threshold_ms
-        self._handle: asyncio.Handle | None = None
-        self._deadline = 0.0
-        self._running = False
-        #: Probes delivered / stalls seen since start (introspection).
-        self.probes = 0
-        self.stalls = 0
+    @functools.wraps(method)
+    def timed(self: _t.Any, *args: object) -> None:
+        start = monotonic()
+        try:
+            method(self, *args)
+        finally:
+            self._engine._clocked(start)
 
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    def start(self) -> None:
-        """Begin probing; idempotent while running."""
-        if self._running:
-            return
-        self._running = True
-        self._deadline = monotonic()
-        self._handle = self._loop.call_soon(self._probe)
-
-    def stop(self) -> None:
-        """Cancel the pending probe; idempotent."""
-        self._running = False
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _probe(self) -> None:
-        if not self._running:
-            return
-        lag_ms = max(0.0, (monotonic() - self._deadline) * 1e3)
-        self.probes += 1
-        self._histogram.observe(lag_ms)
-        if lag_ms > self.stall_threshold_ms:
-            self.stalls += 1
-            self._counter.inc()
-        self._deadline = monotonic() + self.interval_s
-        self._handle = self._loop.call_later(self.interval_s, self._probe)
-
-    def __repr__(self) -> str:
-        return (f"<LoopLagWatchdog interval={self.interval_s}s "
-                f"probes={self.probes} stalls={self.stalls}>")
+    return _t.cast(_Callback, timed)
 
 
 class OwnedTaskSet:
@@ -221,6 +171,10 @@ class WallClock(Scheduler):
         self._ready: collections.deque[Event] = collections.deque()
         #: Whether a ``call_soon(self._drain)`` is pending or running.
         self._burst_posted = False
+        #: The stall timer: the longest loop callback so far (ms), and
+        #: the counter a callback over :data:`STALL_THRESHOLD_MS` bumps.
+        self.longest_callback_ms = 0.0
+        self._stalls: _StallCounter | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -240,7 +194,7 @@ class WallClock(Scheduler):
     # ------------------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay > 0.0:
-            self._loop.call_later(delay, self._dispatch, event)
+            self._loop.call_later(delay, self._fire, event)
             return
         self._ready.append(event)
         if not self._burst_posted:
@@ -249,6 +203,7 @@ class WallClock(Scheduler):
 
     def _drain(self) -> None:
         """Dispatch the burst, events queued while it runs included."""
+        start = monotonic()
         ready, dispatch = self._ready, self._dispatch
         try:
             while ready:
@@ -260,6 +215,15 @@ class WallClock(Scheduler):
                 self._loop.call_soon(self._drain)
             else:
                 self._burst_posted = False
+            self._clocked(start)
+
+    def _fire(self, event: Event) -> None:
+        """Dispatch a timed event (its ``call_later`` callback)."""
+        start = monotonic()
+        try:
+            self._dispatch(event)
+        finally:
+            self._clocked(start)
 
     def _dispatch(self, event: Event) -> None:
         """Process one triggered event (the loop-callback half of step)."""
@@ -275,6 +239,21 @@ class WallClock(Scheduler):
             # loop's exception handler.  Park it for raise_unwaited().
             self.unwaited_failures.append(
                 _t.cast(BaseException, event._value))
+
+    # ------------------------------------------------------------------
+    # The stall timer
+    # ------------------------------------------------------------------
+    def bind_stall_counter(self, counter: _StallCounter) -> None:
+        """Bump ``counter`` for every stalled callback from now on."""
+        self._stalls = counter
+
+    def _clocked(self, start: float) -> None:
+        """Close the timing of one loop callback that began at ``start``."""
+        took_ms = (monotonic() - start) * 1e3
+        if took_ms > self.longest_callback_ms:
+            self.longest_callback_ms = took_ms
+        if took_ms > STALL_THRESHOLD_MS and self._stalls is not None:
+            self._stalls.inc()
 
     def raise_unwaited(self) -> None:
         """Re-raise the first failure no process or waiter consumed."""

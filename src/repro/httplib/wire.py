@@ -12,11 +12,11 @@ Reading is sans-IO.  :func:`parse_request` / :func:`parse_response`
 turn one header block into a message plus the length of the body that
 follows it, and a :class:`Framer` cuts a byte stream — however the
 socket happens to chunk it — into those messages, counting body octets
-away as they arrive instead of buffering them.  The live transport's
-protocols feed their received bytes to a framer; :func:`read_head`,
-:func:`read_request` and :func:`read_response` are thin
-``asyncio.StreamReader`` drivers over the same parsers, used only by the
-admin plane.
+away as they arrive instead of buffering them.  Every live protocol,
+the admin plane's included, feeds its received bytes to a framer.
+:func:`read_request` and :func:`read_response` read a body off an
+``asyncio.StreamReader`` after a given head; nothing in the library
+calls them.
 
 Bodies in this library are *size-only* :class:`DataObject` metadata, so
 the payload on the wire is ``size_bytes`` filler octets (the real bytes
@@ -49,7 +49,7 @@ from repro.httplib.url import Url
 __all__ = [
     "encode_request", "encode_response", "encode_payload_response",
     "parse_request", "parse_response", "Framer",
-    "read_head", "read_request", "read_response",
+    "read_request", "read_response",
     "MAX_HEADER_BYTES",
 ]
 
@@ -232,23 +232,6 @@ class Framer(_t.Generic[_Parsed]):
             return None
         message, self._message = self._message, None
         return message
-
-
-async def read_head(reader: asyncio.StreamReader) -> bytes | None:
-    """Wait for the next message's header block, blank line included.
-
-    ``None`` means the peer closed before the first byte: how every
-    connection ends between messages.  A close *inside* the block is
-    an :class:`HttpError`.
-    """
-    try:
-        return await reader.readuntil(_BLANK_LINE)
-    except asyncio.IncompleteReadError as err:
-        if not err.partial:
-            return None
-        raise HttpError("connection closed mid-message") from err
-    except asyncio.LimitOverrunError as err:
-        raise HttpError(f"header block exceeds reader limit: {err}")
 
 
 async def read_request(reader: asyncio.StreamReader,

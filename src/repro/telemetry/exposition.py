@@ -9,7 +9,7 @@ series by label set, histogram buckets by ascending ``le`` — so two
 scrapes of an idle stack are byte-identical (``tools/check.sh``
 asserts this).
 
-Metric names in this repository are dotted (``live.loop_lag_ms``);
+Metric names in this repository are dotted (``client.total_ms``);
 the exposition format forbids dots, so names are sanitized (``.`` →
 ``_``) and the original spelling rides in a ``# SOURCE`` comment line
 (standard parsers ignore unknown comments; :func:`parse_exposition`

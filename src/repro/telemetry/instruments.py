@@ -291,15 +291,6 @@ class Histogram(Instrument):
         """Every label set with its own sketch, sorted by label set."""
         return sorted(self._sketches.items())
 
-    def samples(self, **labels: object) -> list[float]:
-        """Always empty: no raw sample is retained.
-
-        Kept only for ``bench/layers.py::_loop_lag_samples``, which
-        reads it; once that reader takes the sketch's ``max`` instead,
-        this method goes.
-        """
-        return []
-
     def count(self, **labels: object) -> int:
         """Total observations across the matching label sets."""
         return self.sketch(**labels).count

@@ -1,16 +1,15 @@
-"""The live admin plane: /metrics, /healthz, /debug/traces, watchdog.
+"""The live admin plane: /metrics, /healthz, /debug/traces.
 
-Acceptance for the observability PR (docs/live.md): the admin server
-rides alongside the cache tiers on its own port, two idle ``/metrics``
-scrapes are byte-identical, ``/healthz`` flips 200 → 503 through the
-drain, ``/debug/traces`` returns span trees, the event-loop lag
-watchdog counts injected stalls, and the telemetry exports land even
-when the serve loop dies mid-flight.
+The admin server rides alongside the cache tiers on its own port
+(docs/live.md): two idle ``/metrics`` scrapes are byte-identical on
+the default config, ``/healthz`` flips 200 → 503 through the drain,
+``/debug/traces`` returns span trees, an injected stall breaks the
+live-health verdict, and the telemetry exports land even when the
+serve loop dies mid-flight.
 """
 
 import asyncio
 import json
-import time
 
 import pytest
 
@@ -21,10 +20,9 @@ from repro.engine.live import (
     run_live,
     trace_payload,
 )
-from repro.engine.wallclock import LoopLagWatchdog, WallClock
-from repro.errors import SimulationError
+from repro.engine.wallclock import STALL_THRESHOLD_MS, WallClock
 from repro.telemetry.exposition import parse_exposition
-from repro.telemetry.instruments import Counter, Gauge, Histogram
+from repro.telemetry.instruments import Counter, Gauge
 from repro.telemetry.registry import Telemetry
 
 URL = "http://admin-e2e.example/obj.bin"
@@ -48,13 +46,6 @@ async def _admin_get(endpoint, path):
     return status, body
 
 
-def _quiet_config(**overrides) -> LiveStackConfig:
-    """Admin plane on, watchdog slow enough that idle scrapes match."""
-    defaults = dict(metrics_port=0, watchdog_interval_s=30.0)
-    defaults.update(overrides)
-    return LiveStackConfig(**defaults)
-
-
 # ----------------------------------------------------------------------
 # Satellite: instruments pre-registered at construction
 # ----------------------------------------------------------------------
@@ -64,12 +55,12 @@ def test_live_instruments_preregistered_before_any_traffic():
         names = {i.name for i in stack.telemetry.instruments()}
         assert {"live.socket_errors", "live.request_timeouts",
                 "live.in_flight", "live.tasks_active",
-                "live.loop_lag_ms", "live.loop_stalls"} <= names
+                "live.loop_stalls"} <= names
         assert isinstance(stack.telemetry.get("live.socket_errors"),
                           Counter)
+        assert isinstance(stack.telemetry.get("live.loop_stalls"),
+                          Counter)
         assert isinstance(stack.telemetry.get("live.in_flight"), Gauge)
-        assert isinstance(stack.telemetry.get("live.loop_lag_ms"),
-                          Histogram)
 
     asyncio.run(_scenario())
 
@@ -80,7 +71,9 @@ def test_live_instruments_preregistered_before_any_traffic():
 def test_admin_endpoints_over_loopback():
     async def _scenario():
         engine = WallClock()
-        stack = LiveStack(engine, config=_quiet_config())
+        # The default config but for the admin plane: nothing ticks on
+        # an idle stack, so two scrapes match byte for byte.
+        stack = LiveStack(engine, config=LiveStackConfig(metrics_port=0))
         stack.host_object(URL, 32 * 1024)
         endpoints = await stack.start()
         assert "admin/http" in endpoints
@@ -90,8 +83,6 @@ def test_admin_endpoints_over_loopback():
                                            ttl_s=120.0))
         try:
             await stack.fetch(client, URL)
-            # Let the immediate first watchdog probe land.
-            await asyncio.sleep(0.01)
 
             status, first = await _admin_get(admin, "/metrics")
             assert status == 200
@@ -103,7 +94,7 @@ def test_admin_endpoints_over_loopback():
             names = [family.name for family in families]
             assert names == sorted(names)
             sources = {family.source for family in families}
-            assert {"live.loop_lag_ms", "live.loop_stalls",
+            assert {"live.loop_stalls",
                     "live.socket_errors", "live.in_flight",
                     "client.total_ms"} <= sources
 
@@ -113,8 +104,9 @@ def test_admin_endpoints_over_loopback():
             assert health["ok"] is True
             assert health["state"] == "serving"
             assert health["endpoints"]["admin/http"] == list(admin)
-            assert health["watchdog"]["probes"] >= 1
-            assert health["watchdog"]["stalls"] == 0
+            # The longest loop callback so far (the fetch's, or a
+            # scrape's): timed, and short of a stall.
+            assert 0.0 < health["longest_callback_ms"] < STALL_THRESHOLD_MS
             # The two scrapes so far; this one counts once answered.
             assert health["admin"] == {"requests_served": 2,
                                        "errors": 0}
@@ -167,7 +159,7 @@ def test_admin_endpoints_over_loopback():
 def test_malformed_admin_request_is_counted_and_the_plane_still_answers():
     async def _scenario():
         engine = WallClock()
-        stack = LiveStack(engine, config=_quiet_config())
+        stack = LiveStack(engine, config=LiveStackConfig(metrics_port=0))
         endpoints = await stack.start()
         admin = endpoints["admin/http"]
         try:
@@ -199,8 +191,8 @@ def test_malformed_admin_request_is_counted_and_the_plane_still_answers():
 def test_healthz_flips_503_through_the_drain():
     async def _scenario():
         engine = WallClock()
-        stack = LiveStack(engine,
-                          config=_quiet_config(drain_grace_s=0.4))
+        stack = LiveStack(engine, config=LiveStackConfig(
+            metrics_port=0, drain_grace_s=0.4))
         endpoints = await stack.start()
         admin = endpoints["admin/http"]
         status, _body = await _admin_get(admin, "/healthz")
@@ -235,89 +227,21 @@ def test_no_admin_plane_without_metrics_port():
 
 
 # ----------------------------------------------------------------------
-# Tentpole: the event-loop lag watchdog
+# The injected stall, on the default config
 # ----------------------------------------------------------------------
-def test_watchdog_counts_a_blocked_loop():
-    async def _scenario():
-        telemetry = Telemetry()
-        lag = telemetry.histogram("live.loop_lag_ms")
-        stalls = telemetry.counter("live.loop_stalls")
-        watchdog = LoopLagWatchdog(
-            asyncio.get_running_loop(), lag, stalls,
-            interval_s=0.05, stall_threshold_ms=50.0)
-        watchdog.start()
-        await asyncio.sleep(0.01)  # the immediate first probe
-        assert watchdog.probes >= 1
-        assert watchdog.stalls == 0
-        # Block the loop well past the threshold (tests are outside
-        # the ASYNC101 scan scope; src uses the blessed _block_loop).
-        time.sleep(0.2)
-        await asyncio.sleep(0.06)  # the overdue probe fires now
-        watchdog.stop()
-        assert watchdog.stalls >= 1
-        assert stalls.value() >= 1
-        assert lag.summary()["max"] >= 50.0
-        probes = watchdog.probes
-        await asyncio.sleep(0.12)
-        assert watchdog.probes == probes, "stop() must halt probing"
-
-    asyncio.run(_scenario())
-
-
-def test_stack_probes_at_the_configured_watchdog_interval():
-    async def _scenario():
-        stack = LiveStack(WallClock(), config=LiveStackConfig(
-            watchdog_interval_s=0.05))
-        await stack.start()
-        try:
-            await asyncio.sleep(0.4)
-        finally:
-            await stack.stop()
-        assert stack.watchdog.interval_s == 0.05
-        # The immediate probe plus one per 50 ms: at the 0.25 s default
-        # it would be two.
-        assert stack.watchdog.probes >= 4
-
-    asyncio.run(_scenario())
-
-
-def test_watchdog_start_is_idempotent_and_validates_interval():
-    async def _scenario():
-        telemetry = Telemetry()
-        watchdog = LoopLagWatchdog(
-            asyncio.get_running_loop(),
-            telemetry.histogram("lag"), telemetry.counter("stalls"),
-            interval_s=5.0)
-        watchdog.start()
-        watchdog.start()
-        assert watchdog.running
-        watchdog.stop()
-        assert not watchdog.running
-        with pytest.raises(SimulationError):
-            LoopLagWatchdog(asyncio.get_running_loop(),
-                            telemetry.histogram("lag"),
-                            telemetry.counter("stalls"), interval_s=0.0)
-
-    asyncio.run(_scenario())
-
-
 def test_run_live_inject_stall_feeds_the_budget_metrics(tmp_path):
     metrics = tmp_path / "metrics.jsonl"
     lines = []
-    code = run_live(demo_requests=0, metrics_path=str(metrics),
-                    watchdog_interval_s=0.05, inject_stall_ms=300.0,
-                    emit=lines.append)
+    # Mid-run: the stall follows the demo's fetches.
+    code = run_live(demo_requests=2, metrics_path=str(metrics),
+                    inject_stall_ms=300.0, emit=lines.append)
     assert code == 1  # the stall broke a live-health bound
     records = [json.loads(line)
                for line in metrics.read_text().splitlines()]
     stall_counters = [record for record in records
                       if record["name"] == "live.loop_stalls"]
-    assert stall_counters and stall_counters[0]["value"] >= 1
-    lag = [record for record in records
-           if record["name"] == "live.loop_lag_ms"]
-    assert lag and lag[0]["summary"]["max"] >= 250.0
-    assert any("injected a 300 ms loop stall" in line
-               for line in lines)
+    assert [counter["value"] for counter in stall_counters] == [1.0]
+    assert "live: injected a 300 ms loop stall (1 counted)" in lines
     assert any("health bound broken: live.loop_stalls" in line
                for line in lines)
 
@@ -348,9 +272,9 @@ def test_mid_serve_fault_still_flushes_exports(tmp_path, monkeypatch):
     assert metrics.exists() and spans.exists()
     records = [json.loads(line)
                for line in metrics.read_text().splitlines()]
-    # The watchdog's immediate first probe always lands one sample, so
-    # the flushed export is non-trivial even though the demo died.
-    assert any(record["name"] == "live.loop_lag_ms"
+    # The stack sets its task gauge at construction, so the flushed
+    # export is non-trivial even though the demo died.
+    assert any(record["name"] == "live.tasks_active"
                for record in records)
     assert states == ["serving", "draining", "stopped"]
 
@@ -367,12 +291,11 @@ def test_live_options_reach_run_live(monkeypatch, capsys):
                         lambda **kwargs: calls.append(kwargs) or 0)
     assert main(["live", "--requests", "3", "--serve", "--spans", "s",
                  "--export-metrics", "m", "--metrics-port", "0",
-                 "--drain-grace-s", "0.5", "--watchdog-interval-s",
-                 "0.1", "--inject-stall-ms", "600"]) == 0
+                 "--drain-grace-s", "0.5",
+                 "--inject-stall-ms", "600"]) == 0
     assert calls == [dict(demo_requests=3, serve=True, spans_path="s",
                           metrics_path="m", metrics_port=0,
-                          drain_grace_s=0.5, watchdog_interval_s=0.1,
-                          inject_stall_ms=600.0)]
+                          drain_grace_s=0.5, inject_stall_ms=600.0)]
     capsys.readouterr()
 
 

@@ -213,21 +213,38 @@ def test_concurrent_start_and_stop_leave_no_listening_socket(server_class):
 
 
 def test_concurrent_stack_start_and_stop_leave_nothing_running():
-    """The same race one level up: the stack's own lifecycle lock keeps
-    ``stop`` from running between the binds, where it would close the
-    servers but leave the lag watchdog that ``start`` arms last."""
+    """The same race one level up, ``start`` first: the stack ends
+    stopped with no tier listening.  This order passes without the
+    stack's lifecycle lock too; the next test, ``stop`` first, is the
+    one that needs it."""
 
     async def _scenario():
         stack = LiveStack(WallClock())
         try:
             await asyncio.gather(stack.start(), stack.stop())
             assert stack.state == "stopped"
-            assert not stack.watchdog.running
             assert [_listening(server) for server in stack._servers] == \
                 [None] * len(stack._servers)
         finally:
-            stack.watchdog.stop()
             for server in stack._servers:
                 await server.stop(0.0)
+
+    asyncio.run(_scenario())
+
+
+def test_stop_racing_ahead_of_start_leaves_no_tier_half_bound():
+    """The race in the other order: ``stop`` first.  The lock lets it
+    finish before ``start`` binds anything, so the stack ends serving
+    with every tier bound — not stopped with a tier it never closed."""
+
+    async def _scenario():
+        stack = LiveStack(WallClock())
+        try:
+            await asyncio.gather(stack.stop(), stack.start())
+            assert stack.state == "serving"
+            assert None not in [_listening(server)
+                                for server in stack._servers]
+        finally:
+            await stack.stop()
 
     asyncio.run(_scenario())

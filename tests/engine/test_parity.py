@@ -45,7 +45,6 @@ def test_live_socket_error_breaks_parity():
     sim = _request_run("sim", 200.0)
     live = _request_run("live", 200.0)
     register_live_instruments(live.telemetry)
-    live.telemetry.histogram("live.loop_lag_ms").observe(1.0)
     report = ParityReport(sim=sim, live=live, mismatches=[],
                           stat_entries=[])
     assert report.ok

@@ -49,6 +49,7 @@ def test_real_wallclock_module_lints_clean_only_when_blessed():
     assert lint_file(target, config) == []
     strict = dataclasses.replace(config, wallclock_allow=())
     codes = [finding.code for finding in lint_file(target, strict)]
-    # WallClock.now / _schedule plus the LoopLagWatchdog's three
-    # monotonic() probes — every host-clock read lives in this file.
-    assert codes == ["DET002"] * 5
+    # The epoch and WallClock.now, plus the stall timer's four reads
+    # (a start in _drain, in _fire and in timed_callback, one shared
+    # end in _clocked) — every host-clock read lives in this file.
+    assert codes == ["DET002"] * 6

@@ -243,15 +243,10 @@ def test_live_health_violations_count_missing_instruments_as_broken():
     assert live_health_violations(telemetry) == [
         "live.socket_errors = (missing) > 0",
         "live.loop_stalls = (missing) > 0",
-        "live.loop_lag_ms (p99) = (missing) > 200",
     ]
     register_live_instruments(telemetry)
-    # Registered but never probed: the lag bound still has no reading.
-    assert live_health_violations(telemetry) == [
-        "live.loop_lag_ms (p99) = (missing) > 200"]
-    telemetry.histogram("live.loop_lag_ms").observe(200.0)
+    # Registered and never bumped: both bounds hold.
     assert live_health_violations(telemetry) == []
-    telemetry.histogram("live.loop_lag_ms").observe(400.0)
-    # Nearest rank: p99 is the 400 ms probe's sketch bucket, within 1 %.
+    telemetry.counter("live.loop_stalls").inc()
     assert live_health_violations(telemetry) == [
-        "live.loop_lag_ms (p99) = 399.474 > 200"]
+        "live.loop_stalls = 1 > 0"]

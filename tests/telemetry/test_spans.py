@@ -152,7 +152,7 @@ def test_null_backend_is_inert_and_allocation_free():
     counter.observe(1.0)
     counter.set(2.0)
     assert counter.total() == 0.0
-    assert counter.samples() == []
+    assert not hasattr(counter, "samples")  # no raw sample is kept
     assert counter.labelsets() == []
     assert counter.summary() == {"count": 0.0}
 
